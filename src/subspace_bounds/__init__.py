@@ -39,7 +39,7 @@ from .equivariance import (
     random_projector,
     weighted_loss,
 )
-from .errors import ConditionNotMet, DegenerateGap, InvalidInput, Unsupported
+from .errors import ConditionNotMet, DegenerateGap, InvalidInput, NotConverged, Unsupported
 from .fisher import (
     FisherForm,
     FisherLimitReport,
@@ -57,6 +57,7 @@ from .linalg import (
     hs_inner,
     skew_exp,
     sym_eig,
+    sym_eig_batch,
     unvech,
     vech,
 )

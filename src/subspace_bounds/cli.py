@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage error, 3 precondition failure, 4 a
 verification or domination check failed (a sentinel for implementation
-bugs: the inequalities it guards are mathematically guaranteed).  All artifacts are
+bugs: the inequalities it guards are mathematically guaranteed), 5 a
+numerical solver stopped at its iteration cap.  All artifacts are
 deterministic given flags and seed: JSON is dumped with sorted keys and
 CSV rows use shortest round-trip float formatting.
 """
@@ -29,7 +30,7 @@ from .equivariance import (
     random_projector,
     weighted_loss,
 )
-from .errors import ConditionNotMet, InvalidInput, Unsupported
+from .errors import ConditionNotMet, InvalidInput, NotConverged, Unsupported
 from .linalg import SkewMatrix, skew_exp
 from .models import CovModel, DenoiseModel, RngStream, haar_orthogonal, parse_spectrum
 
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_VIOLATION = 4
+EXIT_NOT_CONVERGED = 5
 
 SEED_ENV_VAR = "SUBSPACE_BOUNDS_SEED"
 
@@ -87,7 +89,11 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 def _seed_from(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    text = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from exc
 
 
 def _spectrum(args):
@@ -563,6 +569,9 @@ def main(argv=None) -> int:
     except (InvalidInput, ConditionNotMet, Unsupported) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except NotConverged as exc:
+        print(f"not converged: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import OrthMatrix, SkewMatrix, SymMatrix, hs_inner
+from .linalg import OrthMatrix, SkewMatrix, SymMatrix, symmetrized
 from .models import Spectrum, haar_orthogonal
 
 PROJECTOR_TOL = 1e-9
@@ -69,6 +69,21 @@ class WeightMatrix:
         return cls(np.ones((p, p)))
 
 
+def _trace(m: np.ndarray) -> np.ndarray:
+    return m.trace(axis1=-2, axis2=-1)
+
+
+def _require_projector(m: np.ndarray) -> None:
+    """Raise unless each matrix in a (..., p, p) array is idempotent to 1e-9
+    with an integer trace."""
+    if np.abs(m @ m - m).max() > PROJECTOR_TOL:
+        raise InvalidInput("matrix is not idempotent")
+    tr = _trace(m)
+    off = np.abs(tr - np.rint(tr)) > PROJECTOR_TOL
+    if off.any():
+        raise InvalidInput(f"trace {float(tr[off][0])} is not an integer rank")
+
+
 @dataclass(frozen=True, eq=False)
 class Projector:
     """Orthogonal projection matrix of integer rank (idempotent to 1e-9)."""
@@ -78,12 +93,7 @@ class Projector:
     def __init__(self, matrix):
         if not isinstance(matrix, SymMatrix):
             matrix = SymMatrix(matrix)
-        m = matrix.a
-        if np.max(np.abs(m @ m - m)) > PROJECTOR_TOL:
-            raise InvalidInput("matrix is not idempotent")
-        tr = float(np.trace(m))
-        if abs(tr - round(tr)) > PROJECTOR_TOL:
-            raise InvalidInput(f"trace {tr} is not an integer rank")
+        _require_projector(matrix.a)
         object.__setattr__(self, "matrix", matrix)
 
     @property
@@ -96,15 +106,31 @@ class Projector:
 
     @property
     def rank(self) -> int:
-        return int(round(float(np.trace(self.matrix.a))))
+        return int(round(float(_trace(self.matrix.a))))
+
+
+def _check_d(d: int, p: int) -> None:
+    if not 1 <= d <= p:
+        raise InvalidInput(f"d={d} out of range 1..{p}")
+
+
+def _lead_outer(u: np.ndarray, d: int) -> np.ndarray:
+    lead = u[..., :d]
+    return lead @ lead.swapaxes(-1, -2)
 
 
 def projector_leq_d(u: OrthMatrix, d: int) -> Projector:
     """Orthogonal projection onto the span of the first d columns of U."""
-    if not 1 <= d <= u.dim:
-        raise InvalidInput(f"d={d} out of range 1..{u.dim}")
-    lead = u.a[:, :d]
-    return Projector(SymMatrix(lead @ lead.T))
+    _check_d(d, u.dim)
+    return Projector(SymMatrix(_lead_outer(u.a, d)))
+
+
+def projector_leq_d_batch(u: np.ndarray, d: int) -> np.ndarray:
+    """projector_leq_d of each basis in a (B, p, p) stack, checked as Projector does."""
+    _check_d(d, u.shape[-1])
+    m = symmetrized(_lead_outer(u, d))
+    _require_projector(m)
+    return m
 
 
 def random_projector(p: int, d: int, rng) -> Projector:
@@ -151,6 +177,11 @@ def dv_dir(p: int, i: int, j: int, xi: SkewMatrix) -> np.ndarray:
     return out
 
 
+def _weighted_loss(u: np.ndarray, diff: np.ndarray, w: np.ndarray) -> np.ndarray:
+    coords = u.swapaxes(-1, -2) @ diff @ u
+    return (w * coords * coords).sum(axis=(-2, -1))
+
+
 def weighted_loss(u: OrthMatrix, a, d: int, w: WeightMatrix) -> float:
     """Weighted squared loss sum_kl w_kl <u_k u_l^T, a - P(U)>^2.
 
@@ -160,11 +191,15 @@ def weighted_loss(u: OrthMatrix, a, d: int, w: WeightMatrix) -> float:
     a = np.asarray(getattr(a, "a", a), dtype=np.float64)
     if a.shape != (u.dim, u.dim) or w.dim != u.dim:
         raise InvalidInput("dimension mismatch between U, a and weights")
-    if not 1 <= d <= u.dim:
-        raise InvalidInput(f"d={d} out of range 1..{u.dim}")
-    diff = a - projector_leq_d(u, d).a
-    coords = u.a.T @ diff @ u.a
-    return float(np.sum(w.w * coords * coords))
+    _check_d(d, u.dim)
+    return float(_weighted_loss(u.a, a - projector_leq_d(u, d).a, w.w))
+
+
+def weighted_loss_batch(u: np.ndarray, a: np.ndarray, d: int, w: WeightMatrix) -> np.ndarray:
+    """weighted_loss of each (U, a) pair of two (B, p, p) stacks, with U checked orthogonal."""
+    if a.shape != u.shape or u.ndim != 3 or w.dim != u.shape[-1]:
+        raise InvalidInput("dimension mismatch between U, a and weights")
+    return _weighted_loss(u, a - projector_leq_d_batch(u, d), w.w)
 
 
 def excess_risk_weights(spectrum: Spectrum, mu: float) -> WeightMatrix:
@@ -183,6 +218,17 @@ def excess_risk_weights(spectrum: Spectrum, mu: float) -> WeightMatrix:
     return WeightMatrix(np.repeat(rows[:, None], spectrum.p, axis=1))
 
 
+def _excess_risk(spectrum: Spectrum, u: np.ndarray, p_hat: np.ndarray) -> np.ndarray:
+    sigma = (u * spectrum.lambdas) @ u.swapaxes(-1, -2)
+    inner = _trace(p_hat.swapaxes(-1, -2) @ sigma)
+    return np.sum(spectrum.lambdas[: spectrum.d]) - inner
+
+
+def _check_rank_is_d(rank, d: int) -> None:
+    if np.any(rank != d):
+        raise InvalidInput(f"projector rank {np.max(rank)} != d={d}")
+
+
 def excess_risk(spectrum: Spectrum, u: OrthMatrix, p_hat: Projector) -> float:
     """Reconstruction-error regret of p_hat against the optimal projector.
 
@@ -192,7 +238,13 @@ def excess_risk(spectrum: Spectrum, u: OrthMatrix, p_hat: Projector) -> float:
     """
     if p_hat.dim != u.dim or u.dim != spectrum.p:
         raise InvalidInput("dimension mismatch")
-    if p_hat.rank != spectrum.d:
-        raise InvalidInput(f"projector rank {p_hat.rank} != d={spectrum.d}")
-    sigma = (u.a * spectrum.lambdas) @ u.a.T
-    return float(np.sum(spectrum.lambdas[: spectrum.d]) - hs_inner(p_hat.a, sigma))
+    _check_rank_is_d(p_hat.rank, spectrum.d)
+    return float(_excess_risk(spectrum, u.a, p_hat.a))
+
+
+def excess_risk_batch(spectrum: Spectrum, u: np.ndarray, p_hat: np.ndarray) -> np.ndarray:
+    """excess_risk of each (U, projector) pair of two (B, p, p) stacks."""
+    if p_hat.shape != u.shape or u.ndim != 3 or u.shape[-1] != spectrum.p:
+        raise InvalidInput("dimension mismatch")
+    _check_rank_is_d(np.rint(_trace(p_hat)), spectrum.d)
+    return _excess_risk(spectrum, u, p_hat)

@@ -15,3 +15,7 @@ class ConditionNotMet(RuntimeError):
 
 class DegenerateGap(RuntimeError):
     """An eigenvalue gap is too small for a spectral projector to be stable."""
+
+
+class NotConverged(RuntimeError):
+    """An iterative solver stopped at its iteration cap before converging."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import OrthMatrix, SymMatrix
+from .linalg import OrthMatrix, SymMatrix, require_orthogonal
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,14 @@ def _as_generator(rng) -> np.random.Generator:
     raise InvalidInput(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
+def _haar_fold(z: np.ndarray) -> np.ndarray:
+    """Q of z = QR with the signs of R's diagonal folded in, for each (p, p) matrix of z."""
+    q, r = np.linalg.qr(z)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs = np.where(signs == 0, 1.0, signs)
+    return q * signs[..., None, :]
+
+
 def haar_orthogonal(p: int, rng) -> OrthMatrix:
     """Draw from the Haar measure on the full orthogonal group O(p).
 
@@ -134,38 +142,64 @@ def haar_orthogonal(p: int, rng) -> OrthMatrix:
     if p < 1:
         raise InvalidInput("p must be >= 1")
     g = _as_generator(rng)
+    return OrthMatrix(_haar_fold(g.standard_normal((p, p))))
+
+
+def haar_orthogonal_batch(p: int, generators) -> np.ndarray:
+    """One Haar draw from each generator, stacked into a (B, p, p) array.
+
+    Draws the same numbers from each generator as ``haar_orthogonal`` and
+    gives the same bits; the QR factorizations run as one stacked call.
+    Every matrix is checked orthogonal, as OrthMatrix does.
+    """
+    if p < 1:
+        raise InvalidInput("p must be >= 1")
+    u = _haar_fold(np.stack([g.standard_normal((p, p)) for g in generators]))
+    require_orthogonal(u)
+    return u
+
+
+def _cov_rows(model: CovModel, u: np.ndarray, g: np.random.Generator) -> np.ndarray:
+    z = g.standard_normal((model.n, model.p))
+    return (z * np.sqrt(model.spectrum.lambdas)) @ u.T
+
+
+def _goe(p: int, g: np.random.Generator) -> np.ndarray:
     z = g.standard_normal((p, p))
-    q, r = np.linalg.qr(z)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return OrthMatrix(q * signs)
+    return (z + z.T) / np.sqrt(2.0)
+
+
+def _denoise_obs(model: DenoiseModel, u: np.ndarray, g: np.random.Generator) -> np.ndarray:
+    signal = (u * model.spectrum.lambdas) @ u.T
+    return signal + model.sigma * _goe(model.p, g)
+
+
+def _gram(x: np.ndarray) -> np.ndarray:
+    return x.T @ x / x.shape[0]
+
+
+def _check_basis(model, u: OrthMatrix) -> None:
+    if u.dim != model.p:
+        raise InvalidInput(f"dimension mismatch: U is {u.dim}x{u.dim}, model has p={model.p}")
 
 
 def sample_cov(model: CovModel, u: OrthMatrix, rng) -> np.ndarray:
     """n rows, each i.i.d. N(0, U diag(lam) U^T); generated as (z*sqrt(lam)) U^T."""
-    if u.dim != model.p:
-        raise InvalidInput(f"dimension mismatch: U is {u.dim}x{u.dim}, model has p={model.p}")
-    g = _as_generator(rng)
-    z = g.standard_normal((model.n, model.p))
-    return (z * np.sqrt(model.spectrum.lambdas)) @ u.a.T
+    _check_basis(model, u)
+    return _cov_rows(model, u.a, _as_generator(rng))
 
 
 def sample_goe(p: int, rng) -> SymMatrix:
     """GOE draw: Var W_ij = 1 off the diagonal, Var W_ii = 2, symmetric."""
     if p < 1:
         raise InvalidInput("p must be >= 1")
-    g = _as_generator(rng)
-    z = g.standard_normal((p, p))
-    return SymMatrix((z + z.T) / np.sqrt(2.0))
+    return SymMatrix(_goe(p, _as_generator(rng)))
 
 
 def sample_denoise(model: DenoiseModel, u: OrthMatrix, rng) -> SymMatrix:
     """One observation U diag(lam) U^T + sigma * GOE."""
-    if u.dim != model.p:
-        raise InvalidInput(f"dimension mismatch: U is {u.dim}x{u.dim}, model has p={model.p}")
-    signal = (u.a * model.spectrum.lambdas) @ u.a.T
-    noise = sample_goe(model.p, rng)
-    return SymMatrix(signal + model.sigma * noise.a)
+    _check_basis(model, u)
+    return SymMatrix(_denoise_obs(model, u.a, _as_generator(rng)))
 
 
 def empirical_cov(data) -> SymMatrix:
@@ -173,7 +207,21 @@ def empirical_cov(data) -> SymMatrix:
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise InvalidInput("data must be an n-by-p array with n >= 1")
-    return SymMatrix(x.T @ x / x.shape[0])
+    return SymMatrix(_gram(x))
+
+
+def observed_matrix(model: CovModel | DenoiseModel, u: np.ndarray, rng) -> np.ndarray:
+    """The matrix a plug-in estimator diagonalizes, drawn at basis array u.
+
+    The empirical covariance of ``sample_cov`` for CovModel, the
+    observation of ``sample_denoise`` for DenoiseModel: the same draws and
+    bits, before the symmetrization that SymMatrix applies.  Only the
+    (p, p) result is kept, not the n-by-p sample.
+    """
+    g = _as_generator(rng)
+    if isinstance(model, CovModel):
+        return _gram(_cov_rows(model, u, g))
+    return _denoise_obs(model, u, g)
 
 
 # --- spectrum families and the CLI shorthand ---------------------------------

@@ -2,10 +2,12 @@
 
 Each replicate draws a basis U from the Haar measure, samples data from
 the model at U, applies the plug-in spectral estimator, and evaluates the
-loss through the equivariance module (the same code paths the identity
+loss through the equivariance module (the same formulas the identity
 tests cross-validate).  Replicates use per-index derived random streams,
 so the estimate is a pure function of (config, seed) no matter how work
-is scheduled across processes.
+is scheduled across processes.  A chunk of replicates is drawn, solved by
+one stacked eigendecomposition and scored as a stack; every replicate
+gets the bits the one-matrix functions would give it.
 """
 
 from __future__ import annotations
@@ -16,16 +18,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGap, InvalidInput
-from .equivariance import Projector, WeightMatrix, excess_risk, weighted_loss
-from .linalg import OrthMatrix, SymMatrix, sym_eig
+from .equivariance import (
+    Projector,
+    WeightMatrix,
+    excess_risk_batch,
+    projector_leq_d,
+    projector_leq_d_batch,
+    weighted_loss_batch,
+)
+from .linalg import SymMatrix, sym_eig, sym_eig_batch
 from .models import (
     CovModel,
     DenoiseModel,
     RngStream,
     empirical_cov,
-    haar_orthogonal,
-    sample_cov,
-    sample_denoise,
+    haar_orthogonal_batch,
+    observed_matrix,
 )
 
 GAP_TOL = 1e-12
@@ -77,17 +85,23 @@ class RiskEstimate:
         }
 
 
+def _degenerate(values: np.ndarray, d: int) -> np.ndarray:
+    """Whether the gap below the d-th of each row of sorted eigenvalues is under GAP_TOL."""
+    if d == values.shape[-1]:
+        return np.zeros(values.shape[:-1], dtype=bool)
+    return values[..., d - 1] - values[..., d] < GAP_TOL
+
+
 def _top_d_projector(sym: SymMatrix, d: int) -> Projector:
     eig = sym_eig(sym)
     p = sym.dim
     if not 1 <= d <= p:
         raise InvalidInput(f"d={d} out of range 1..{p}")
-    if d < p and eig.values[d - 1] - eig.values[d] < GAP_TOL:
+    if _degenerate(eig.values, d):
         raise DegenerateGap(
             f"gap {eig.values[d - 1] - eig.values[d]:.3e} below {GAP_TOL:.0e}"
         )
-    lead = eig.vectors.a[:, :d]
-    return Projector(SymMatrix(lead @ lead.T))
+    return projector_leq_d(eig.vectors, d)
 
 
 def pca_estimator(data, d: int) -> Projector:
@@ -102,39 +116,55 @@ def denoise_estimator(x, d: int) -> Projector:
     return _top_d_projector(x, d)
 
 
-def _one_replicate(config: SimConfig, rep: int) -> tuple[float, int]:
-    """Loss of one replicate; degenerate-gap draws are resampled and counted."""
-    model = config.model
-    spectrum = model.spectrum
-    p, d = spectrum.p, spectrum.d
-    for attempt in range(MAX_RESAMPLE):
-        rng = RngStream(config.seed, (rep, attempt)).generator()
-        u = haar_orthogonal(p, rng)
-        try:
-            if isinstance(model, CovModel):
-                p_hat = pca_estimator(sample_cov(model, u, rng), d)
-            else:
-                p_hat = denoise_estimator(sample_denoise(model, u, rng), d)
-        except DegenerateGap:
-            continue
-        if config.loss == "hs_squared":
-            loss = weighted_loss(u, p_hat.a, d, WeightMatrix.ones(p))
-        else:
-            loss = excess_risk(spectrum, u, p_hat)
-        return loss, attempt
-    raise DegenerateGap(f"replicate {rep} degenerate after {MAX_RESAMPLE} resamples")
+def _draw(config: SimConfig, reps: np.ndarray, attempts: np.ndarray):
+    """Haar bases and observed matrices of the given (replicate, attempt) draws, stacked."""
+    p = config.model.p
+    gens = [RngStream(config.seed, (int(r), int(a))).generator() for r, a in zip(reps, attempts)]
+    u = haar_orthogonal_batch(p, gens)
+    x = np.stack([observed_matrix(config.model, u[k], g) for k, g in enumerate(gens)])
+    return u, x
+
+
+def _losses(config: SimConfig, u: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Loss of each plug-in estimate (leading eigenvectors) against its basis."""
+    spectrum = config.model.spectrum
+    p_hat = projector_leq_d_batch(vectors, spectrum.d)
+    if config.loss == "hs_squared":
+        return weighted_loss_batch(u, p_hat, spectrum.d, WeightMatrix.ones(spectrum.p))
+    return excess_risk_batch(spectrum, u, p_hat)
 
 
 def _chunk_sums(config: SimConfig, start: int, stop: int) -> tuple[float, float, int]:
+    """Sum, sum of squares and resample count of the losses of replicates start..stop-1.
+
+    Replicate rep is drawn from RngStream(seed, (rep, attempt)); the draws
+    whose gap is degenerate are redrawn at the next attempt, up to
+    MAX_RESAMPLE attempts.  Losses are added in replicate order.
+    """
+    reps = np.arange(start, stop)
+    attempts = np.zeros(reps.size, dtype=np.int64)
+    losses = np.empty(reps.size)
+    todo = np.arange(reps.size)
+    while todo.size:
+        u, x = _draw(config, reps[todo], attempts[todo])
+        values, vectors = sym_eig_batch(x)
+        bad = _degenerate(values, config.model.spectrum.d)
+        good = ~bad
+        if good.any():
+            losses[todo[good]] = _losses(config, u[good], vectors[good])
+        todo = todo[bad]
+        attempts[todo] += 1
+        exhausted = todo[attempts[todo] == MAX_RESAMPLE]
+        if exhausted.size:
+            raise DegenerateGap(
+                f"replicate {reps[exhausted[0]]} degenerate after {MAX_RESAMPLE} resamples"
+            )
     total = 0.0
     total_sq = 0.0
-    resampled = 0
-    for rep in range(start, stop):
-        loss, attempts = _one_replicate(config, rep)
+    for loss in losses.tolist():
         total += loss
         total_sq += loss * loss
-        resampled += attempts
-    return total, total_sq, resampled
+    return total, total_sq, int(attempts.sum())
 
 
 def _chunk_worker(args) -> tuple[float, float, int]:
@@ -225,12 +255,13 @@ def overlap_clt(model: CovModel, i: int, j: int, replicates: int, rng) -> Overla
     if replicates < 2:
         raise InvalidInput("need at least 2 replicates")
     g = rng.generator() if isinstance(rng, RngStream) else rng
-    ident = OrthMatrix(np.eye(p))
+    ident = np.eye(p)
     values = np.empty(replicates)
-    for rep in range(replicates):
-        data = sample_cov(model, ident, g)
-        eig = sym_eig(empirical_cov(data))
-        values[rep] = model.n * eig.vectors.a[i, j] ** 2
+    for lo in range(0, replicates, CHUNK):
+        hi = min(lo + CHUNK, replicates)
+        covs = np.stack([observed_matrix(model, ident, g) for _ in range(lo, hi)])
+        _, vectors = sym_eig_batch(covs)
+        values[lo:hi] = model.n * vectors[:, i, j] ** 2
     target = float(lam[i] * lam[j] / (lam[i] - lam[j]) ** 2)
     mean = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(replicates))

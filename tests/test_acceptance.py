@@ -8,7 +8,6 @@ line regardless).
 import time
 
 import numpy as np
-import pytest
 
 from subspace_bounds import (
     CovModel,
@@ -40,7 +39,6 @@ from subspace_bounds import (
     relrank_condition,
     skew_exp,
     substochastic_max,
-    sym_eig,
     verify_fisher_limit,
     weighted_loss,
 )
@@ -48,12 +46,6 @@ from subspace_bounds.cli import main as cli_main
 
 from conftest import random_skew_unit, random_spectrum
 from test_fisher import mc_chi2_cov, mc_chi2_meanshift
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # first sym_eig call may JIT-compile; keep that out of the timed budgets
-    sym_eig(np.eye(3))
 
 
 def report(criterion: int, passed: bool, elapsed: float, limit: float, detail: str):

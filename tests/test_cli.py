@@ -142,6 +142,22 @@ class TestSimulateCommand:
         run(self.ARGS + ["--out", str(explicit)])
         assert out.read_bytes() == explicit.read_bytes()
 
+    def test_non_integer_seed_env_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("SUBSPACE_BOUNDS_SEED", "abc")
+        args = [a for a in self.ARGS if a not in ("--seed", "1")]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: SUBSPACE_BOUNDS_SEED must be an integer, got 'abc'"]
+
+    def test_sweep_cap_is_one_line_exit_5(self, monkeypatch, capsys):
+        import subspace_bounds.linalg as linalg
+
+        monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
+        assert run(self.ARGS) == 5
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("not converged: Jacobi eigensolver reached the 1-sweep cap")
+
     def test_denoise_model_route(self, tmp_path):
         out = tmp_path / "den.csv"
         code = run(

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from subspace_bounds import (
     InvalidInput,
+    NotConverged,
     OrthMatrix,
     SkewMatrix,
     SymMatrix,
     hs_inner,
     skew_exp,
     sym_eig,
+    sym_eig_batch,
     unvech,
     vech,
 )
@@ -88,25 +93,83 @@ class TestSymEig:
         assert e1.values.tobytes() == e2.values.tobytes()
         assert e1.vectors.a.tobytes() == e2.vectors.a.tobytes()
 
-    def test_jit_and_interpreted_kernels_agree_bitwise(self):
-        """The compiled sweep kernel performs the same IEEE operations as
-        the plain-Python fallback, so both produce identical bits."""
-        from subspace_bounds.linalg import _jacobi_kernel
+    def test_sweep_cap_raises_not_converged(self, monkeypatch):
+        import subspace_bounds.linalg as linalg
 
-        if not hasattr(_jacobi_kernel, "py_func"):
-            pytest.skip("accelerated kernel not active")
-        rng = np.random.default_rng(29)
-        a = random_sym(rng, 6)
-        a1, v1 = a.copy(), np.eye(6)
-        a2, v2 = a.copy(), np.eye(6)
-        _jacobi_kernel(a1, v1)
-        _jacobi_kernel.py_func(a2, v2)
-        assert a1.tobytes() == a2.tobytes()
-        assert v1.tobytes() == v2.tobytes()
+        a = random_sym(np.random.default_rng(13), 5)  # needs several sweeps
+        sym_eig(a)
+        monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
+        with pytest.raises(NotConverged, match="1-sweep cap"):
+            sym_eig(a)
+        with pytest.raises(NotConverged, match="matrix 1 of 2"):
+            sym_eig_batch(np.stack([np.eye(5), a]))
+        # An already diagonal matrix converges at sweep 0, under any cap.
+        assert sym_eig(np.diag([2.0, 1.0])).values.tolist() == [2.0, 1.0]
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInput):
             sym_eig(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+def _scalar_eigs(stack):
+    """sym_eig (the one-matrix kernel) on each matrix, as stacked arrays."""
+    eigs = [sym_eig(m) for m in stack]
+    return np.array([e.values for e in eigs]), np.array([e.vectors.a for e in eigs])
+
+
+def _assert_same_bits(stack):
+    values, vectors = sym_eig_batch(stack)
+    ref_values, ref_vectors = _scalar_eigs(stack)
+    assert values.tobytes() == ref_values.tobytes()
+    assert vectors.tobytes() == ref_vectors.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+class TestSymEigBatch:
+    """The stacked kernel performs the one-matrix kernel's IEEE operations
+    in the same order, so each matrix gets identical bits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 10])
+    def test_mixed_stack_matches_scalar_kernel_bitwise(self, n):
+        rng = np.random.default_rng(29 + n)
+        members = [random_sym(rng, n) for _ in range(12)]
+        members.append(np.zeros((n, n)))  # zero Frobenius norm: no sweep
+        members.append(np.diag(rng.standard_normal(n)))  # converged at sweep 0
+        if n > 1:
+            tiny = random_sym(rng, n)
+            tiny[0, 1] = tiny[1, 0] = 1e-301  # below the rotation mask
+            members.append(tiny)
+            zero_pair = random_sym(rng, n)
+            zero_pair[0, n - 1] = zero_pair[n - 1, 0] = 0.0
+            members.append(zero_pair)
+        members.append(random_sym(rng, n) * 1e150)
+        members.append(random_sym(rng, n) * 1e-150)
+        scales = 10.0 ** rng.uniform(-150, 150, (n, 1))
+        members.append(random_sym(rng, n) * scales * scales.T)  # badly scaled
+        _assert_same_bits(np.stack(members))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        count=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.integers(-150, 150),
+        zero_frac=st.floats(0.0, 1.0),
+    )
+    def test_property_random_stacks_match_scalar_kernel(self, n, count, seed, exponent, zero_frac):
+        # Not symmetric: both paths symmetrize as SymMatrix does.
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((count, n, n)) * 10.0**exponent
+        a[rng.uniform(size=a.shape) < zero_frac] = 0.0
+        _assert_same_bits(a)
+
+    def test_rejects_nonfinite_and_bad_shapes(self):
+        with pytest.raises(InvalidInput):
+            sym_eig_batch(np.array([[[np.nan, 0.0], [0.0, 1.0]]]))
+        with pytest.raises(InvalidInput):
+            sym_eig_batch(np.eye(3))
+        with pytest.raises(InvalidInput):
+            sym_eig_batch(np.zeros((2, 3, 4)))
 
 
 class TestSkewExp:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,14 @@ from subspace_bounds import (
     WeightMatrix,
     bayes_risk,
     denoise_estimator,
+    excess_risk,
     haar_orthogonal,
     overlap_clt,
     pca_estimator,
     projector_leq_d,
     sample_cov,
+    sample_denoise,
+    sym_eig_batch,
     weighted_loss,
 )
 
@@ -139,21 +144,122 @@ class TestBayesRisk:
     def test_degenerate_draws_are_resampled_and_counted(self, monkeypatch):
         import subspace_bounds.risksim as rs
 
-        real = rs.pca_estimator
+        real = rs._degenerate
         calls = {"n": 0}
 
-        def flaky(data, d):
+        def flaky(values, d):
             calls["n"] += 1
-            if calls["n"] % 2 == 1:  # first attempt of each replicate fails
-                raise DegenerateGap("synthetic")
-            return real(data, d)
+            if calls["n"] == 1:  # the chunk's first attempt: every replicate fails
+                return np.ones(values.shape[0], dtype=bool)
+            return real(values, d)
 
         clean = bayes_risk(SimConfig(self.MODEL, "hs_squared", replicates=8, seed=5))
         assert clean.resampled == 0
-        monkeypatch.setattr(rs, "pca_estimator", flaky)
+        monkeypatch.setattr(rs, "_degenerate", flaky)
         est = bayes_risk(SimConfig(self.MODEL, "hs_squared", replicates=8, seed=5))
         assert est.resampled == 8  # every replicate needed exactly one retry
         assert est.replicates == clean.replicates == 8
+
+    def test_always_degenerate_model_raises(self):
+        # One observation: the empirical covariance has rank 1, so the gap
+        # below the second eigenvalue is zero on every draw.
+        model = CovModel(Spectrum([3.0, 2.0, 1.0], 2), n=1)
+        with pytest.raises(DegenerateGap) as info:
+            bayes_risk(SimConfig(model, "hs_squared", replicates=3, seed=0))
+        assert str(info.value) == "replicate 0 degenerate after 100 resamples"
+
+    def test_batched_chunk_matches_one_matrix_pipeline(self):
+        """Each replicate's loss from the stacked pipeline equals, bit for bit,
+        the loss of the one-matrix functions on the same draw."""
+        import subspace_bounds.risksim as rs
+
+        for model, loss in (
+            (self.MODEL, "hs_squared"),
+            (self.MODEL, "excess"),
+            (DenoiseModel(Spectrum([12.0, 8.0, 0.0, 0.0, 0.0], 2), 1.0), "hs_squared"),
+        ):
+            cfg = SimConfig(model, loss, replicates=40, seed=7)
+            reps = np.arange(40)
+            u, x = rs._draw(cfg, reps, np.zeros(40, dtype=int))
+            values, vectors = sym_eig_batch(x)
+            assert not rs._degenerate(values, model.spectrum.d).any()
+            batched = rs._losses(cfg, u, vectors)
+            for rep in reps:
+                g = RngStream(7, (int(rep), 0)).generator()
+                basis = haar_orthogonal(model.p, g)
+                if isinstance(model, CovModel):
+                    p_hat = pca_estimator(sample_cov(model, basis, g), model.spectrum.d)
+                else:
+                    p_hat = denoise_estimator(sample_denoise(model, basis, g), model.spectrum.d)
+                if loss == "hs_squared":
+                    ref = weighted_loss(basis, p_hat.a, model.spectrum.d, WeightMatrix.ones(model.p))
+                else:
+                    ref = excess_risk(model.spectrum, basis, p_hat)
+                assert np.float64(ref).tobytes() == batched[rep].tobytes()
+
+
+# RiskEstimate and OverlapReport JSON computed with the one-matrix pipeline
+# (one sym_eig per replicate) before the stacked eigensolver replaced it.
+_P4 = [4.0, 3.0, 1.0, 0.5]
+_P8 = [6.0, 5.0, 4.0, 3.0, 1.0, 0.8, 0.6, 0.4]
+GOLDEN_RISKS = [
+    (
+        CovModel(Spectrum(_P4, 2), 50),
+        "hs_squared",
+        '{"loss": "hs_squared", "mean": 0.07579551312244645, "replicates": 600, '
+        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.0031572005536183983}',
+    ),
+    (
+        CovModel(Spectrum(_P8, 3), 60),
+        "hs_squared",
+        '{"loss": "hs_squared", "mean": 0.6715373723650122, "replicates": 600, '
+        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.021700228325853596}',
+    ),
+    (
+        CovModel(Spectrum(_P4, 2), 50),
+        "excess",
+        '{"loss": "excess", "mean": 0.09413517232730138, "replicates": 600, '
+        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.0036473167918749903}',
+    ),
+    (
+        CovModel(Spectrum(_P8, 3), 60),
+        "excess",
+        '{"loss": "excess", "mean": 0.6199757199640463, "replicates": 600, '
+        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.016584918130155165}',
+    ),
+    (
+        DenoiseModel(Spectrum([10.0, 0.0, 0.0, 0.0], 1), 1.0),
+        "hs_squared",
+        '{"loss": "hs_squared", "mean": 0.06340572370881417, "replicates": 600, '
+        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.0020959200439608964}',
+    ),
+    (
+        DenoiseModel(Spectrum([12.0, 8.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], 2), 1.0),
+        "hs_squared",
+        '{"loss": "hs_squared", "mean": 0.28959694075660297, "replicates": 600, '
+        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.006116083477514248}',
+    ),
+]
+GOLDEN_OVERLAP = (
+    '{"i": 0, "j": 2, "n": 200, "replicates": 700, "sample_mean": 0.5092166067222873, '
+    '"schema": 1, "status": "PASS", "std_error": 0.025823417551863233, '
+    '"target": 0.4444444444444444, "z_score": 2.5082722744871306}'
+)
+
+
+class TestGoldenBytes:
+    """Simulation output is pinned to the bytes of the one-matrix pipeline:
+    the six acceptance-criterion-6 models over two replicate chunks."""
+
+    @pytest.mark.parametrize("model,loss,expected", GOLDEN_RISKS)
+    def test_risk_estimate_json(self, model, loss, expected):
+        est = bayes_risk(SimConfig(model, loss, replicates=600, seed=106))
+        assert json.dumps(est.to_json_dict(), sort_keys=True) == expected
+
+    def test_overlap_report_json(self):
+        model = CovModel(Spectrum([4.0, 2.0, 1.0], 1), n=200)
+        report = overlap_clt(model, 0, 2, 700, RngStream(108, 9))
+        assert json.dumps(report.to_json_dict(), sort_keys=True) == GOLDEN_OVERLAP
 
 
 class TestOverlap:
