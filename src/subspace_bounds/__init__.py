@@ -21,6 +21,7 @@ from .bounds import (
     hs_bound_d1,
     hs_lower_bound,
     lp_oracle,
+    lp_oracle_check,
     optimize_delta,
     relrank_bound,
     relrank_condition,
@@ -45,8 +46,7 @@ from .fisher import (
     FisherLimitReport,
     chi2_gauss_cov,
     chi2_gauss_meanshift,
-    fisher_cov,
-    fisher_denoise,
+    fisher_quad,
     verify_fisher_limit,
 )
 from .linalg import (

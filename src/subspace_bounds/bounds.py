@@ -3,8 +3,10 @@
 Every bound in this package is the optimal value of the same linear
 program: maximize the total mass sum x_ij over a bipartite index set
 subject to per-edge capacities b_ij and per-row/per-column sum caps,
-scaled by a model-dependent prefactor.  The constraint matrix is a network
-matrix, so the LP is solved exactly as a max-flow problem on
+scaled by a model-dependent prefactor.  Each edge cap is an inverse of
+the model's Fisher information I_ij along the generator L(i, j).  The
+constraint matrix is a network matrix, so the LP is solved exactly as a
+max-flow problem on
 
     source -> row i   (capacity row_cap_i)
     row i  -> col j   (capacity b_ij)
@@ -26,7 +28,6 @@ import numpy as np
 
 from .errors import ConditionNotMet, InvalidInput, Unsupported
 from .equivariance import WeightMatrix
-from .fisher import FisherForm
 from .models import CovModel, DenoiseModel
 
 DUALITY_TOL = 1e-9
@@ -83,11 +84,15 @@ class FlowSolution(NamedTuple):
 
 
 class _MaxFlowGraph:
-    """Residual graph with highest-label push-relabel.
+    """Residual graph with highest-label push-relabel and the gap heuristic.
 
     Comparisons are exact (> 0); termination does not depend on epsilons
     because push/relabel operation counts are bounded by the graph size
-    alone.  The minimum cut is read off the residual reachability set.
+    alone.  When a relabel empties a height below n, the nodes above it
+    cannot reach the sink and are lifted to n + 1 at once; otherwise
+    rounding residues of ~1e-16 climb back to the source one level per
+    relabel, and the solve time swings tenfold with the last bit of a cap.
+    The minimum cut is read off the residual reachability set.
     """
 
     def __init__(self, n: int):
@@ -120,6 +125,9 @@ class _MaxFlowGraph:
         height[s] = n
         max_h = 2 * n
         buckets: list[list[int]] = [[] for _ in range(max_h + 1)]
+        count = [0] * (max_h + 2)  # nodes at each height
+        count[0] = n - 1
+        count[n] = 1
         highest = 0
 
         def activate(u: int):
@@ -154,12 +162,25 @@ class _MaxFlowGraph:
                         if res[eid] > 0.0:
                             new_h = min(new_h, height[to[eid]] + 1)
                     if new_h > max_h:
-                        excess[u] = 0.0  # unreachable sink and source; dead end
-                        break
+                        raise RuntimeError(
+                            f"push-relabel dead end: node {u} holds excess {excess[u]!r} "
+                            "and has no residual arc"
+                        )
+                    old_h = height[u]
+                    count[old_h] -= 1
+                    count[new_h] += 1
                     height[u] = new_h
                     current[u] = 0
-                    if new_h > highest:
-                        highest = new_h
+                    if count[old_h] == 0 and old_h < n:
+                        for w in range(n):
+                            if old_h < height[w] < n:
+                                count[height[w]] -= 1
+                                count[n + 1] += 1
+                                height[w] = n + 1
+                                current[w] = 0
+                                activate(w)
+                    if height[u] > highest:
+                        highest = height[u]
                     continue
                 eid = adj[u][current[u]]
                 v = to[eid]
@@ -292,6 +313,28 @@ def lp_oracle(prog: SubstochasticProgram) -> float:
     return float(-res.fun)
 
 
+def lp_oracle_check(rng: np.random.Generator, trials: int) -> tuple[float, float]:
+    """(max |flow - lp|, max duality gap) over random programs drawn from rng.
+
+    Each has 1..4 rows and columns, edge caps uniform on [0, 1) with about
+    15% set to inf, and row and column caps uniform on [0.05, 1.5).
+    """
+    worst = 0.0
+    worst_gap = 0.0
+    for _ in range(trials):
+        nr = int(rng.integers(1, 5))
+        nc = int(rng.integers(1, 5))
+        caps = rng.uniform(0.0, 1.0, size=(nr, nc))
+        caps[rng.uniform(size=(nr, nc)) < 0.15] = np.inf
+        prog = SubstochasticProgram(
+            caps, rng.uniform(0.05, 1.5, size=nr), rng.uniform(0.05, 1.5, size=nc)
+        )
+        sol = substochastic_max(prog)
+        worst = max(worst, abs(sol.value - lp_oracle(prog)))
+        worst_gap = max(worst_gap, abs(sol.value - sol.cut_value))
+    return worst, worst_gap
+
+
 @dataclass(frozen=True, eq=False)
 class BoundResult:
     """A computed lower bound: prefactor * (optimal mass), with certificate."""
@@ -361,42 +404,55 @@ class BoundResult:
         }
 
 
-def _pair_caps(lam: np.ndarray, rows, cols, kind: str, n: int = 1, sigma: float = 1.0):
-    """Edge capacity matrix b_ij for the requested bound family."""
+def _fisher_rectangle(model: CovModel | DenoiseModel, rows, cols) -> np.ndarray:
+    """Generator Fisher information I_ij of the model on the rows x cols rectangle."""
+    lam = model.spectrum.lambdas
     li = lam[np.asarray(rows, dtype=np.intp)][:, None]
     lj = lam[np.asarray(cols, dtype=np.intp)][None, :]
-    gaps = li - lj
+    return model.generator_fisher(li, lj)
+
+
+def _rectangle_caps(model: CovModel | DenoiseModel) -> np.ndarray:
+    """Edge caps 2 / I_ij on the leading-by-trailing rectangle (inf where I_ij = 0)."""
+    d, p = model.spectrum.d, model.p
     with np.errstate(divide="ignore"):
-        if kind == "hs":
-            b = 2.0 * li * lj / (n * gaps**2)
-        elif kind == "denoise":
-            b = 2.0 * sigma**2 / gaps**2
-        elif kind == "excess":
-            b = li * lj / (n * gaps)
-        else:
-            raise ValueError(kind)
-    b[gaps == 0.0] = np.inf
-    return b
+        return 2.0 / _fisher_rectangle(model, range(d), range(d, p))
+
+
+def _rectangle_bound(model: CovModel | DenoiseModel, delta: float, params: dict) -> BoundResult:
+    """Bound at mixing level delta over the leading-by-trailing index rectangle.
+
+    Edge caps 2 / I_ij, with I_ij the model's Fisher information along the
+    generator L(i, j); row and column sums capped at delta; prefactor
+    1/(1 + 2 delta).  ``params`` names the bound and the model's parameter.
+    """
+    if not delta > 0:
+        raise InvalidInput("delta must be > 0")
+    d, p = model.spectrum.d, model.p
+    rows = tuple(range(d))
+    cols = tuple(range(d, p))
+    prog = SubstochasticProgram(_rectangle_caps(model), np.full(d, delta), np.full(p - d, delta))
+    sol = substochastic_max(prog)
+    params = {**params, "delta": delta, "d": d, "p": p}
+    return BoundResult.from_solution(prog, sol, 1.0 / (1.0 + 2.0 * delta), rows, cols, params)
 
 
 def hs_lower_bound(model: CovModel, delta: float = 1.0) -> BoundResult:
     """Squared-subspace-distance lower bound at mixing level delta.
 
-    Edge caps 2 lam_i lam_j / (n (lam_i - lam_j)^2) over the leading-by-
-    trailing index rectangle, row and column sums capped at delta,
-    prefactor 1/(1 + 2 delta).
+    Edge caps 2 / I_ij = 2 lam_i lam_j / (n (lam_i - lam_j)^2) over the
+    leading-by-trailing index rectangle, row and column sums capped at
+    delta, prefactor 1/(1 + 2 delta).
     """
-    if not delta > 0:
-        raise InvalidInput("delta must be > 0")
-    lam = model.spectrum.lambdas
-    d, p = model.spectrum.d, model.p
-    rows = tuple(range(d))
-    cols = tuple(range(d, p))
-    caps = _pair_caps(lam, rows, cols, "hs", n=model.n)
-    prog = SubstochasticProgram(caps, np.full(d, delta), np.full(p - d, delta))
-    sol = substochastic_max(prog)
-    params = {"bound": "hs", "delta": delta, "n": model.n, "d": d, "p": p}
-    return BoundResult.from_solution(prog, sol, 1.0 / (1.0 + 2.0 * delta), rows, cols, params)
+    return _rectangle_bound(model, delta, {"bound": "hs", "n": model.n})
+
+
+def denoise_lower_bound(model: DenoiseModel, delta: float = 1.0) -> BoundResult:
+    """Denoising analogue of the subspace-distance bound.
+
+    Same program shape with edge caps 2 / I_ij = 2 sigma^2 / (lam_i - lam_j)^2.
+    """
+    return _rectangle_bound(model, delta, {"bound": "denoise", "sigma": model.sigma})
 
 
 def hs_bound_d1(model: CovModel, delta: float = 1.0) -> float:
@@ -485,9 +541,8 @@ def _excess_index_sets(model: CovModel) -> tuple[int, int]:
 
 def _excess_program(model: CovModel, mu: float, r: int, s: int) -> SubstochasticProgram:
     lam = model.spectrum.lambdas
-    rows = range(r)
-    cols = range(s, model.p)
-    caps = _pair_caps(lam, tuple(rows), tuple(cols), "excess", n=model.n)
+    gaps = lam[:r, None] - lam[None, s:]
+    caps = gaps / _fisher_rectangle(model, range(r), range(s, model.p))
     if not np.all(np.isfinite(caps)) or np.any(caps <= 0):
         raise RuntimeError("excess caps must be finite and positive inside the rectangle")
     row_caps = np.maximum(lam[:r] - mu, 0.0)
@@ -501,7 +556,8 @@ EXCESS_PREFACTOR = 1.0 / 3.0
 def excess_lower_bound(model: CovModel, mu="auto") -> BoundResult:
     """Excess-risk lower bound; mu is the split level or "auto".
 
-    Edge caps lam_i lam_j / (n (lam_i - lam_j)), row caps lam_i - mu,
+    Edge caps (lam_i - lam_j) / I_ij = lam_i lam_j / (n (lam_i - lam_j)),
+    with I_ij the Fisher information along L(i, j), row caps lam_i - mu,
     column caps mu - lam_j, prefactor 1/3.  In auto mode mu maximizes the
     optimal mass over [lam_{d+1}, lam_d] by golden-section search (the
     mass is concave in mu because all capacities are affine in mu).
@@ -592,24 +648,6 @@ def relrank_bound(model: CovModel, check_dominated: bool = True) -> float:
     return value
 
 
-def denoise_lower_bound(model: DenoiseModel, delta: float = 1.0) -> BoundResult:
-    """Denoising analogue of the subspace-distance bound.
-
-    Same program shape with edge caps 2 sigma^2 / (lam_i - lam_j)^2.
-    """
-    if not delta > 0:
-        raise InvalidInput("delta must be > 0")
-    lam = model.spectrum.lambdas
-    d, p = model.spectrum.d, model.p
-    rows = tuple(range(d))
-    cols = tuple(range(d, p))
-    caps = _pair_caps(lam, rows, cols, "denoise", sigma=model.sigma)
-    prog = SubstochasticProgram(caps, np.full(d, delta), np.full(p - d, delta))
-    sol = substochastic_max(prog)
-    params = {"bound": "denoise", "delta": delta, "sigma": model.sigma, "d": d, "p": p}
-    return BoundResult.from_solution(prog, sol, 1.0 / (1.0 + 2.0 * delta), rows, cols, params)
-
-
 def optimize_delta(model, lo: float = 1e-4, hi: float = 1e4) -> tuple[float, BoundResult]:
     """Convenience 1-d maximization of the bound over delta.
 
@@ -618,12 +656,9 @@ def optimize_delta(model, lo: float = 1e-4, hi: float = 1e4) -> tuple[float, Bou
     supremum may sit at the upper bracket end when all edge caps are
     infinite (the bound then saturates as delta grows).
     """
-    if isinstance(model, CovModel):
-        fn = hs_lower_bound
-    elif isinstance(model, DenoiseModel):
-        fn = denoise_lower_bound
-    else:
+    if not isinstance(model, (CovModel, DenoiseModel)):
         raise InvalidInput(f"unsupported model type {type(model)!r}")
+    fn = hs_lower_bound if model.kind == "covariance" else denoise_lower_bound
     log_best, _ = golden_max(lambda ld: fn(model, 10.0**ld).value, math.log10(lo), math.log10(hi))
     best = 10.0**log_best
     return best, fn(model, best)
@@ -636,10 +671,7 @@ def canonical_bound(model: CovModel) -> float:
     column sum at most d/p <= 1.  Always dominated by the optimized bound
     at delta = 1 (asserted).
     """
-    lam = model.spectrum.lambdas
-    d, p = model.spectrum.d, model.p
-    caps = _pair_caps(lam, tuple(range(d)), tuple(range(d, p)), "hs", n=model.n)
-    value = float(np.minimum(caps, 1.0 / p).sum()) / 3.0
+    value = float(np.minimum(_rectangle_caps(model), 1.0 / model.p).sum()) / 3.0
     optimum = hs_lower_bound(model, delta=1.0).value
     if value > optimum + 1e-12:
         raise RuntimeError(f"canonical value {value} exceeds the optimum {optimum}")
@@ -656,7 +688,7 @@ def cramer_rao_ratio(model, weights: WeightMatrix, rows, cols, z) -> float:
                          + sum_i (sum_j z_ij)^2 / w_ii
                          + sum_j (sum_i z_ij)^2 / w_jj ]
 
-    where I_ij is the Fisher form on the generator L(i, j).  Requires
+    where I_ij is the model's Fisher information along L(i, j).  Requires
     w_ij + w_ji > 0 on the rectangle and positive diagonal weights on the
     chosen indices; an all-zero z gives 0 (the 0/0 convention).
     """
@@ -671,20 +703,18 @@ def cramer_rao_ratio(model, weights: WeightMatrix, rows, cols, z) -> float:
     w = weights.w
     if w.shape != (p, p):
         raise InvalidInput("weights must be p x p")
-    wdiag_rows = w[list(rows), list(rows)] if rows else np.array([])
-    wdiag_cols = w[list(cols), list(cols)] if cols else np.array([])
+    wdiag_rows = np.diagonal(w)[list(rows)]
+    wdiag_cols = np.diagonal(w)[list(cols)]
     if np.any(wdiag_rows <= 0) or np.any(wdiag_cols <= 0):
         raise InvalidInput("diagonal weights must be positive on the active indices")
-    form = FisherForm(model)
-    fisher_term = 0.0
-    for a, i in enumerate(rows):
-        for b, j in enumerate(cols):
-            pair_sum = w[i, j] + w[j, i]
-            if pair_sum <= 0:
-                raise InvalidInput(f"w_ij + w_ji must be positive at ({i}, {j})")
-            fisher_term += form.generator_quad(i, j) * z[a, b] ** 2 / pair_sum
-    row_term = float(np.sum(z.sum(axis=1) ** 2 / wdiag_rows)) if rows else 0.0
-    col_term = float(np.sum(z.sum(axis=0) ** 2 / wdiag_cols)) if cols else 0.0
+    pair_sums = w[np.ix_(rows, cols)] + w[np.ix_(cols, rows)].T
+    bad = np.argwhere(pair_sums <= 0)
+    if bad.size:
+        i, j = rows[bad[0][0]], cols[bad[0][1]]
+        raise InvalidInput(f"w_ij + w_ji must be positive at ({i}, {j})")
+    fisher_term = float(np.sum(_fisher_rectangle(model, rows, cols) * z**2 / pair_sums))
+    row_term = float(np.sum(z.sum(axis=1) ** 2 / wdiag_rows))
+    col_term = float(np.sum(z.sum(axis=0) ** 2 / wdiag_cols))
     numerator = float(z.sum()) ** 2
     denominator = fisher_term + row_term + col_term
     if denominator == 0.0:

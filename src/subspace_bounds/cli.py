@@ -1,11 +1,12 @@
 """Command-line interface: bound / simulate / verify / report.
 
-Exit codes: 0 success, 2 usage error, 3 precondition failure, 4 a
-verification or domination check failed (a sentinel for implementation
-bugs: the inequalities it guards are mathematically guaranteed), 5 a
-numerical solver stopped at its iteration cap.  All artifacts are
-deterministic given flags and seed: JSON is dumped with sorted keys and
-CSV rows use shortest round-trip float formatting.
+Exit codes: 0 success, 2 usage error, 3 precondition failure (also a
+simulated replicate whose eigenvalue gap stays degenerate after every
+resample), 4 a verification or domination check failed (a sentinel for
+implementation bugs: the inequalities it guards are mathematically
+guaranteed), 5 a numerical solver stopped at its iteration cap.  All
+artifacts are deterministic given flags and seed: JSON is dumped with
+sorted keys and CSV rows use shortest round-trip float formatting.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .equivariance import (
     random_projector,
     weighted_loss,
 )
-from .errors import ConditionNotMet, InvalidInput, NotConverged, Unsupported
+from .errors import ConditionNotMet, DegenerateGap, InvalidInput, NotConverged, Unsupported
 from .linalg import SkewMatrix, skew_exp
 from .models import CovModel, DenoiseModel, RngStream, haar_orthogonal, parse_spectrum
 
@@ -62,8 +63,8 @@ class _UsageError(Exception):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 
@@ -131,21 +132,16 @@ def cmd_bound(args) -> int:
     spectrum = _spectrum(args)
     kind = args.kind
     payload: dict
-    if kind == "hs":
-        model = _cov_model(args, spectrum)
+    if kind in ("hs", "denoise"):
+        if kind == "hs":
+            model, fn = _cov_model(args, spectrum), bounds.hs_lower_bound
+        else:
+            model, fn = _denoise_model(args, spectrum), bounds.denoise_lower_bound
         delta = _float_or_auto(args.delta, "--delta")
         if delta == "auto":
             delta, result = bounds.optimize_delta(model)
         else:
-            result = bounds.hs_lower_bound(model, delta)
-        payload = result.to_json_dict()
-    elif kind == "denoise":
-        model = _denoise_model(args, spectrum)
-        delta = _float_or_auto(args.delta, "--delta")
-        if delta == "auto":
-            delta, result = bounds.optimize_delta(model)
-        else:
-            result = bounds.denoise_lower_bound(model, delta)
+            result = fn(model, delta)
         payload = result.to_json_dict()
     elif kind == "excess":
         model = _cov_model(args, spectrum)
@@ -374,20 +370,7 @@ def _verify_loss_identity(args) -> list[dict]:
 def _verify_lp_oracle(args) -> list[dict]:
     trials = args.trials or 500
     rng = RngStream(_seed_from(args), stream=3).generator()
-    worst = 0.0
-    worst_gap = 0.0
-    for _ in range(trials):
-        nr = int(rng.integers(1, 5))
-        nc = int(rng.integers(1, 5))
-        caps = rng.uniform(0.0, 1.0, size=(nr, nc))
-        caps[rng.uniform(size=(nr, nc)) < 0.15] = np.inf
-        prog = bounds.SubstochasticProgram(
-            caps, rng.uniform(0.05, 1.5, size=nr), rng.uniform(0.05, 1.5, size=nc)
-        )
-        sol = bounds.substochastic_max(prog)
-        reference = bounds.lp_oracle(prog)
-        worst = max(worst, abs(sol.value - reference))
-        worst_gap = max(worst_gap, abs(sol.value - sol.cut_value))
+    worst, worst_gap = bounds.lp_oracle_check(rng, trials)
     ok = worst <= 1e-8 and worst_gap <= 1e-9
     return [
         {
@@ -566,7 +549,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InvalidInput, ConditionNotMet, Unsupported) as exc:
+    except (InvalidInput, ConditionNotMet, DegenerateGap, Unsupported) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except NotConverged as exc:

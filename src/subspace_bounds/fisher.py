@@ -28,24 +28,11 @@ def _check_direction(xi: SkewMatrix, p: int) -> np.ndarray:
     return xi.a
 
 
-def fisher_cov(model: CovModel, xi: SkewMatrix) -> float:
-    """(n/2) sum_ij xi_ij^2 (lam_i - lam_j)^2 / (lam_i lam_j)."""
+def fisher_quad(model: CovModel | DenoiseModel, xi: SkewMatrix) -> float:
+    """(1/2) sum_ij xi_ij^2 I_ij, with I_ij the model's Fisher information along L(i, j)."""
     x = _check_direction(xi, model.p)
     lam = model.spectrum.lambdas
-    if not lam[-1] > 0:
-        raise InvalidInput("covariance Fisher form needs lam_p > 0")
-    gaps = lam[:, None] - lam[None, :]
-    coef = gaps * gaps / (lam[:, None] * lam[None, :])
-    return float(0.5 * model.n * np.sum(x * x * coef))
-
-
-def fisher_denoise(model: DenoiseModel, xi: SkewMatrix) -> float:
-    """(1 / (2 sigma^2)) sum_ij xi_ij^2 (lam_i - lam_j)^2."""
-    x = _check_direction(xi, model.p)
-    if not model.sigma > 0:
-        raise InvalidInput("sigma must be > 0")
-    gaps = model.spectrum.lambdas[:, None] - model.spectrum.lambdas[None, :]
-    return float(np.sum(x * x * gaps * gaps) / (2.0 * model.sigma**2))
+    return float(0.5 * np.sum(x * x * model.generator_fisher(lam[:, None], lam[None, :])))
 
 
 def chi2_gauss_cov(model: CovModel, u: OrthMatrix) -> float:
@@ -104,16 +91,14 @@ class FisherForm:
 
     @property
     def kind(self) -> str:
-        return "covariance" if isinstance(self.model, CovModel) else "denoising"
+        return self.model.kind
 
     @property
     def p(self) -> int:
         return self.model.p
 
     def quad(self, xi: SkewMatrix) -> float:
-        if isinstance(self.model, CovModel):
-            return fisher_cov(self.model, xi)
-        return fisher_denoise(self.model, xi)
+        return fisher_quad(self.model, xi)
 
     def pair(self, xi: SkewMatrix, eta: SkewMatrix) -> float:
         """Bilinear value by polarization: (Q(xi+eta) - Q(xi-eta)) / 4."""
@@ -126,10 +111,7 @@ class FisherForm:
     def generator_quad(self, i: int, j: int) -> float:
         """Closed form of the quadratic form on the generator L(i, j)."""
         lam = self.model.spectrum.lambdas
-        gap = lam[i] - lam[j]
-        if isinstance(self.model, CovModel):
-            return float(self.model.n * gap * gap / (lam[i] * lam[j]))
-        return float(gap * gap / self.model.sigma**2)
+        return float(self.model.generator_fisher(lam[i], lam[j]))
 
     def chi2(self, u: OrthMatrix) -> float:
         if isinstance(self.model, CovModel):

@@ -4,9 +4,11 @@ A :class:`Spectrum` is an ordered eigenvalue vector together with the rank
 ``d`` of the subspace to estimate.  Two observation models are built on it:
 ``CovModel`` (n i.i.d. centered Gaussian vectors with covariance U diag(lam)
 U^T) and ``DenoiseModel`` (a single symmetric matrix U diag(lam) U^T + sigma
-times GOE noise).  All randomness flows through :class:`RngStream`, a
-counter-based generator keyed by (seed, stream), so distinct streams are
-independent and every draw is reproducible.
+times GOE noise); each gives its Fisher information along the generator
+L(i, j) and draws the matrix a plug-in estimator diagonalizes.  All
+randomness flows through :class:`RngStream`, a counter-based generator
+keyed by (seed, stream), so distinct streams are independent and every
+draw is reproducible.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ class CovModel:
 
     spectrum: Spectrum
     n: int
+    kind = "covariance"
 
     def __post_init__(self):
         if self.n < 1:
@@ -74,6 +77,15 @@ class CovModel:
     def p(self) -> int:
         return self.spectrum.p
 
+    def generator_fisher(self, li, lj):
+        """Fisher information n (lam_i - lam_j)^2 / (lam_i lam_j) along L(i, j); broadcasts."""
+        gap = li - lj
+        return self.n * gap * gap / (li * lj)
+
+    def observe(self, u: np.ndarray, g: np.random.Generator) -> np.ndarray:
+        """Empirical covariance of ``sample_cov``'s n-by-p sample at basis array u."""
+        return _gram(_cov_rows(self, u, g))
+
 
 @dataclass(frozen=True)
 class DenoiseModel:
@@ -81,6 +93,7 @@ class DenoiseModel:
 
     spectrum: Spectrum
     sigma: float
+    kind = "denoising"
 
     def __post_init__(self):
         if not self.sigma > 0:
@@ -91,6 +104,16 @@ class DenoiseModel:
     @property
     def p(self) -> int:
         return self.spectrum.p
+
+    def generator_fisher(self, li, lj):
+        """Fisher information (lam_i - lam_j)^2 / sigma^2 along L(i, j); broadcasts."""
+        gap = li - lj
+        return gap * gap / self.sigma**2
+
+    def observe(self, u: np.ndarray, g: np.random.Generator) -> np.ndarray:
+        """Observation of ``sample_denoise`` at basis array u, before SymMatrix symmetrizes it."""
+        signal = (u * self.spectrum.lambdas) @ u.T
+        return signal + self.sigma * _goe(self.p, g)
 
 
 @dataclass(frozen=True)
@@ -169,11 +192,6 @@ def _goe(p: int, g: np.random.Generator) -> np.ndarray:
     return (z + z.T) / np.sqrt(2.0)
 
 
-def _denoise_obs(model: DenoiseModel, u: np.ndarray, g: np.random.Generator) -> np.ndarray:
-    signal = (u * model.spectrum.lambdas) @ u.T
-    return signal + model.sigma * _goe(model.p, g)
-
-
 def _gram(x: np.ndarray) -> np.ndarray:
     return x.T @ x / x.shape[0]
 
@@ -199,7 +217,7 @@ def sample_goe(p: int, rng) -> SymMatrix:
 def sample_denoise(model: DenoiseModel, u: OrthMatrix, rng) -> SymMatrix:
     """One observation U diag(lam) U^T + sigma * GOE."""
     _check_basis(model, u)
-    return SymMatrix(_denoise_obs(model, u.a, _as_generator(rng)))
+    return SymMatrix(model.observe(u.a, _as_generator(rng)))
 
 
 def empirical_cov(data) -> SymMatrix:
@@ -208,20 +226,6 @@ def empirical_cov(data) -> SymMatrix:
     if x.ndim != 2 or x.shape[0] < 1:
         raise InvalidInput("data must be an n-by-p array with n >= 1")
     return SymMatrix(_gram(x))
-
-
-def observed_matrix(model: CovModel | DenoiseModel, u: np.ndarray, rng) -> np.ndarray:
-    """The matrix a plug-in estimator diagonalizes, drawn at basis array u.
-
-    The empirical covariance of ``sample_cov`` for CovModel, the
-    observation of ``sample_denoise`` for DenoiseModel: the same draws and
-    bits, before the symmetrization that SymMatrix applies.  Only the
-    (p, p) result is kept, not the n-by-p sample.
-    """
-    g = _as_generator(rng)
-    if isinstance(model, CovModel):
-        return _gram(_cov_rows(model, u, g))
-    return _denoise_obs(model, u, g)
 
 
 # --- spectrum families and the CLI shorthand ---------------------------------

@@ -33,7 +33,6 @@ from .models import (
     RngStream,
     empirical_cov,
     haar_orthogonal_batch,
-    observed_matrix,
 )
 
 GAP_TOL = 1e-12
@@ -121,7 +120,7 @@ def _draw(config: SimConfig, reps: np.ndarray, attempts: np.ndarray):
     p = config.model.p
     gens = [RngStream(config.seed, (int(r), int(a))).generator() for r, a in zip(reps, attempts)]
     u = haar_orthogonal_batch(p, gens)
-    x = np.stack([observed_matrix(config.model, u[k], g) for k, g in enumerate(gens)])
+    x = np.stack([config.model.observe(u[k], g) for k, g in enumerate(gens)])
     return u, x
 
 
@@ -259,7 +258,7 @@ def overlap_clt(model: CovModel, i: int, j: int, replicates: int, rng) -> Overla
     values = np.empty(replicates)
     for lo in range(0, replicates, CHUNK):
         hi = min(lo + CHUNK, replicates)
-        covs = np.stack([observed_matrix(model, ident, g) for _ in range(lo, hi)])
+        covs = np.stack([model.observe(ident, g) for _ in range(lo, hi)])
         _, vectors = sym_eig_batch(covs)
         values[lo:hi] = model.n * vectors[:, i, j] ** 2
     target = float(lam[i] * lam[j] / (lam[i] - lam[j]) ** 2)

@@ -17,7 +17,6 @@ from subspace_bounds import (
     SimConfig,
     SkewMatrix,
     Spectrum,
-    SubstochasticProgram,
     bayes_risk,
     denoise_lower_bound,
     dP_dir,
@@ -30,7 +29,7 @@ from subspace_bounds import (
     haar_orthogonal,
     hs_bound_d1,
     hs_lower_bound,
-    lp_oracle,
+    lp_oracle_check,
     overlap_clt,
     poly_spectrum,
     projector_leq_d,
@@ -38,7 +37,6 @@ from subspace_bounds import (
     relrank_bound,
     relrank_condition,
     skew_exp,
-    substochastic_max,
     verify_fisher_limit,
     weighted_loss,
 )
@@ -58,19 +56,7 @@ def report(criterion: int, passed: bool, elapsed: float, limit: float, detail: s
 def test_criterion_1_flow_matches_lp_oracle():
     """Flow optimum vs LP oracle on 500 instances, with duality certificates."""
     start = time.perf_counter()
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    worst_gap = 0.0
-    for _ in range(500):
-        nr, nc = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        caps = rng.uniform(0.0, 1.0, (nr, nc))
-        caps[rng.uniform(size=(nr, nc)) < 0.15] = np.inf
-        prog = SubstochasticProgram(
-            caps, rng.uniform(0.05, 1.5, nr), rng.uniform(0.05, 1.5, nc)
-        )
-        sol = substochastic_max(prog)
-        worst = max(worst, abs(sol.value - lp_oracle(prog)))
-        worst_gap = max(worst_gap, abs(sol.value - sol.cut_value))
+    worst, worst_gap = lp_oracle_check(np.random.default_rng(101), 500)
     elapsed = time.perf_counter() - start
     report(
         1,

@@ -27,7 +27,7 @@ from subspace_bounds import (
     spike_spectrum,
     substochastic_max,
 )
-from subspace_bounds.bounds import golden_max
+from subspace_bounds.bounds import _MaxFlowGraph, golden_max
 
 from conftest import random_spectrum
 
@@ -135,6 +135,15 @@ class TestSubstochasticMax:
             SubstochasticProgram([[-0.1]], [1.0], [1.0])
         with pytest.raises(InvalidInput):
             SubstochasticProgram([[0.1]], [np.inf], [1.0])
+
+    def test_dead_end_raises_with_node_and_excess(self):
+        # node 1 receives 0.75 from the source but its reverse arc is dropped,
+        # so it has no residual arc to push the excess on
+        graph = _MaxFlowGraph(3)
+        graph.add_edge(0, 1, 0.75)
+        graph.adj[1].clear()
+        with pytest.raises(RuntimeError, match=r"dead end: node 1 holds excess 0\.75"):
+            graph.max_flow(0, 2)
 
 
 class TestLpOracle:

@@ -158,6 +158,16 @@ class TestSimulateCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith("not converged: Jacobi eigensolver reached the 1-sweep cap")
 
+    def test_degenerate_replicate_is_one_line_exit_3(self, capsys):
+        # n = 1 gives a rank-one covariance: the gap below d = 2 is always zero
+        args = ["simulate", "--loss", "hs", "--spectrum", "spike:3,1,2,3", "--n", "1",
+                "--reps", "3", "--seed", "1"]
+        assert run(args) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "precondition failed: replicate 0 degenerate after 100 resamples"
+        ]
+
     def test_denoise_model_route(self, tmp_path):
         out = tmp_path / "den.csv"
         code = run(
@@ -186,6 +196,20 @@ class TestReportCommand:
              "--d-min", "3", "--d-max", "12", "--out", str(out)]
         )
         assert code == 0
+
+    def test_numeric_cells_are_plain_floats(self, tmp_path):
+        out = tmp_path / "cells.csv"
+        run(
+            ["report", "--family", "exp", "--alpha", "1", "--p", "12", "--n", "100000",
+             "--d-min", "3", "--d-max", "4", "--out", str(out)]
+        )
+        lines = [l for l in out.read_bytes().decode("utf-8").split("\r\n") if l]
+        header = lines[0].split(",")
+        for line in lines[1:]:
+            cells = dict(zip(header, line.split(",")))
+            assert not any("np." in cell for cell in cells.values())
+            for name in ("alpha", "p", "n", "d", "condition_lhs", "bound", "shape", "ratio"):
+                float(cells[name])
 
     def test_empty_grid_is_usage_error(self):
         assert run(

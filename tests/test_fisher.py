@@ -10,8 +10,7 @@ from subspace_bounds import (
     Spectrum,
     chi2_gauss_cov,
     chi2_gauss_meanshift,
-    fisher_cov,
-    fisher_denoise,
+    fisher_quad,
     generator,
     skew_exp,
     spike_spectrum,
@@ -77,32 +76,32 @@ def mc_chi2_meanshift(model, u, draws, seed):
 class TestFisherForms:
     def test_cov_two_point(self):
         model = CovModel(spike_spectrum(2, 1, 1, 2), n=1)
-        assert fisher_cov(model, generator(2, 0, 1)) == pytest.approx(0.5)
+        assert fisher_quad(model, generator(2, 0, 1)) == pytest.approx(0.5)
 
     def test_cov_zero_gap(self):
         model = CovModel(spike_spectrum(2, 2, 1, 2), n=3)
-        assert fisher_cov(model, generator(2, 0, 1)) == 0.0
+        assert fisher_quad(model, generator(2, 0, 1)) == 0.0
 
     def test_cov_linear_in_n(self):
         xi = generator(3, 0, 2)
         spectrum = Spectrum([3.0, 2.0, 1.0], 1)
-        v1 = fisher_cov(CovModel(spectrum, 1), xi)
-        v10 = fisher_cov(CovModel(spectrum, 10), xi)
+        v1 = fisher_quad(CovModel(spectrum, 1), xi)
+        v10 = fisher_quad(CovModel(spectrum, 10), xi)
         assert v10 == pytest.approx(10 * v1, rel=1e-14)
 
     def test_denoise_two_point(self):
         model = DenoiseModel(spike_spectrum(3, 1, 1, 2), sigma=1.0)
-        assert fisher_denoise(model, generator(2, 0, 1)) == pytest.approx(4.0)
+        assert fisher_quad(model, generator(2, 0, 1)) == pytest.approx(4.0)
 
     def test_denoise_zero_gap(self):
         model = DenoiseModel(spike_spectrum(1, 1, 1, 3), sigma=2.0)
-        assert fisher_denoise(model, generator(3, 0, 2)) == 0.0
+        assert fisher_quad(model, generator(3, 0, 2)) == 0.0
 
     def test_denoise_sigma_scaling(self):
         xi = generator(2, 0, 1)
         spectrum = spike_spectrum(3, 1, 1, 2)
-        v1 = fisher_denoise(DenoiseModel(spectrum, 1.0), xi)
-        v2 = fisher_denoise(DenoiseModel(spectrum, 2.0), xi)
+        v1 = fisher_quad(DenoiseModel(spectrum, 1.0), xi)
+        v2 = fisher_quad(DenoiseModel(spectrum, 2.0), xi)
         assert v2 == pytest.approx(v1 / 4.0, rel=1e-14)
 
     def test_quadratic_scaling(self, rng):
