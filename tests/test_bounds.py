@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspace_bounds import (
     ConditionNotMet,
@@ -27,7 +30,7 @@ from subspace_bounds import (
     spike_spectrum,
     substochastic_max,
 )
-from subspace_bounds.bounds import _MaxFlowGraph, golden_max
+from subspace_bounds.bounds import golden_max
 
 from conftest import random_spectrum
 
@@ -39,6 +42,32 @@ def random_program(rng, max_side=4, inf_frac=0.15):
     caps[rng.uniform(size=(nr, nc)) < inf_frac] = np.inf
     return SubstochasticProgram(
         caps, rng.uniform(0.05, 1.5, nr), rng.uniform(0.05, 1.5, nc)
+    )
+
+
+# Sums of at most 4 + 4 such caps stay finite at 2^990, and the smallest
+# nonzero cap stays normal at 2^-990; a short list makes ties common.
+_finite_caps = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(min_value=2.0**-20, max_value=4.0)
+)
+
+
+@st.composite
+def programs(draw):
+    """Programs of at most 4 x 4 with inf and zero edge caps, zero row and
+    column caps, and tied caps."""
+    nr, nc = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    edge_caps = st.one_of(_finite_caps, st.just(math.inf))
+    caps = draw(st.lists(edge_caps, min_size=nr * nc, max_size=nr * nc))
+    row_caps = draw(st.lists(_finite_caps, min_size=nr, max_size=nr))
+    col_caps = draw(st.lists(_finite_caps, min_size=nc, max_size=nc))
+    return SubstochasticProgram(np.reshape(caps, (nr, nc)), row_caps, col_caps)
+
+
+def scaled(prog, k):
+    """The same program with every cap multiplied by 2^k."""
+    return SubstochasticProgram(
+        np.ldexp(prog.caps, k), np.ldexp(prog.row_caps, k), np.ldexp(prog.col_caps, k)
     )
 
 
@@ -136,14 +165,24 @@ class TestSubstochasticMax:
         with pytest.raises(InvalidInput):
             SubstochasticProgram([[0.1]], [np.inf], [1.0])
 
-    def test_dead_end_raises_with_node_and_excess(self):
-        # node 1 receives 0.75 from the source but its reverse arc is dropped,
-        # so it has no residual arc to push the excess on
-        graph = _MaxFlowGraph(3)
-        graph.add_edge(0, 1, 0.75)
-        graph.adj[1].clear()
-        with pytest.raises(RuntimeError, match=r"dead end: node 1 holds excess 0\.75"):
-            graph.max_flow(0, 2)
+    def test_certificate_is_relative_at_tiny_scale(self):
+        # caps near 2^-60 sit far below any absolute threshold; the cut must
+        # still match the flow relative to the flow itself
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            prog = random_program(rng)
+            sol = substochastic_max(scaled(prog, -60))
+            assert sol.value > 0.0
+            assert abs(sol.cut_value - sol.value) <= 1e-9 * sol.value
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(programs(), st.integers(-990, 990))
+    def test_matches_oracle_and_scales_exactly(self, prog, k):
+        sol = substochastic_max(prog)
+        assert abs(sol.value - lp_oracle(prog)) <= 1e-9
+        scaled_sol = substochastic_max(scaled(prog, k))
+        assert scaled_sol.value == math.ldexp(sol.value, k)
+        assert abs(scaled_sol.cut_value - scaled_sol.value) <= 1e-9 * scaled_sol.value
 
 
 class TestLpOracle:
@@ -370,6 +409,16 @@ class TestDenoiseLowerBound:
     def test_flat_spectrum(self):
         model = DenoiseModel(spike_spectrum(1, 1, 2, 5), sigma=3.0)
         assert denoise_lower_bound(model, 1.0).value == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+    def test_loose_cut_instance_certifies(self):
+        # a cut read with a residual threshold of 1e-12 times the largest
+        # cap (7.2e6 here) lies 5.5e-6 above this solve's flow
+        model = DenoiseModel(exp_spectrum(0.1, 150, 75), 0.1)
+        result = denoise_lower_bound(model, 9.077608026239364)
+        assert result.flow_value == pytest.approx(640.919146177734, rel=1e-12)
+        assert abs(result.cut_value - result.flow_value) <= 1e-9 * result.flow_value
+        _, best = optimize_delta(model)
+        assert best.value >= result.value - 1e-12
 
 
 class TestOptimizeDelta:
