@@ -7,7 +7,8 @@ tangent-space derivatives, losses and Fisher/chi-square formulas
 capacitated doubly-substochastic programs solved exactly as max-flow with
 min-cut certificates.  `risksim` estimates uniform-prior Bayes risks of
 plug-in spectral estimators by Monte Carlo so every computed bound can be
-checked empirically, and `cli` ties the pieces into reproducible
+checked empirically, `verify` holds the numerical checks of the formulas
+the bounds rest on, and `cli` ties the pieces into reproducible
 command-line reports.
 """
 
@@ -21,7 +22,6 @@ from .bounds import (
     hs_bound_d1,
     hs_lower_bound,
     lp_oracle,
-    lp_oracle_check,
     optimize_delta,
     relrank_bound,
     relrank_condition,
@@ -85,6 +85,7 @@ from .risksim import (
     overlap_clt,
     pca_estimator,
 )
+from .verify import lp_oracle_check
 
 __version__ = "0.1.0"
 

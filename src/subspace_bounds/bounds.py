@@ -251,28 +251,6 @@ def lp_oracle(prog: SubstochasticProgram) -> float:
     return float(-res.fun)
 
 
-def lp_oracle_check(rng: np.random.Generator, trials: int) -> tuple[float, float]:
-    """(max |flow - lp|, max duality gap) over random programs drawn from rng.
-
-    Each has 1..4 rows and columns, edge caps uniform on [0, 1) with about
-    15% set to inf, and row and column caps uniform on [0.05, 1.5).
-    """
-    worst = 0.0
-    worst_gap = 0.0
-    for _ in range(trials):
-        nr = int(rng.integers(1, 5))
-        nc = int(rng.integers(1, 5))
-        caps = rng.uniform(0.0, 1.0, size=(nr, nc))
-        caps[rng.uniform(size=(nr, nc)) < 0.15] = np.inf
-        prog = SubstochasticProgram(
-            caps, rng.uniform(0.05, 1.5, size=nr), rng.uniform(0.05, 1.5, size=nc)
-        )
-        sol = substochastic_max(prog)
-        worst = max(worst, abs(sol.value - lp_oracle(prog)))
-        worst_gap = max(worst_gap, abs(sol.value - sol.cut_value))
-    return worst, worst_gap
-
-
 @dataclass(frozen=True, eq=False)
 class BoundResult:
     """A computed lower bound: prefactor * (optimal mass), with certificate."""
@@ -434,8 +412,11 @@ def singleton_max(b_row) -> SingletonSolution:
     return SingletonSolution(value, z, lower)
 
 
-def golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal f on [lo, hi].
+GOLDEN_TOL = 1e-10
+
+
+def golden_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section maximization of a unimodal f on [lo, hi], to GOLDEN_TOL.
 
     Includes endpoint evaluations so boundary maximizers are found.
     Returns (argmax, max).
@@ -447,7 +428,7 @@ def golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, floa
     c = b - invphi * (b - a)
     d_ = a + invphi * (b - a)
     fc, fd = f(c), f(d_)
-    while b - a > tol:
+    while b - a > GOLDEN_TOL:
         if fc >= fd:
             b, d_, fd = d_, c, fc
             c = b - invphi * (b - a)
@@ -560,7 +541,7 @@ def relrank_sum(model: CovModel) -> float:
     return float(np.sum(li * lj / (li - lj)))
 
 
-def relrank_bound(model: CovModel, check_dominated: bool = True) -> float:
+def relrank_bound(model: CovModel) -> float:
     """Plug-in excess-risk lower bound sum/(3n), valid under the condition.
 
     When the condition holds, the saturating mass choice is feasible at the
@@ -572,32 +553,35 @@ def relrank_bound(model: CovModel, check_dominated: bool = True) -> float:
     if not holds:
         raise ConditionNotMet(f"condition lhs={lhs:.6g} exceeds n/2={model.n / 2:.6g}")
     value = relrank_sum(model) / (3.0 * model.n)
-    if check_dominated:
-        lam = model.spectrum.lambdas
-        d = model.spectrum.d
-        mid = 0.5 * (lam[d - 1] + lam[d])
-        dominating = excess_lower_bound(model, mu=mid).value
-        if dominating < value * (1.0 - 1e-9):
-            dominating = excess_lower_bound(model, mu="auto").value
-        if dominating < value * (1.0 - 1e-9):
-            raise RuntimeError(
-                f"optimized excess bound {dominating} fell below plug-in value {value}"
-            )
+    lam = model.spectrum.lambdas
+    d = model.spectrum.d
+    mid = 0.5 * (lam[d - 1] + lam[d])
+    dominating = excess_lower_bound(model, mu=mid).value
+    if dominating < value * (1.0 - 1e-9):
+        dominating = excess_lower_bound(model, mu="auto").value
+    if dominating < value * (1.0 - 1e-9):
+        raise RuntimeError(
+            f"optimized excess bound {dominating} fell below plug-in value {value}"
+        )
     return value
 
 
-def optimize_delta(model, lo: float = 1e-4, hi: float = 1e4) -> tuple[float, BoundResult]:
-    """Convenience 1-d maximization of the bound over delta.
+DELTA_RANGE = (1e-4, 1e4)
+
+
+def optimize_delta(model) -> tuple[float, BoundResult]:
+    """Convenience 1-d maximization of the bound over delta in DELTA_RANGE.
 
     The flow value is concave nondecreasing in delta, so the bound
     value/(1+2 delta) is unimodal; searched on a log scale.  Note the
-    supremum may sit at the upper bracket end when all edge caps are
+    supremum may sit at the upper end of the range when all edge caps are
     infinite (the bound then saturates as delta grows).
     """
     if not isinstance(model, (CovModel, DenoiseModel)):
         raise InvalidInput(f"unsupported model type {type(model)!r}")
     fn = hs_lower_bound if model.kind == "covariance" else denoise_lower_bound
-    log_best, _ = golden_max(lambda ld: fn(model, 10.0**ld).value, math.log10(lo), math.log10(hi))
+    lo, hi = (math.log10(x) for x in DELTA_RANGE)
+    log_best, _ = golden_max(lambda ld: fn(model, 10.0**ld).value, lo, hi)
     best = 10.0**log_best
     return best, fn(model, best)
 

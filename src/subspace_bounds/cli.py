@@ -20,20 +20,20 @@ import sys
 
 import numpy as np
 
-from . import bounds, fisher, risksim
-from .equivariance import (
-    dP_dir,
-    dv_dir,
-    excess_risk,
-    excess_risk_weights,
-    generator,
-    projector_leq_d,
-    random_projector,
-    weighted_loss,
-)
+from . import bounds, fisher, risksim, verify
+from .equivariance import random_projector
 from .errors import ConditionNotMet, DegenerateGap, InvalidInput, NotConverged, Unsupported
-from .linalg import SkewMatrix, skew_exp
-from .models import CovModel, DenoiseModel, RngStream, haar_orthogonal, parse_spectrum
+from .linalg import SkewMatrix
+from .models import (
+    CovModel,
+    DenoiseModel,
+    RngStream,
+    Spectrum,
+    exp_spectrum,
+    haar_orthogonal,
+    parse_spectrum,
+    poly_spectrum,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -268,73 +268,27 @@ def _verify_fisher_limit(args) -> list[dict]:
         forms.append(fisher.FisherForm(DenoiseModel(spectrum, args.sigma)))
     if not forms:
         raise _UsageError("fisher-limit needs --n and/or --sigma")
-    checks = []
-    p = spectrum.p
-    for form in forms:
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                report = fisher.verify_fisher_limit(form, generator(p, i, j))
-                checks.append(
-                    {
-                        "name": f"{form.kind} L({i},{j})",
-                        "status": "PASS" if report.passed else "FAIL",
-                        "detail": (
-                            f"limit={report.extrapolated:.9g} "
-                            f"closed={report.closed_form:.9g} rel_err={report.rel_error:.3e}"
-                        ),
-                        "report": report.to_json_dict(),
-                    }
-                )
-    return checks
+    return [check for form in forms for check in verify.fisher_limit_checks(form)]
+
+
+def _derivative_check(name: str, errs: list) -> dict:
+    ratios = verify.decade_ratios(errs)
+    ok = errs[-1] < 1e-4 and all(5.0 <= r <= 20.0 or errs[k] < 1e-12 for k, r in enumerate(ratios))
+    return verify.check_record(name, ok, f"errors={[f'{e:.3e}' for e in errs]}")
 
 
 def _verify_derivatives(args) -> list[dict]:
     p = args.p or 5
     d = args.d or max(1, p // 2)
     rng = RngStream(_seed_from(args), stream=1).generator()
-    ts = (1e-3, 1e-4, 1e-5)
     checks = []
-    trials = args.trials or 10
-    for trial in range(trials):
+    for trial in range(args.trials or 10):
         raw = rng.standard_normal((p, p))
         xi = SkewMatrix(raw / np.linalg.norm((raw - raw.T) / 2.0))
-        closed = dP_dir(p, d, xi).a
-        pi_d = projector_leq_d(skew_exp(xi, 0.0), d).a
-        errs = []
-        for t in ts:
-            fd = (projector_leq_d(skew_exp(xi, t), d).a - pi_d) / t
-            errs.append(float(np.max(np.abs(fd - closed))))
-        ratios = [errs[k] / errs[k + 1] if errs[k + 1] > 0 else float("inf") for k in range(2)]
-        ok = errs[-1] < 1e-4 and all(5.0 <= r <= 20.0 or errs[k] < 1e-12 for k, r in enumerate(ratios))
-        checks.append(
-            {
-                "name": f"projector derivative trial {trial}",
-                "status": "PASS" if ok else "FAIL",
-                "detail": f"errors={[f'{e:.3e}' for e in errs]}",
-            }
-        )
         i, j = sorted(rng.choice(p, size=2, replace=False))
-        closed_v = dv_dir(p, int(i), int(j), xi)
-        base = np.zeros((p, p))
-        base[i, j] = 1.0
-        errs_v = []
-        for t in ts:
-            q = skew_exp(xi, t).a
-            curve = np.outer(q[:, i], q[:, j])
-            errs_v.append(float(np.max(np.abs((curve - base) / t - closed_v))))
-        ratios_v = [
-            errs_v[k] / errs_v[k + 1] if errs_v[k + 1] > 0 else float("inf") for k in range(2)
-        ]
-        ok_v = errs_v[-1] < 1e-4 and all(
-            5.0 <= r <= 20.0 or errs_v[k] < 1e-12 for k, r in enumerate(ratios_v)
-        )
-        checks.append(
-            {
-                "name": f"basis-field derivative trial {trial}",
-                "status": "PASS" if ok_v else "FAIL",
-                "detail": f"errors={[f'{e:.3e}' for e in errs_v]}",
-            }
-        )
+        errs_p, errs_v = verify.derivative_errors(xi, d, int(i), int(j))
+        checks.append(_derivative_check(f"projector derivative trial {trial}", errs_p))
+        checks.append(_derivative_check(f"basis-field derivative trial {trial}", errs_v))
     return checks
 
 
@@ -342,43 +296,26 @@ def _verify_loss_identity(args) -> list[dict]:
     p = args.p or 6
     d = args.d or max(1, p // 2)
     trials = args.trials or 100
-    rng = RngStream(_seed_from(args), stream=2)
-    g = rng.generator()
+    g = RngStream(_seed_from(args), stream=2).generator()
     lam = np.sort(g.uniform(0.2, 3.0, size=p))[::-1]
-    from .models import Spectrum
-
     spectrum = Spectrum(lam, d)
     worst = 0.0
     for _ in range(trials):
         u = haar_orthogonal(p, g)
         p_hat = random_projector(p, d, g)
         mu = g.uniform(lam[d], lam[d - 1])
-        w = excess_risk_weights(spectrum, mu)
-        direct = excess_risk(spectrum, u, p_hat)
-        via_loss = weighted_loss(u, p_hat.a, d, w)
-        worst = max(worst, abs(direct - via_loss))
-    ok = worst <= 1e-9
-    return [
-        {
-            "name": f"excess-risk identity ({trials} trials, p={p})",
-            "status": "PASS" if ok else "FAIL",
-            "detail": f"max |direct - weighted| = {worst:.3e}",
-        }
-    ]
+        worst = max(worst, verify.excess_identity_gap(spectrum, u, p_hat, mu))
+    name = f"excess-risk identity ({trials} trials, p={p})"
+    return [verify.check_record(name, worst <= 1e-9, f"max |direct - weighted| = {worst:.3e}")]
 
 
 def _verify_lp_oracle(args) -> list[dict]:
     trials = args.trials or 500
     rng = RngStream(_seed_from(args), stream=3).generator()
-    worst, worst_gap = bounds.lp_oracle_check(rng, trials)
+    worst, worst_gap = verify.lp_oracle_check(rng, trials)
     ok = worst <= 1e-8 and worst_gap <= 1e-9
-    return [
-        {
-            "name": f"flow vs LP oracle ({trials} random instances)",
-            "status": "PASS" if ok else "FAIL",
-            "detail": f"max |flow - lp| = {worst:.3e}, max duality gap = {worst_gap:.3e}",
-        }
-    ]
+    detail = f"max |flow - lp| = {worst:.3e}, max duality gap = {worst_gap:.3e}"
+    return [verify.check_record(f"flow vs LP oracle ({trials} random instances)", ok, detail)]
 
 
 def cmd_verify(args) -> int:
@@ -408,8 +345,6 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     if args.d_max < args.d_min:
         raise _UsageError("empty d grid")
-    from .models import exp_spectrum, poly_spectrum
-
     seed = _seed_from(args)
     rows = []
     ratios = []
@@ -452,11 +387,10 @@ def cmd_report(args) -> int:
     if not args.out:
         sys.stdout.write(text)
 
-    ok = True
     if not ratios:
         raise _UsageError("no valid d in the grid satisfied the bound condition")
     lo, hi = min(ratios), max(ratios)
-    center = float(np.exp(np.mean(np.log(ratios))))
+    center, in_band = verify.ratio_band(ratios)
     print(f"ratio band: min {lo:.4g}, max {hi:.4g}, spread x{hi / lo:.3f}, center {center:.4g}")
     if args.family == "exp":
         valid = [(d, r) for d, r in zip(ds, rows) if r[6]]
@@ -469,10 +403,10 @@ def cmd_report(args) -> int:
             f"vs -alpha {-args.alpha:.4f} (tolerance 10%)"
         )
     else:
-        ok = hi <= 3.0 * center and lo >= center / 3.0
+        ok = in_band
         print(
-            f"{'PASS' if ok else 'FAIL'} scaling band: every ratio within factor 3 "
-            f"of the central constant {center:.4g}"
+            f"{'PASS' if ok else 'FAIL'} scaling band: every ratio within factor "
+            f"{verify.BAND_FACTOR:g} of the central constant {center:.4g}"
         )
     return EXIT_OK if ok else EXIT_VIOLATION
 

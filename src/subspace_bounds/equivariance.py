@@ -60,10 +60,6 @@ class WeightMatrix:
     def dim(self) -> int:
         return self.w.shape[0]
 
-    @property
-    def all_positive(self) -> bool:
-        return bool(np.min(self.w) > 0)
-
     @classmethod
     def ones(cls, p: int) -> "WeightMatrix":
         return cls(np.ones((p, p)))

@@ -133,15 +133,16 @@ def extrapolate_to_zero(ts, fs) -> float:
     return float(total)
 
 
-DEFAULT_T_GRID = (1e-2, 1e-3, 1e-4)
+T_GRID = (1e-2, 1e-3, 1e-4)
+REL_TOL = 1e-3
+ZERO_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
 class FisherLimitReport:
-    """Comparison of the extrapolated chi2(t)/t^2 limit with the closed form."""
+    """Comparison of the chi2(t)/t^2 limit, extrapolated from t in T_GRID, with the closed form."""
 
     kind: str
-    t_grid: tuple
     ratios: tuple
     extrapolated: float
     closed_form: float
@@ -151,7 +152,7 @@ class FisherLimitReport:
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "t_grid": list(self.t_grid),
+            "t_grid": list(T_GRID),
             "ratios": list(self.ratios),
             "extrapolated": self.extrapolated,
             "closed_form": self.closed_form,
@@ -160,41 +161,27 @@ class FisherLimitReport:
         }
 
 
-def verify_fisher_limit(
-    form: FisherForm,
-    xi: SkewMatrix,
-    t_grid=DEFAULT_T_GRID,
-    rel_tol: float = 1e-3,
-    zero_atol: float = 1e-9,
-) -> FisherLimitReport:
+def verify_fisher_limit(form: FisherForm, xi: SkewMatrix) -> FisherLimitReport:
     """Check that chi2(exp(t xi))/t^2 converges to the Fisher value.
 
-    Evaluates the ratio on a decreasing grid of t, extrapolates to t = 0,
-    and compares with the closed-form quadratic form; PASS when the
-    relative error is below rel_tol (absolute zero_atol when the target
-    vanishes).
+    Evaluates the ratio at each t of T_GRID, extrapolates to t = 0, and
+    compares with the closed-form quadratic form; PASS when the relative
+    error is at most REL_TOL (absolute ZERO_ATOL when the target vanishes).
     """
-    ts = tuple(float(t) for t in t_grid)
-    if not all(t > 0 for t in ts) or any(b >= a for a, b in zip(ts, ts[1:])):
-        raise InvalidInput("t_grid must be positive and decreasing")
     target = form.quad(xi)
-    ratios = []
-    for t in ts:
-        value = form.chi2(skew_exp(xi, t))
-        ratios.append(value / (t * t))
+    ratios = [form.chi2(skew_exp(xi, t)) / (t * t) for t in T_GRID]
     if all(np.isfinite(r) for r in ratios):
-        extrapolated = extrapolate_to_zero(ts, ratios)
+        extrapolated = extrapolate_to_zero(T_GRID, ratios)
     else:
         extrapolated = float("inf")
     if target == 0.0:
         rel_error = abs(extrapolated)
-        passed = rel_error <= zero_atol
+        passed = rel_error <= ZERO_ATOL
     else:
         rel_error = abs(extrapolated - target) / abs(target)
-        passed = bool(np.isfinite(extrapolated) and rel_error <= rel_tol)
+        passed = bool(np.isfinite(extrapolated) and rel_error <= REL_TOL)
     return FisherLimitReport(
         kind=form.kind,
-        t_grid=ts,
         ratios=tuple(float(r) for r in ratios),
         extrapolated=float(extrapolated),
         closed_form=float(target),

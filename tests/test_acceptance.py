@@ -19,11 +19,7 @@ from subspace_bounds import (
     Spectrum,
     bayes_risk,
     denoise_lower_bound,
-    dP_dir,
-    dv_dir,
     excess_lower_bound,
-    excess_risk,
-    excess_risk_weights,
     exp_spectrum,
     generator,
     haar_orthogonal,
@@ -32,15 +28,19 @@ from subspace_bounds import (
     lp_oracle_check,
     overlap_clt,
     poly_spectrum,
-    projector_leq_d,
     random_projector,
     relrank_bound,
     relrank_condition,
     skew_exp,
-    verify_fisher_limit,
-    weighted_loss,
 )
 from subspace_bounds.cli import main as cli_main
+from subspace_bounds.verify import (
+    decade_ratios,
+    derivative_errors,
+    excess_identity_gap,
+    fisher_limit_checks,
+    ratio_band,
+)
 
 from conftest import random_skew_unit, random_spectrum
 from test_fisher import mc_chi2_cov, mc_chi2_meanshift
@@ -114,12 +114,10 @@ def test_criterion_3_fisher_limits_and_mc_oracle():
         n = int(rng.integers(1, 6))
         sigma = float(rng.uniform(0.5, 2.0))
         for form in (FisherForm(CovModel(spectrum, n)), FisherForm(DenoiseModel(spectrum, sigma))):
-            for i in range(p - 1):
-                for j in range(i + 1, p):
-                    rep = verify_fisher_limit(form, generator(p, i, j), rel_tol=1e-3)
-                    checked += 1
-                    assert rep.passed, f"{form.kind} L({i},{j}) rel_err={rep.rel_error:.2e}"
-                    worst_rel = max(worst_rel, rep.rel_error)
+            for check in fisher_limit_checks(form):
+                checked += 1
+                assert check["status"] == "PASS", f"{check['name']}: {check['detail']}"
+                worst_rel = max(worst_rel, check["report"]["rel_error"])
     worst_z = 0.0
     for kind, lam, param, t, seed in MC_SPOT_INSTANCES:
         spectrum = Spectrum(np.asarray(lam), 1)
@@ -150,39 +148,18 @@ def test_criterion_4_derivative_finite_differences():
     """Closed-form derivatives match finite differences with O(t) error."""
     start = time.perf_counter()
     rng = np.random.default_rng(104)
-    ts = (1e-3, 1e-4, 1e-5)
     worst_final = 0.0
     ratios_seen = []
     for _ in range(20):
         p = int(rng.integers(3, 7))
         d = int(rng.integers(1, p))
         xi = SkewMatrix(random_skew_unit(rng, p))
-        base = np.zeros((p, p))
-        base[:d, :d] = np.eye(d)
-        closed = dP_dir(p, d, xi).a
-        errs = []
-        for t in ts:
-            fd = (projector_leq_d(skew_exp(xi, t), d).a - base) / t
-            errs.append(float(np.max(np.abs(fd - closed))))
-        worst_final = max(worst_final, errs[-1])
-        for k in range(2):
-            ratio = errs[k] / errs[k + 1]
-            ratios_seen.append(ratio)
-            assert 5.0 <= ratio <= 20.0, f"projector decade ratio {ratio:.2f}"
-
         i, j = (int(v) for v in rng.choice(p, size=2, replace=False))
-        closed_v = dv_dir(p, i, j, xi)
-        unit = np.zeros((p, p))
-        unit[i, j] = 1.0
-        errs_v = []
-        for t in ts:
-            q = skew_exp(xi, t).a
-            errs_v.append(float(np.max(np.abs((np.outer(q[:, i], q[:, j]) - unit) / t - closed_v))))
-        worst_final = max(worst_final, errs_v[-1])
-        for k in range(2):
-            ratio = errs_v[k] / errs_v[k + 1]
-            ratios_seen.append(ratio)
-            assert 5.0 <= ratio <= 20.0, f"basis-field decade ratio {ratio:.2f}"
+        for label, errs in zip(("projector", "basis-field"), derivative_errors(xi, d, i, j)):
+            worst_final = max(worst_final, errs[-1])
+            for ratio in decade_ratios(errs):
+                ratios_seen.append(ratio)
+                assert 5.0 <= ratio <= 20.0, f"{label} decade ratio {ratio:.2f}"
     elapsed = time.perf_counter() - start
     report(
         4,
@@ -207,9 +184,7 @@ def test_criterion_5_excess_risk_identity():
         u = haar_orthogonal(p, g)
         p_hat = random_projector(p, d, g)
         mu = float(rng.uniform(spectrum.lambdas[d], spectrum.lambdas[d - 1]))
-        direct = excess_risk(spectrum, u, p_hat)
-        via = weighted_loss(u, p_hat.a, d, excess_risk_weights(spectrum, mu))
-        worst = max(worst, abs(direct - via))
+        worst = max(worst, excess_identity_gap(spectrum, u, p_hat, mu))
     elapsed = time.perf_counter() - start
     report(5, worst <= 1e-9, elapsed, 5.0, f"max |trace - weighted| = {worst:.2e}")
 
@@ -278,8 +253,7 @@ def test_criterion_7_scaling_bands():
         holds, _ = relrank_condition(model)
         assert holds, f"polynomial condition failed at d={d}"
         poly_ratios.append(relrank_bound(model) / (d ** (2.0 - 1.0) / n))
-    center = float(np.exp(np.mean(np.log(poly_ratios))))
-    poly_within = max(poly_ratios) <= 3.0 * center and min(poly_ratios) >= center / 3.0
+    center, poly_within = ratio_band(poly_ratios)
     poly_spread = max(poly_ratios) / min(poly_ratios)
 
     elapsed = time.perf_counter() - start

@@ -381,7 +381,7 @@ class TestRelrank:
             if not relrank_condition(model)[0]:
                 continue
             done += 1
-            value = relrank_bound(model, check_dominated=False)
+            value = relrank_bound(model)
             auto = excess_lower_bound(model, "auto").value
             assert value <= auto * (1 + 1e-9)
 

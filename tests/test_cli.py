@@ -1,9 +1,17 @@
 import json
 import os
+import pathlib
 
+import numpy as np
 import pytest
 
 from subspace_bounds.cli import main
+
+# Args, artifact and stdout of two `verify` commands per suite, as the CLI
+# wrote them while it still ran each suite's loops itself.
+VERIFY_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "verify_golden.json").read_text(encoding="utf-8")
+)
 
 
 def run(args):
@@ -103,6 +111,24 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             run(["verify", "everything"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("name", sorted(VERIFY_GOLDEN))
+    def test_artifact_and_stdout_match_saved_bytes(self, name, tmp_path, capsys):
+        saved = VERIFY_GOLDEN[name]
+        out = tmp_path / "verify.json"
+        assert run(["verify", *saved["args"], "--out", str(out)]) == 0
+        assert out.read_bytes().decode("utf-8") == saved["artifact"]
+        assert capsys.readouterr().out == saved["stdout"]
+
+    def test_failed_check_is_exit_4(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("subspace_bounds.verify.dv_dir", lambda p, i, j, xi: np.zeros((p, p)))
+        out = tmp_path / "derivatives.json"
+        code = run(["verify", "derivatives", "--p", "4", "--trials", "2", "--seed", "1",
+                    "--out", str(out)])
+        assert code == 4
+        payload = json.loads(out.read_text())
+        assert payload["status"] == "FAIL"
+        assert [c["status"] for c in payload["checks"]] == ["PASS", "FAIL"] * 2
 
 
 class TestSimulateCommand:

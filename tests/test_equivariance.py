@@ -19,6 +19,7 @@ from subspace_bounds import (
     skew_exp,
     weighted_loss,
 )
+from subspace_bounds.verify import decade_ratios, derivative_errors, excess_identity_gap
 
 from conftest import random_skew_unit, random_spectrum
 
@@ -86,17 +87,8 @@ class TestProjectorDerivative:
         assert np.max(np.abs(fd - dP_dir(p, d, xi).a)) <= 1e-5
 
     def test_error_decays_linearly(self, rng):
-        p, d = 6, 3
-        xi = SkewMatrix(random_skew_unit(rng, p))
-        base = np.zeros((p, p))
-        base[:d, :d] = np.eye(d)
-        closed = dP_dir(p, d, xi).a
-        errs = []
-        for t in (1e-3, 1e-4, 1e-5):
-            fd = (projector_leq_d(skew_exp(xi, t), d).a - base) / t
-            errs.append(np.max(np.abs(fd - closed)))
-        for k in range(2):
-            assert 5.0 <= errs[k] / errs[k + 1] <= 20.0
+        errs, _ = derivative_errors(SkewMatrix(random_skew_unit(rng, 6)), 3, 0, 1)
+        assert all(5.0 <= r <= 20.0 for r in decade_ratios(errs))
 
 
 class TestBasisFieldDerivative:
@@ -213,7 +205,5 @@ class TestExcessRisk:
             u = haar_orthogonal(p, g)
             p_hat = random_projector(p, d, g)
             mu = rng.uniform(spectrum.lambdas[d], spectrum.lambdas[d - 1])
-            direct = excess_risk(spectrum, u, p_hat)
-            via = weighted_loss(u, p_hat.a, d, excess_risk_weights(spectrum, mu))
-            worst = max(worst, abs(direct - via))
+            worst = max(worst, excess_identity_gap(spectrum, u, p_hat, mu))
         assert worst <= 1e-9

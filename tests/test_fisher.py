@@ -5,7 +5,6 @@ from subspace_bounds import (
     CovModel,
     DenoiseModel,
     FisherForm,
-    InvalidInput,
     SkewMatrix,
     Spectrum,
     chi2_gauss_cov,
@@ -208,11 +207,6 @@ class TestFisherLimit:
         report = verify_fisher_limit(form, generator(2, 0, 1))
         assert report.passed
         assert report.extrapolated == pytest.approx(1.0, rel=1e-6)
-
-    def test_grid_must_decrease(self):
-        form = FisherForm(CovModel(spike_spectrum(2, 1, 1, 2), n=1))
-        with pytest.raises(InvalidInput):
-            verify_fisher_limit(form, generator(2, 0, 1), t_grid=(1e-4, 1e-3))
 
     def test_report_serializes(self):
         form = FisherForm(CovModel(spike_spectrum(2, 1, 1, 2), n=1))
