@@ -14,14 +14,15 @@ max-flow problem on
 
 using Dinic's algorithm; optimality is certified on every solve by the
 minimum cut that its last breadth-first search leaves, whose capacity
-must equal the flow to within 1e-9 of the flow.  A brute-force LP oracle
-(scipy HiGHS) provides an independent verification path for small
-instances and is used only by tests and the verify command.
+must equal the flow to within 1e-9 of the flow.  The searches over mu and
+delta read each min cut as a line in the parameter and stop at a maximum
+that these lines certify.  A brute-force LP oracle (scipy HiGHS) provides
+an independent verification path for small instances and is used only by
+tests and the verify command.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -82,6 +83,8 @@ class FlowSolution(NamedTuple):
     tight_rows: np.ndarray
     tight_cols: np.ndarray
     tight_edges: np.ndarray
+    rows_in: np.ndarray  # source side of the min cut; zero-cap rows are left out
+    cols_in: np.ndarray  # and zero-cap columns put in, so no unbuilt edge crosses
 
 
 class _MaxFlowGraph:
@@ -170,14 +173,8 @@ def substochastic_max(prog: SubstochasticProgram) -> FlowSolution:
     """
     nr, nc = prog.shape
     if nr == 0 or nc == 0:
-        return FlowSolution(
-            0.0,
-            np.zeros((nr, nc)),
-            0.0,
-            np.zeros(nr, dtype=bool),
-            np.zeros(nc, dtype=bool),
-            np.zeros((nr, nc), dtype=bool),
-        )
+        no_rows, no_cols, x = np.zeros(nr, dtype=bool), np.zeros(nc, dtype=bool), np.zeros((nr, nc))
+        return FlowSolution(0.0, x, 0.0, no_rows, no_cols, x > 0.0, ~no_rows, no_cols)
     caps = np.where(np.isinf(prog.caps), prog.big_cap(), prog.caps)
     built = (caps > 0.0) & (prog.row_caps > 0.0)[:, None] & (prog.col_caps > 0.0)[None, :]
     src, snk = 0, nr + nc + 1
@@ -211,7 +208,8 @@ def substochastic_max(prog: SubstochasticProgram) -> FlowSolution:
     tight_rows = row_sums >= prog.row_caps - tol
     tight_cols = col_sums >= prog.col_caps - tol
     tight_edges = np.isfinite(prog.caps) & (x >= prog.caps - tol)
-    return FlowSolution(value, x, cut, tight_rows, tight_cols, tight_edges)
+    rows_in, cols_in = rows_in & (prog.row_caps > 0.0), cols_in | (prog.col_caps == 0.0)
+    return FlowSolution(value, x, cut, tight_rows, tight_cols, tight_edges, rows_in, cols_in)
 
 
 LP_ORACLE_LIMIT = 16
@@ -335,22 +333,24 @@ def _rectangle_caps(model: CovModel | DenoiseModel) -> np.ndarray:
         return 2.0 / _fisher_rectangle(model, range(d), range(d, p))
 
 
-def _rectangle_bound(model: CovModel | DenoiseModel, delta: float, params: dict) -> BoundResult:
-    """Bound at mixing level delta over the leading-by-trailing index rectangle.
+def _rectangle_solve(model: CovModel | DenoiseModel, delta: float):
+    """(program, flow solution, bound) at mixing level delta on the leading-by-trailing rectangle.
 
     Edge caps 2 / I_ij, with I_ij the model's Fisher information along the
     generator L(i, j); row and column sums capped at delta; prefactor
-    1/(1 + 2 delta).  ``params`` names the bound and the model's parameter.
+    1/(1 + 2 delta).
     """
     if not delta > 0:
         raise InvalidInput("delta must be > 0")
     d, p = model.spectrum.d, model.p
-    rows = tuple(range(d))
-    cols = tuple(range(d, p))
     prog = SubstochasticProgram(_rectangle_caps(model), np.full(d, delta), np.full(p - d, delta))
     sol = substochastic_max(prog)
-    params = {**params, "delta": delta, "d": d, "p": p}
-    return BoundResult.from_solution(prog, sol, 1.0 / (1.0 + 2.0 * delta), rows, cols, params)
+    if model.kind == "covariance":
+        params = {"bound": "hs", "n": model.n, "delta": delta, "d": d, "p": p}
+    else:
+        params = {"bound": "denoise", "sigma": model.sigma, "delta": delta, "d": d, "p": p}
+    prefactor = 1.0 / (1.0 + 2.0 * delta)
+    return prog, sol, BoundResult.from_solution(prog, sol, prefactor, range(d), range(d, p), params)
 
 
 def hs_lower_bound(model: CovModel, delta: float = 1.0) -> BoundResult:
@@ -360,7 +360,7 @@ def hs_lower_bound(model: CovModel, delta: float = 1.0) -> BoundResult:
     leading-by-trailing index rectangle, row and column sums capped at
     delta, prefactor 1/(1 + 2 delta).
     """
-    return _rectangle_bound(model, delta, {"bound": "hs", "n": model.n})
+    return _rectangle_solve(model, delta)[2]
 
 
 def denoise_lower_bound(model: DenoiseModel, delta: float = 1.0) -> BoundResult:
@@ -368,7 +368,7 @@ def denoise_lower_bound(model: DenoiseModel, delta: float = 1.0) -> BoundResult:
 
     Same program shape with edge caps 2 / I_ij = 2 sigma^2 / (lam_i - lam_j)^2.
     """
-    return _rectangle_bound(model, delta, {"bound": "denoise", "sigma": model.sigma})
+    return _rectangle_solve(model, delta)[2]
 
 
 def hs_bound_d1(model: CovModel, delta: float = 1.0) -> float:
@@ -412,34 +412,50 @@ def singleton_max(b_row) -> SingletonSolution:
     return SingletonSolution(value, z, lower)
 
 
-GOLDEN_TOL = 1e-10
+BREAKPOINT_RTOL = 1e-12
 
 
-def golden_max(f, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal f on [lo, hi], to GOLDEN_TOL.
+def _cut_capacity(prog: SubstochasticProgram, sol: FlowSolution) -> float:
+    """Capacity in ``prog`` of the min cut of ``sol``, read from the full rectangle of caps."""
+    crossing = prog.caps[np.ix_(sol.rows_in, ~sol.cols_in)].sum()
+    return float(prog.row_caps[~sol.rows_in].sum() + crossing + prog.col_caps[sol.cols_in].sum())
 
-    Includes endpoint evaluations so boundary maximizers are found.
-    Returns (argmax, max).
+
+def _breakpoint_max(solve, lo: float, hi: float, row_slope: int, trend) -> BoundResult:
+    """The bound maximized exactly over t in [lo, hi] from the min cuts of its solves.
+
+    ``solve(t)`` returns the program at t, its flow solution and the bound.
+    Row caps move with slope ``row_slope`` in t and column caps with slope 1,
+    so each cut's capacity is a line in t with an integer slope, and the flow
+    is their lower envelope.  ``trend(t, c, a)`` has the sign of the bound's
+    derivative on the line of slope a through (t, c).  A rising cut line L
+    lies left of the maximum, a falling one R right of it.  Where they cross,
+    a flow equal to min(L, R), or a cut with a flat bound, certifies the
+    maximum; else the cut replaces L or R (Gallo, Grigoriadis & Tarjan 1989;
+    Dinkelbach 1967).  L's slope falls and R's rises, so over nr + nc + 2 solves raise.
     """
-    if hi < lo:
-        raise InvalidInput("empty search interval")
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d_ = a + invphi * (b - a)
-    fc, fd = f(c), f(d_)
-    while b - a > GOLDEN_TOL:
-        if fc >= fd:
-            b, d_, fd = d_, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + invphi * (b - a)
-            fd = f(d_)
-    candidates = [(lo, f(lo)), (hi, f(hi)), (c, fc), (d_, fd)]
-    best = max(candidates, key=lambda t: t[1])
-    return best
+
+    def cut_line(t):
+        prog, sol, result = solve(t)
+        slope = row_slope * int(np.sum(~sol.rows_in)) + int(np.sum(sol.cols_in))
+        return t, prog, sol, slope, result
+
+    left = t, prog, sol, a, result = cut_line(lo)
+    if not trend(t, sol.value, a) > 0:
+        return result
+    right = t, _, sol, a, result = cut_line(hi)
+    if not trend(t, sol.value, a) < 0:
+        return result
+    for _ in range(sum(prog.shape)):
+        (t_l, prog_l, cut_l, a_l, _), (t_r, _, cut_r, a_r, _) = left, right
+        gap = _cut_capacity(prog_l, cut_r) - _cut_capacity(prog_l, cut_l)
+        t = t_l if a_l == a_r else min(max(t_l + gap / (a_l - a_r), t_l), t_r)
+        new = _, prog, sol, a, result = cut_line(t)
+        lines = min(_cut_capacity(prog, cut_l), _cut_capacity(prog, cut_r))
+        if sol.value >= lines * (1.0 - BREAKPOINT_RTOL) or trend(t, sol.value, a) == 0:
+            return result
+        left, right = (new, right) if trend(t, sol.value, a) > 0 else (left, new)
+    raise RuntimeError(f"breakpoint search not certified in {sum(prog.shape) + 2} solves")
 
 
 def _excess_index_sets(model: CovModel) -> tuple[int, int]:
@@ -478,37 +494,31 @@ def excess_lower_bound(model: CovModel, mu="auto") -> BoundResult:
     Edge caps (lam_i - lam_j) / I_ij = lam_i lam_j / (n (lam_i - lam_j)),
     with I_ij the Fisher information along L(i, j), row caps lam_i - mu,
     column caps mu - lam_j, prefactor 1/3.  In auto mode mu maximizes the
-    optimal mass over [lam_{d+1}, lam_d] by golden-section search (the
-    mass is concave in mu because all capacities are affine in mu).
+    bound over [lam_{d+1}, lam_d], where each cut's capacity is affine in mu.
+    Certificate: the flow at mu equals a rising and a falling min-cut line
+    that cross there, or mu's own min-cut line is flat, or mu ends the range
+    and its min-cut line does not rise into it.
     """
     lam = model.spectrum.lambdas
     d = model.spectrum.d
     r, s = _excess_index_sets(model)
     mu_lo, mu_hi = float(lam[d]), float(lam[d - 1])
+    rows, cols = range(r), range(s, model.p)
+
+    def solve(m):
+        prog = _excess_program(model, m, r, s)
+        sol = substochastic_max(prog)
+        params = {"bound": "excess", "mu": m, "n": model.n, "d": d, "p": model.p, "r": r, "s": s}
+        return prog, sol, BoundResult.from_solution(prog, sol, EXCESS_PREFACTOR, rows, cols, params)
+
     if isinstance(mu, str):
         if mu != "auto":
             raise InvalidInput(f"mu must be a number or 'auto', got {mu!r}")
-        mu_val, _ = golden_max(
-            lambda m: substochastic_max(_excess_program(model, m, r, s)).value, mu_lo, mu_hi
-        )
-    else:
-        mu_val = float(mu)
-        if not mu_lo <= mu_val <= mu_hi:
-            raise InvalidInput(f"mu={mu_val} outside [{mu_lo}, {mu_hi}]")
-    prog = _excess_program(model, mu_val, r, s)
-    sol = substochastic_max(prog)
-    params = {
-        "bound": "excess",
-        "mu": mu_val,
-        "n": model.n,
-        "d": d,
-        "p": model.p,
-        "r": r,
-        "s": s,
-    }
-    return BoundResult.from_solution(
-        prog, sol, EXCESS_PREFACTOR, tuple(range(r)), tuple(range(s, model.p)), params
-    )
+        return _breakpoint_max(solve, mu_lo, mu_hi, -1, lambda t, c, a: a)
+    mu_val = float(mu)
+    if not mu_lo <= mu_val <= mu_hi:
+        raise InvalidInput(f"mu={mu_val} outside [{mu_lo}, {mu_hi}]")
+    return solve(mu_val)[2]
 
 
 def relrank_condition(model: CovModel) -> tuple[bool, float]:
@@ -570,20 +580,21 @@ DELTA_RANGE = (1e-4, 1e4)
 
 
 def optimize_delta(model) -> tuple[float, BoundResult]:
-    """Convenience 1-d maximization of the bound over delta in DELTA_RANGE.
+    """The bound maximized over delta in DELTA_RANGE; returns (delta, bound).
 
-    The flow value is concave nondecreasing in delta, so the bound
-    value/(1+2 delta) is unimodal; searched on a log scale.  Note the
-    supremum may sit at the upper end of the range when all edge caps are
-    infinite (the bound then saturates as delta grows).
+    A cut with a row/column caps and crossing edge caps b on its boundary
+    bounds the value by (a delta + b)/(1 + 2 delta), which rises in delta
+    iff a > 2b.  Certificate: the flow at delta equals a rising and a falling
+    min-cut line that cross there, or delta's own min-cut term is flat, or
+    delta ends the range and its min-cut term does not rise into it.
     """
     if not isinstance(model, (CovModel, DenoiseModel)):
         raise InvalidInput(f"unsupported model type {type(model)!r}")
-    fn = hs_lower_bound if model.kind == "covariance" else denoise_lower_bound
-    lo, hi = (math.log10(x) for x in DELTA_RANGE)
-    log_best, _ = golden_max(lambda ld: fn(model, 10.0**ld).value, lo, hi)
-    best = 10.0**log_best
-    return best, fn(model, best)
+    result = _breakpoint_max(
+        lambda t: _rectangle_solve(model, t), *DELTA_RANGE, 1,
+        lambda t, c, a: a * (1.0 + 2.0 * t) - 2.0 * c,
+    )
+    return result.params["delta"], result
 
 
 def canonical_bound(model: CovModel) -> float:

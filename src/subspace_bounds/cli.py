@@ -277,12 +277,23 @@ def _derivative_check(name: str, errs: list) -> dict:
     return verify.check_record(name, ok, f"errors={[f'{e:.3e}' for e in errs]}")
 
 
+def _sizes(args, default_p: int, default_trials: int) -> tuple[int, int, int]:
+    """--p, --d and --trials of a verify suite; a default only where a flag is absent."""
+    p = default_p if args.p is None else args.p
+    d = max(1, p // 2) if args.d is None else args.d
+    trials = default_trials if args.trials is None else args.trials
+    if trials < 1:
+        raise _UsageError(f"--trials must be >= 1, got {trials}")
+    if not 1 <= d < p:
+        raise _UsageError(f"--p must be >= 2 and --d in 1..p-1, got p={p}, d={d}")
+    return p, d, trials
+
+
 def _verify_derivatives(args) -> list[dict]:
-    p = args.p or 5
-    d = args.d or max(1, p // 2)
+    p, d, trials = _sizes(args, 5, 10)
     rng = RngStream(_seed_from(args), stream=1).generator()
     checks = []
-    for trial in range(args.trials or 10):
+    for trial in range(trials):
         raw = rng.standard_normal((p, p))
         xi = SkewMatrix(raw / np.linalg.norm((raw - raw.T) / 2.0))
         i, j = sorted(rng.choice(p, size=2, replace=False))
@@ -293,9 +304,7 @@ def _verify_derivatives(args) -> list[dict]:
 
 
 def _verify_loss_identity(args) -> list[dict]:
-    p = args.p or 6
-    d = args.d or max(1, p // 2)
-    trials = args.trials or 100
+    p, d, trials = _sizes(args, 6, 100)
     g = RngStream(_seed_from(args), stream=2).generator()
     lam = np.sort(g.uniform(0.2, 3.0, size=p))[::-1]
     spectrum = Spectrum(lam, d)
@@ -310,7 +319,7 @@ def _verify_loss_identity(args) -> list[dict]:
 
 
 def _verify_lp_oracle(args) -> list[dict]:
-    trials = args.trials or 500
+    trials = _sizes(args, 2, 500)[2]
     rng = RngStream(_seed_from(args), stream=3).generator()
     worst, worst_gap = verify.lp_oracle_check(rng, trials)
     ok = worst <= 1e-8 and worst_gap <= 1e-9

@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from subspace_bounds import (
     spike_spectrum,
     substochastic_max,
 )
-from subspace_bounds.bounds import golden_max
+from subspace_bounds import bounds
 
 from conftest import random_spectrum
 
@@ -62,6 +64,65 @@ def programs(draw):
     row_caps = draw(st.lists(_finite_caps, min_size=nr, max_size=nr))
     col_caps = draw(st.lists(_finite_caps, min_size=nc, max_size=nc))
     return SubstochasticProgram(np.reshape(caps, (nr, nc)), row_caps, col_caps)
+
+
+_eigenvalues = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), st.floats(0.1, 4.0))
+
+
+@st.composite
+def search_models(draw):
+    """Covariance and denoising models with p <= 6, tied and zero eigenvalues."""
+    p = draw(st.integers(2, 6))
+    lam = sorted(draw(st.lists(_eigenvalues, min_size=p, max_size=p)), reverse=True)
+    d = draw(st.integers(1, p - 1))
+    if draw(st.booleans()):
+        return CovModel(Spectrum(np.array(lam) + 0.25, d), draw(st.integers(1, 100)))
+    return DenoiseModel(Spectrum(lam, d), draw(st.floats(0.05, 2.0)))
+
+
+def _brute_force_max(caps, row_base, row_slope, col_base, lo, hi, weight):
+    """max of weight(t) * (lower envelope of every cut line) over lo, hi and
+    every crossing of two cut lines; column caps are col_base + t, row caps
+    row_base + row_slope * t."""
+    nr, nc = caps.shape
+    lines = []
+    for rows_in in itertools.product([False, True], repeat=nr):
+        for cols_in in itertools.product([False, True], repeat=nc):
+            r, c = np.array(rows_in, dtype=bool), np.array(cols_in, dtype=bool)
+            b = row_base[~r].sum() + col_base[c].sum() + caps[np.ix_(r, ~c)].sum()
+            if np.isfinite(b):
+                lines.append((row_slope * np.sum(~r) + np.sum(c), b))
+    ts = [lo, hi] + [
+        (b2 - b1) / (a1 - a2) for (a1, b1), (a2, b2) in itertools.combinations(lines, 2) if a1 != a2
+    ]
+    a, b = np.array(lines, dtype=np.float64).T
+    return max(weight(t) * np.min(a * t + b) for t in ts if lo <= t <= hi)
+
+
+def _brute_force_mu(model):
+    """Exact excess maximum over mu in [lam_{d+1}, lam_d], and the rectangle shape."""
+    lam, d = model.spectrum.lambdas, model.spectrum.d
+    li, lj = lam[:d][lam[:d] > lam[d]], lam[d:][lam[d:] < lam[d - 1]]
+    caps = li[:, None] * lj[None, :] / (model.n * (li[:, None] - lj[None, :]))
+    best = _brute_force_max(caps, li, -1, -lj, lam[d], lam[d - 1], lambda t: 1.0 / 3.0)
+    return best, caps.shape
+
+
+def _brute_force_delta(model):
+    """Exact rectangle-bound maximum over delta in DELTA_RANGE, and the rectangle shape."""
+    lam, d = model.spectrum.lambdas, model.spectrum.d
+    gaps = (lam[:d, None] - lam[None, d:]) ** 2
+    if model.kind == "covariance":
+        fisher = model.n * gaps / (lam[:d, None] * lam[None, d:])
+    else:
+        fisher = gaps / model.sigma**2
+    with np.errstate(divide="ignore"):
+        caps = 2.0 / fisher
+    zeros_r, zeros_c = np.zeros(caps.shape[0]), np.zeros(caps.shape[1])
+    best = _brute_force_max(
+        caps, zeros_r, 1, zeros_c, *bounds.DELTA_RANGE, lambda t: 1.0 / (1.0 + 2.0 * t)
+    )
+    return best, caps.shape
 
 
 def scaled(prog, k):
@@ -317,13 +378,22 @@ class TestExcessLowerBound:
                 excess_lower_bound(model, mu).value
                 for mu in np.linspace(lam[d], lam[d - 1], 101)
             )
-            assert auto >= grid - 1e-9
+            assert auto >= grid * (1 - 1e-12)
 
     def test_auto_dominates_midpoint(self):
         model = CovModel(Spectrum([4.0, 3.0, 1.0, 0.5], 2), n=40)
         lam = model.spectrum.lambdas
         mid = excess_lower_bound(model, 0.5 * (lam[1] + lam[2])).value
         assert excess_lower_bound(model, "auto").value >= mid - 1e-12
+
+    def test_zero_cap_column_keeps_cut_line_tight(self):
+        # at mu = lam_{d+1} the column with lam_j = mu has cap 0 and no arcs; its
+        # cut line is tight only with that column on the source side
+        model = CovModel(Spectrum([4.0, 3.0, 1.0, 0.5], 2), 60)
+        value = excess_lower_bound(model, "auto").value
+        assert value == pytest.approx(0.022248677248677247, rel=1e-12)
+        value = excess_lower_bound(CovModel(Spectrum([3.0, 2.0, 1.0], 1), 10), "auto").value
+        assert value == pytest.approx(23.0 / 120.0, abs=1e-15)
 
     def test_ties_shrink_index_sets(self):
         # two leading eigenvalues tie with the one below the split: only the
@@ -428,10 +498,21 @@ class TestOptimizeDelta:
         assert best.value >= hs_lower_bound(model, 1.0).value - 1e-12
         assert best_delta > 0
 
-    def test_golden_max_quadratic(self):
-        arg, val = golden_max(lambda x: -(x - 1.3) ** 2, 0.0, 4.0)
-        assert arg == pytest.approx(1.3, abs=1e-8)
-        assert val == pytest.approx(0.0, abs=1e-12)
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(search_models())
+    def test_searches_match_brute_force_breakpoints(self, model):
+        lam, d = model.spectrum.lambdas, model.spectrum.d
+        searches = [(lambda: optimize_delta(model)[1], _brute_force_delta)]
+        if model.kind == "covariance" and lam[0] > lam[d] and lam[d - 1] > lam[-1]:
+            searches.append((lambda: excess_lower_bound(model, "auto"), _brute_force_mu))
+        for search, brute_force in searches:
+            with mock.patch.object(
+                bounds, "substochastic_max", wraps=bounds.substochastic_max
+            ) as solver:
+                result = search()
+            best, shape = brute_force(model)
+            assert result.value == pytest.approx(best, rel=1e-12)
+            assert solver.call_count <= sum(shape) + 2
 
 
 class TestCanonicalBound:

@@ -107,6 +107,30 @@ class TestVerifyCommand:
     def test_lp_oracle_passes(self):
         assert run(["verify", "lp-oracle", "--trials", "60", "--seed", "7"]) == 0
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["loss-identity", "--p", "4", "--d", "4"],
+            ["loss-identity", "--p", "1"],
+            ["loss-identity", "--p", "6", "--d", "0"],
+            ["derivatives", "--p", "0"],
+            ["derivatives", "--p", "1"],
+            ["derivatives", "--p", "5", "--d", "7"],
+        ],
+    )
+    def test_bad_dimensions_are_usage_errors(self, args, capsys):
+        assert run(["verify", *args, "--trials", "2", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --p must be >= 2") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("suite", ["derivatives", "loss-identity", "lp-oracle"])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_non_positive_trials_are_usage_errors(self, suite, trials, tmp_path, capsys):
+        out = tmp_path / "verify.json"
+        assert run(["verify", suite, "--trials", trials, "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --trials must be >= 1, got {trials}\n"
+        assert not out.exists()
+
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["verify", "everything"])

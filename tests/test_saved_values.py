@@ -3,10 +3,14 @@
 ``data/saved_values.json`` holds what ``compute_values`` returned when each
 bound still wrote out its own edge-cap formula.  The caps now come from the
 models' generator Fisher information, which may move a value by a few units
-in the last place only: every value must agree to 1e-14 relative and every
-searched argmax to 1e-12 relative.  To rebuild the table (only when a value
-is meant to change), run this file as a script with ``src`` and ``tests`` on
-PYTHONPATH.
+in the last place only: every value must agree to 1e-14 relative.  The two
+searched maxima (``optimize_delta`` and ``excess auto``) were saved from a
+golden-section search that stopped near the optimum; the exact breakpoint
+search may only raise them, so they are checked one-sided.  A searched
+argmax may move along a flat optimum, so it is checked by evaluating the
+bound there: that must give the searched value.  To rebuild the table (only
+when a value is meant to change), run this file as a script with ``src`` and
+``tests`` on PYTHONPATH.
 """
 
 import json
@@ -38,7 +42,7 @@ from test_acceptance import DOMINATION_CONFIGS
 
 TABLE = pathlib.Path(__file__).parent / "data" / "saved_values.json"
 VALUE_RTOL = 1e-14
-ARGMAX_RTOL = 1e-12
+SEARCHED = ("optimize_delta", "excess auto")
 DELTAS = (0.25, 1.0, 4.0)
 
 # The six criterion-6 models (with the loss they are simulated under), two
@@ -98,17 +102,30 @@ def computed():
     return compute_values()
 
 
+def _bound_at(model, key: str, t: float) -> float:
+    """The bound a search maximizes, evaluated at its parameter t."""
+    if key == "excess auto":
+        return excess_lower_bound(model, t).value
+    fn = hs_lower_bound if isinstance(model, CovModel) else denoise_lower_bound
+    return fn(model, t).value
+
+
 @pytest.mark.parametrize("name", [name for name, _, _ in INSTANCES])
 def test_values_match_saved_table(name, computed):
+    model = next(model for key, model, _ in INSTANCES if key == name)
     saved = json.loads(TABLE.read_text())[name]
     now = computed[name]
     assert sorted(now) == sorted(saved)
     for key, old in saved.items():
-        rtol = ARGMAX_RTOL if key.endswith("argmax") else VALUE_RTOL
-        if old == 0.0 or math.isinf(old):
+        if key.endswith(" argmax"):
+            searched = key.removesuffix(" argmax")
+            assert _bound_at(model, searched, now[key]) == now[searched], key
+        elif key in SEARCHED:
+            assert now[key] >= old * (1.0 - VALUE_RTOL), (key, now[key], old)
+        elif old == 0.0 or math.isinf(old):
             assert now[key] == old, key
         else:
-            assert abs(now[key] - old) <= rtol * abs(old), (key, now[key], old)
+            assert abs(now[key] - old) <= VALUE_RTOL * abs(old), (key, now[key], old)
 
 
 if __name__ == "__main__":
