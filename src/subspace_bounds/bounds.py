@@ -12,11 +12,12 @@ max-flow problem on
     row i  -> col j   (capacity b_ij)
     col j  -> sink    (capacity col_cap_j)
 
-using Dinic's algorithm; optimality is certified on every solve by the
-minimum cut that its last breadth-first search leaves, whose capacity
-must equal the flow to within 1e-9 of the flow.  The searches over mu and
-delta read each min cut as a line in the parameter and stop at a maximum
-that these lines certify.  A brute-force LP oracle (scipy HiGHS) provides
+using Dinic's algorithm, whose first phase (the row-major greedy flow)
+runs in numpy with the bits of the Python DFS.  Optimality is certified on
+every solve by the minimum cut that its last breadth-first search leaves,
+whose capacity must equal the flow to within 1e-9 of the flow.  The
+searches over mu and delta read each min cut as a line in the parameter
+and stop at a maximum that these lines certify.  A brute-force LP oracle (scipy HiGHS) provides
 an independent verification path for small instances and is used only by
 tests and the verify command.
 """
@@ -90,9 +91,11 @@ class FlowSolution(NamedTuple):
 class _MaxFlowGraph:
     """Residual graph solved by Dinic's algorithm (Dinic, 1970).
 
-    Each phase labels the nodes by BFS distance from the source over arcs
-    with residual > 0, then saturates a blocking flow along arcs that climb
-    one level, with a current-arc pointer per node and dead ends pruned.
+    Arc 2k runs ends[k, 0] -> ends[k, 1] with residual res[k, 0]; arc 2k + 1
+    is its reverse, with res[k, 1].  Each phase labels the nodes by BFS
+    distance from the source over arcs with residual > 0, then saturates a
+    blocking flow along arcs that climb one level, with a current-arc
+    pointer per node (arcs in arc order) and dead ends pruned.
     Termination needs no epsilon, even in IEEE arithmetic: an augmenting
     path's bottleneck arc is left with r - r = 0 exactly and every other
     residual on it stays > 0, so each phase saturates every shortest path,
@@ -101,24 +104,14 @@ class _MaxFlowGraph:
     residual exactly 0, so that set is the source side of a minimum cut.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, ends: np.ndarray, res: np.ndarray):
+        owner = ends.ravel()
+        order = owner.argsort(kind="stable").tolist()
+        stops = np.bincount(owner, minlength=n).cumsum().tolist()
         self.n = n
-        self.adj = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.res: list[float] = []
-
-    def add_edge(self, u: int, v: int, cap: float) -> int:
-        eid = len(self.to)
-        self.adj[u].append(eid)
-        self.to.append(v)
-        self.res.append(cap)
-        self.adj[v].append(eid + 1)
-        self.to.append(u)
-        self.res.append(0.0)
-        return eid
-
-    def flow_on(self, eid: int) -> float:
-        return self.res[eid ^ 1]
+        self.adj = [order[a:b] for a, b in zip([0] + stops, stops)]
+        self.to: list[int] = ends[:, ::-1].ravel().tolist()
+        self.res: list[float] = res.ravel().tolist()
 
     def max_flow(self, s: int, t: int) -> np.ndarray:
         """Push a maximum s-t flow; return the source side of a minimum cut."""
@@ -163,13 +156,45 @@ class _MaxFlowGraph:
                     current[u] += 1
 
 
+def _first_phase(edge_caps, rows, cols, row_caps, col_caps):
+    """Dinic's first phase in numpy: (edge flows, row residuals, column residuals).
+
+    Built edges (row-major) have row and column caps > 0, so the sink is at
+    level 3 and the phase saturates every path s -> i -> j -> t: the
+    row-major greedy flow (Ahuja, Magnanti & Orlin 1993).  The DFS takes the
+    rows in arc order and each row's columns in column order, and pushes the
+    least residual.  The first arc the push leaves at 0 decides where it
+    resumes: the next row (the row's arc) or the row's next column (the
+    edge's, or the column's, which is then a dead end).  With a = min(edge
+    cap, column residual), a dead column's a = 0 pushes nothing and changes
+    no residual, and row i's residuals r_0 = its cap, r_(k+1) = r_k - a_k are
+    subtracted left to right as ``res[s->i] -= push`` does.  At the first
+    r_(k+1) <= 0 the row saturates with push r_k, exactly 0 left.
+    """
+    flow, r = np.zeros(len(edge_caps)), np.empty(len(col_caps) + 1)
+    row_res, col_res = row_caps.copy(), col_caps.copy()
+    stops = np.searchsorted(rows, np.arange(len(row_caps) + 1)).tolist()
+    for i, (lo, hi) in enumerate(zip(stops[:-1], stops[1:])):
+        js, a, m = cols[lo:hi], flow[lo:hi], hi - lo
+        np.minimum(edge_caps[lo:hi], col_res[js], out=a)
+        r[0], r[1 : m + 1] = row_res[i], a
+        np.subtract.accumulate(r[: m + 1], out=r[: m + 1])
+        k = int(np.count_nonzero(r[: m + 1] > 0.0))  # r_k is the first r <= 0
+        if 0 < k <= m:
+            a[k - 1], a[k:], r[m] = r[k - 1], 0.0, 0.0
+        row_res[i] = r[m]
+        col_res[js] -= a
+    return flow, row_res, col_res
+
+
 def substochastic_max(prog: SubstochasticProgram) -> FlowSolution:
     """Exact optimum of the capacitated substochastic program.
 
     Returns the optimal mass matrix together with the certified min-cut
-    value and constraint-activity flags.  Raises if the cut and the flow
-    differ by more than 1e-9 of the flow (which would indicate a solver
-    bug, not a bad instance).
+    value and constraint-activity flags.  Dinic's first phase runs in numpy;
+    the later phases and the final BFS run in ``_MaxFlowGraph`` from its
+    residuals.  Raises if the cut and the flow differ by more than 1e-9 of
+    the flow (which would indicate a solver bug, not a bad instance).
     """
     nr, nc = prog.shape
     if nr == 0 or nc == 0:
@@ -177,19 +202,20 @@ def substochastic_max(prog: SubstochasticProgram) -> FlowSolution:
         return FlowSolution(0.0, x, 0.0, no_rows, no_cols, x > 0.0, ~no_rows, no_cols)
     caps = np.where(np.isinf(prog.caps), prog.big_cap(), prog.caps)
     built = (caps > 0.0) & (prog.row_caps > 0.0)[:, None] & (prog.col_caps > 0.0)[None, :]
-    src, snk = 0, nr + nc + 1
-    g = _MaxFlowGraph(nr + nc + 2)
-    for i in range(nr):
-        g.add_edge(src, 1 + i, float(prog.row_caps[i]))
-    edge_ids = [
-        g.add_edge(1 + i, 1 + nr + j, float(caps[i, j])) for i, j in np.argwhere(built).tolist()
-    ]
-    for j in range(nc):
-        g.add_edge(1 + nr + j, snk, float(prog.col_caps[j]))
-    side = g.max_flow(src, snk)
-
+    rows, cols = np.nonzero(built)
+    edge_caps = caps[built]
+    flow, row_res, col_res = _first_phase(edge_caps, rows, cols, prog.row_caps, prog.col_caps)
     x = np.zeros((nr, nc))
-    x[built] = [g.flow_on(eid) for eid in edge_ids]
+    x[built] = flow
+    # Source -> row, built edges, column -> sink; reverse residuals sum flows in push order.
+    src, snk = 0, nr + nc + 1
+    tails = np.concatenate([np.full(nr, src), 1 + rows, np.arange(1 + nr, snk)])
+    heads = np.concatenate([np.arange(1, 1 + nr), 1 + nr + cols, np.full(nc, snk)])
+    forward = np.concatenate([row_res, edge_caps - flow, col_res])
+    reverse = np.concatenate([np.add.accumulate(x, 1)[:, -1], flow, np.add.accumulate(x)[-1]])
+    g = _MaxFlowGraph(snk + 1, np.column_stack([tails, heads]), np.column_stack([forward, reverse]))
+    side = g.max_flow(src, snk)
+    x[built] = g.res[2 * nr + 1 : 2 * (nr + len(flow)) : 2]
     value = float(x.sum())
 
     rows_in, cols_in = side[1 : 1 + nr], side[1 + nr : 1 + nr + nc]
@@ -340,8 +366,8 @@ def _rectangle_solve(model: CovModel | DenoiseModel, delta: float):
     generator L(i, j); row and column sums capped at delta; prefactor
     1/(1 + 2 delta).
     """
-    if not delta > 0:
-        raise InvalidInput("delta must be > 0")
+    if not 0.0 < delta < np.inf:
+        raise InvalidInput("delta must be finite and > 0")
     d, p = model.spectrum.d, model.p
     prog = SubstochasticProgram(_rectangle_caps(model), np.full(d, delta), np.full(p - d, delta))
     sol = substochastic_max(prog)

@@ -328,13 +328,17 @@ def _verify_lp_oracle(args) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
-    suites = {
-        "fisher-limit": _verify_fisher_limit,
-        "derivatives": _verify_derivatives,
-        "loss-identity": _verify_loss_identity,
-        "lp-oracle": _verify_lp_oracle,
-    }
-    checks = suites[args.suite](args)
+    # Each suite and the flags it reads beside --out; any other flag is a usage error.
+    suite, reads = {
+        "fisher-limit": (_verify_fisher_limit, ("spectrum", "d", "n", "sigma")),
+        "derivatives": (_verify_derivatives, ("p", "d", "trials", "seed")),
+        "loss-identity": (_verify_loss_identity, ("p", "d", "trials", "seed")),
+        "lp-oracle": (_verify_lp_oracle, ("trials", "seed")),
+    }[args.suite]
+    for flag in ("spectrum", "d", "n", "sigma", "p", "trials", "seed"):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise _UsageError(f"verify {args.suite} does not read --{flag}")
+    checks = suite(args)
     for check in checks:
         print(f"{check['status']} {check['name']}: {check['detail']}")
     all_pass = all(c["status"] == "PASS" for c in checks)

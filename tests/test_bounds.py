@@ -55,10 +55,10 @@ _finite_caps = st.one_of(
 
 
 @st.composite
-def programs(draw):
-    """Programs of at most 4 x 4 with inf and zero edge caps, zero row and
-    column caps, and tied caps."""
-    nr, nc = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+def programs(draw, max_side=4):
+    """Programs of at most max_side x max_side with inf and zero edge caps,
+    zero row and column caps, and tied caps."""
+    nr, nc = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
     edge_caps = st.one_of(_finite_caps, st.just(math.inf))
     caps = draw(st.lists(edge_caps, min_size=nr * nc, max_size=nr * nc))
     row_caps = draw(st.lists(_finite_caps, min_size=nr, max_size=nr))
@@ -125,11 +125,77 @@ def _brute_force_delta(model):
     return best, caps.shape
 
 
+def large_programs():
+    """The programs of three bound_solve instances at d = p/2: hs exp:0.02,400
+    n=1000 (Dinic takes two phases), excess exp:0.02,400 n=1000 at mid mu,
+    and denoise exp:0.02,200 sigma=0.1."""
+    cov = CovModel(exp_spectrum(0.02, 400, 200), 1000)
+    denoise = DenoiseModel(exp_spectrum(0.02, 200, 100), 0.1)
+    lam = cov.spectrum.lambdas
+    mid_mu = 0.5 * (lam[199] + lam[200])
+    return {
+        "hs": bounds._rectangle_solve(cov, 1.0)[0],
+        "excess": bounds._excess_program(cov, mid_mu, *bounds._excess_index_sets(cov)),
+        "denoise": bounds._rectangle_solve(denoise, 1.0)[0],
+    }
+
+
+def sparse_lp_mass(prog):
+    """The program's optimum as a sparse LP (scipy HiGHS), feasibility tolerances 1e-10."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    nr, nc = prog.shape
+    var = np.arange(nr * nc)
+    ones = np.ones(nr * nc)
+    a_ub = sparse.vstack(
+        [
+            sparse.csr_matrix((ones, (var // nc, var)), shape=(nr, nr * nc)),
+            sparse.csr_matrix((ones, (var % nc, var)), shape=(nc, nr * nc)),
+        ]
+    )
+    ub = np.where(np.isinf(prog.caps), prog.big_cap(), prog.caps).ravel()
+    res = linprog(
+        -ones,
+        A_ub=a_ub,
+        b_ub=np.concatenate([prog.row_caps, prog.col_caps]),
+        bounds=np.column_stack([np.zeros(nr * nc), ub]),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.success
+    return -res.fun
+
+
+def reference_solution(prog):
+    """substochastic_max with Dinic's first phase skipped: the graph is built
+    with zero flow and the pure-Python ``_MaxFlowGraph.max_flow`` runs every
+    phase from scratch."""
+
+    def zero_flow(edge_caps, rows, cols, row_caps, col_caps):
+        return np.zeros(len(edge_caps)), row_caps, col_caps
+
+    with mock.patch.object(bounds, "_first_phase", zero_flow):
+        return substochastic_max(prog)
+
+
+def assert_same_bits(sol, ref):
+    assert sol._fields == ref._fields
+    for name, a, b in zip(sol._fields, sol, ref):
+        a, b = np.asarray(a), np.asarray(b)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
 def scaled(prog, k):
     """The same program with every cap multiplied by 2^k."""
     return SubstochasticProgram(
         np.ldexp(prog.caps, k), np.ldexp(prog.row_caps, k), np.ldexp(prog.col_caps, k)
     )
+
+
+@pytest.fixture(scope="module")
+def large():
+    return large_programs()
 
 
 class TestSubstochasticMax:
@@ -175,11 +241,10 @@ class TestSubstochasticMax:
             assert np.all(sol.x.sum(axis=1) <= prog.row_caps + 1e-9)
             assert np.all(sol.x.sum(axis=0) <= prog.col_caps + 1e-9)
 
-    def test_matches_dense_lp_on_larger_instances(self):
+    def test_matches_dense_lp_on_larger_instances(self, large):
         """Beyond the oracle's size cap, check the flow solver against a
-        direct dense LP solve on rectangle sizes the bound assemblies use."""
-        from scipy.optimize import linprog
-
+        sparse LP: random rectangles of the bound assemblies' sizes, and the
+        programs of three bound_solve instances at p = 200 and 400."""
         rng = np.random.default_rng(51)
         for _ in range(10):
             nr, nc = int(rng.integers(5, 9)), int(rng.integers(6, 13))
@@ -188,25 +253,10 @@ class TestSubstochasticMax:
             prog = SubstochasticProgram(
                 caps, rng.uniform(0.05, 2.0, nr), rng.uniform(0.05, 2.0, nc)
             )
-            sol = substochastic_max(prog)
-            big = prog.big_cap()
-            ub = np.where(np.isinf(caps), big, caps).ravel()
-            nvar = nr * nc
-            a_rows = np.zeros((nr, nvar))
-            for i in range(nr):
-                a_rows[i, i * nc : (i + 1) * nc] = 1.0
-            a_cols = np.zeros((nc, nvar))
-            for j in range(nc):
-                a_cols[j, j::nc] = 1.0
-            res = linprog(
-                c=-np.ones(nvar),
-                A_ub=np.vstack([a_rows, a_cols]),
-                b_ub=np.concatenate([prog.row_caps, prog.col_caps]),
-                bounds=list(zip(np.zeros(nvar), ub)),
-                method="highs",
-            )
-            assert res.success
-            assert abs(sol.value - (-res.fun)) <= 1e-8
+            assert abs(substochastic_max(prog).value - sparse_lp_mass(prog)) <= 1e-8
+        for prog in large.values():
+            value = substochastic_max(prog).value
+            assert abs(value - sparse_lp_mass(prog)) <= 1e-9 * value
 
     def test_monotone_in_capacities(self):
         rng = np.random.default_rng(19)
@@ -244,6 +294,16 @@ class TestSubstochasticMax:
         scaled_sol = substochastic_max(scaled(prog, k))
         assert scaled_sol.value == math.ldexp(sol.value, k)
         assert abs(scaled_sol.cut_value - scaled_sol.value) <= 1e-9 * scaled_sol.value
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(programs(max_side=6), st.integers(-990, 990))
+    def test_first_phase_keeps_the_python_bits(self, prog, k):
+        prog = scaled(prog, k)
+        assert_same_bits(substochastic_max(prog), reference_solution(prog))
+
+    @pytest.mark.parametrize("name", ["hs", "excess", "denoise"])
+    def test_first_phase_keeps_the_python_bits_at_real_sizes(self, name, large):
+        assert_same_bits(substochastic_max(large[name]), reference_solution(large[name]))
 
 
 class TestLpOracle:
@@ -285,6 +345,14 @@ class TestHsLowerBound:
         deltas = (0.1, 0.5, 1.0, 2.0, 8.0)
         flows = [hs_lower_bound(model, dl).value * (1 + 2 * dl) for dl in deltas]
         assert all(b >= a - 1e-12 for a, b in zip(flows, flows[1:]))
+
+    @pytest.mark.parametrize("delta", [np.inf, np.nan, 0.0, -1.0])
+    def test_delta_must_be_finite_and_positive(self, delta):
+        cov = CovModel(spike_spectrum(2, 1, 1, 2), n=8)
+        denoise = DenoiseModel(spike_spectrum(2, 1, 1, 2), 0.5)
+        for bound, model in ((hs_lower_bound, cov), (denoise_lower_bound, denoise)):
+            with pytest.raises(InvalidInput, match="^delta must be finite and > 0$"):
+                bound(model, delta)
 
     def test_full_rank_gives_zero(self):
         model = CovModel(Spectrum([2.0, 1.0], 2), n=5)

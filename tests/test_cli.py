@@ -74,6 +74,12 @@ class TestBoundCommand:
         assert payload["params"]["delta"] > 0
         assert payload["value"] > 0
 
+    @pytest.mark.parametrize("delta", ["inf", "nan"])
+    def test_non_finite_delta_is_named(self, delta, capsys):
+        args = ["bound", "hs", "--spectrum", "spike:2,1,1,2", "--n", "8", "--delta", delta]
+        assert run(args) == 3
+        assert capsys.readouterr().err == "precondition failed: delta must be finite and > 0\n"
+
     def test_csv_format(self, tmp_path):
         out = tmp_path / "bound.csv"
         code = run(
@@ -129,6 +135,35 @@ class TestVerifyCommand:
         out = tmp_path / "verify.json"
         assert run(["verify", suite, "--trials", trials, "--seed", "1", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: --trials must be >= 1, got {trials}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "suite, flag, value",
+        [
+            ("lp-oracle", "--spectrum", "nonsense"),
+            ("lp-oracle", "--n", "-5"),
+            ("lp-oracle", "--sigma", "-1"),
+            ("lp-oracle", "--p", "5"),
+            ("lp-oracle", "--d", "2"),
+            ("fisher-limit", "--trials", "0"),
+            ("fisher-limit", "--p", "0"),
+            ("fisher-limit", "--seed", "1"),
+            ("derivatives", "--n", "10"),
+            ("loss-identity", "--sigma", "0.5"),
+            ("loss-identity", "--spectrum", "exp:1,6"),
+        ],
+    )
+    def test_unread_flags_are_usage_errors(self, suite, flag, value, tmp_path, capsys):
+        reads = {
+            "lp-oracle": ["--trials", "2", "--seed", "1"],
+            "fisher-limit": ["--spectrum", "spike:2,1,1,2", "--n", "3"],
+            "derivatives": ["--p", "4", "--trials", "2", "--seed", "1"],
+            "loss-identity": ["--p", "4", "--trials", "2", "--seed", "1"],
+        }
+        out = tmp_path / "verify.json"
+        args = ["verify", suite, *reads[suite], flag, value, "--out", str(out)]
+        assert run(args) == 2
+        assert capsys.readouterr().err == f"error: verify {suite} does not read {flag}\n"
         assert not out.exists()
 
     def test_unknown_suite_is_usage_error(self):
@@ -217,6 +252,11 @@ class TestSimulateCommand:
         assert err.splitlines() == [
             "precondition failed: replicate 0 degenerate after 100 resamples"
         ]
+
+    @pytest.mark.parametrize("delta", ["inf", "nan"])
+    def test_non_finite_delta_is_named(self, delta, capsys):
+        assert run(self.ARGS + ["--delta", delta]) == 3
+        assert capsys.readouterr().err == "precondition failed: delta must be finite and > 0\n"
 
     def test_denoise_model_route(self, tmp_path):
         out = tmp_path / "den.csv"
