@@ -359,6 +359,11 @@ def _rectangle_caps(model: CovModel | DenoiseModel) -> np.ndarray:
         return 2.0 / _fisher_rectangle(model, range(d), range(d, p))
 
 
+def _require_delta(delta: float) -> None:
+    if not 0.0 < delta < np.inf:
+        raise InvalidInput("delta must be finite and > 0")
+
+
 def _rectangle_solve(model: CovModel | DenoiseModel, delta: float):
     """(program, flow solution, bound) at mixing level delta on the leading-by-trailing rectangle.
 
@@ -366,8 +371,7 @@ def _rectangle_solve(model: CovModel | DenoiseModel, delta: float):
     generator L(i, j); row and column sums capped at delta; prefactor
     1/(1 + 2 delta).
     """
-    if not 0.0 < delta < np.inf:
-        raise InvalidInput("delta must be finite and > 0")
+    _require_delta(delta)
     d, p = model.spectrum.d, model.p
     prog = SubstochasticProgram(_rectangle_caps(model), np.full(d, delta), np.full(p - d, delta))
     sol = substochastic_max(prog)
@@ -401,8 +405,7 @@ def hs_bound_d1(model: CovModel, delta: float = 1.0) -> float:
     """Closed form for d = 1: min(sum of edge caps, delta) / (1 + 2 delta)."""
     if model.spectrum.d != 1:
         raise InvalidInput("closed form requires d = 1")
-    if not delta > 0:
-        raise InvalidInput("delta must be > 0")
+    _require_delta(delta)
     lam = model.spectrum.lambdas
     gaps = lam[0] - lam[1:]
     with np.errstate(divide="ignore"):

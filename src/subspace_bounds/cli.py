@@ -116,6 +116,21 @@ def _denoise_model(args, spectrum) -> DenoiseModel:
     return DenoiseModel(spectrum, args.sigma)
 
 
+def _reject_unread(args, command: str, reads: tuple) -> None:
+    """Usage error for a flag (all default to None) given to a command that does not read it."""
+    for flag in ("spectrum", "d", "n", "sigma", "delta", "mu", "p", "trials", "seed"):
+        if getattr(args, flag, None) is not None and flag not in reads:
+            raise _UsageError(f"{command} does not read --{flag}")
+
+
+def _require_positive(args, *flags: str) -> None:
+    """Usage error for a count flag given as 0 or less."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise _UsageError(f"--{flag} must be >= 1, got {value}")
+
+
 def _float_or_auto(text: str, flag: str):
     if text == "auto":
         return "auto"
@@ -128,16 +143,27 @@ def _float_or_auto(text: str, flag: str):
 # --- bound --------------------------------------------------------------
 
 
+# The model flags and parameters each bound kind reads beside --spectrum and --d.
+BOUND_READS = {
+    "hs": ("n", "delta"),
+    "denoise": ("sigma", "delta"),
+    "excess": ("n", "mu"),
+    "canonical": ("n",),
+    "relrank": ("n",),
+}
+
+
 def cmd_bound(args) -> int:
-    spectrum = _spectrum(args)
     kind = args.kind
+    _reject_unread(args, f"bound {kind}", ("spectrum", "d") + BOUND_READS[kind])
+    spectrum = _spectrum(args)
     payload: dict
     if kind in ("hs", "denoise"):
         if kind == "hs":
             model, fn = _cov_model(args, spectrum), bounds.hs_lower_bound
         else:
             model, fn = _denoise_model(args, spectrum), bounds.denoise_lower_bound
-        delta = _float_or_auto(args.delta, "--delta")
+        delta = _float_or_auto("1" if args.delta is None else args.delta, "--delta")
         if delta == "auto":
             delta, result = bounds.optimize_delta(model)
         else:
@@ -145,30 +171,19 @@ def cmd_bound(args) -> int:
         payload = result.to_json_dict()
     elif kind == "excess":
         model = _cov_model(args, spectrum)
-        mu = _float_or_auto(args.mu, "--mu")
+        mu = _float_or_auto("auto" if args.mu is None else args.mu, "--mu")
         result = bounds.excess_lower_bound(model, mu)
         payload = result.to_json_dict()
-    elif kind == "canonical":
+    else:  # canonical or relrank
         model = _cov_model(args, spectrum)
-        value = bounds.canonical_bound(model)
-        payload = {
-            "schema": 1,
-            "value": value,
-            "params": {"bound": "canonical", "n": model.n, "d": spectrum.d, "p": spectrum.p},
-        }
-    elif kind == "relrank":
-        model = _cov_model(args, spectrum)
-        holds, lhs = bounds.relrank_condition(model)
-        value = bounds.relrank_bound(model)  # raises ConditionNotMet when invalid
-        payload = {
-            "schema": 1,
-            "value": value,
-            "condition_lhs": lhs,
-            "condition_holds": holds,
-            "params": {"bound": "relrank", "n": model.n, "d": spectrum.d, "p": spectrum.p},
-        }
-    else:  # pragma: no cover - argparse restricts choices
-        raise _UsageError(f"unknown bound kind {kind!r}")
+        params = {"bound": kind, "n": model.n, "d": spectrum.d, "p": spectrum.p}
+        payload = {"schema": 1, "params": params}
+        if kind == "canonical":
+            payload["value"] = bounds.canonical_bound(model)
+        else:
+            holds, lhs = bounds.relrank_condition(model)
+            value = bounds.relrank_bound(model)  # raises ConditionNotMet when invalid
+            payload.update(value=value, condition_lhs=lhs, condition_holds=holds)
 
     print(f"{kind} lower bound: {payload['value']:.12g}")
     tight = payload.get("tight")
@@ -197,15 +212,18 @@ def cmd_bound(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # --sigma picks the denoising model, which has the hs loss only.
+    model_flag = "sigma" if args.sigma is not None and args.loss == "hs" else "n"
+    reads = (model_flag, "delta") if args.loss == "hs" else (model_flag,)
+    command = f"simulate --loss {args.loss} --{model_flag}"
+    _reject_unread(args, command, ("spectrum", "d", "seed") + reads)
+    _require_positive(args, "reps", "workers")
     spectrum = _spectrum(args)
     seed = _seed_from(args)
-    if args.reps < 1:
-        raise _UsageError("--reps must be >= 1")
-    if args.sigma is not None:
+    delta = 1.0 if args.delta is None else args.delta
+    if model_flag == "sigma":
         model = _denoise_model(args, spectrum)
-        if args.loss != "hs":
-            raise _UsageError("the denoising model supports --loss hs only")
-        bound = bounds.denoise_lower_bound(model, args.delta).value
+        bound = bounds.denoise_lower_bound(model, delta).value
         model_tag = "denoise"
         n_or_sigma = model.sigma
     else:
@@ -213,7 +231,7 @@ def cmd_simulate(args) -> int:
         model_tag = "cov"
         n_or_sigma = model.n
         if args.loss == "hs":
-            bound = bounds.hs_lower_bound(model, args.delta).value
+            bound = bounds.hs_lower_bound(model, delta).value
         else:
             bound = bounds.excess_lower_bound(model, "auto").value
     loss_tag = "hs_squared" if args.loss == "hs" else "excess"
@@ -281,9 +299,8 @@ def _sizes(args, default_p: int, default_trials: int) -> tuple[int, int, int]:
     """--p, --d and --trials of a verify suite; a default only where a flag is absent."""
     p = default_p if args.p is None else args.p
     d = max(1, p // 2) if args.d is None else args.d
+    _require_positive(args, "trials")
     trials = default_trials if args.trials is None else args.trials
-    if trials < 1:
-        raise _UsageError(f"--trials must be >= 1, got {trials}")
     if not 1 <= d < p:
         raise _UsageError(f"--p must be >= 2 and --d in 1..p-1, got p={p}, d={d}")
     return p, d, trials
@@ -335,9 +352,7 @@ def cmd_verify(args) -> int:
         "loss-identity": (_verify_loss_identity, ("p", "d", "trials", "seed")),
         "lp-oracle": (_verify_lp_oracle, ("trials", "seed")),
     }[args.suite]
-    for flag in ("spectrum", "d", "n", "sigma", "p", "trials", "seed"):
-        if getattr(args, flag) is not None and flag not in reads:
-            raise _UsageError(f"verify {args.suite} does not read --{flag}")
+    _reject_unread(args, f"verify {args.suite}", reads)
     checks = suite(args)
     for check in checks:
         print(f"{check['status']} {check['name']}: {check['detail']}")
@@ -358,6 +373,7 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     if args.d_max < args.d_min:
         raise _UsageError("empty d grid")
+    _require_positive(args, "simulate", "workers")
     seed = _seed_from(args)
     rows = []
     ratios = []
@@ -443,8 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_spectrum_flags(b)
     b.add_argument("--n", type=int, default=None, help="sample count (covariance model)")
     b.add_argument("--sigma", type=float, default=None, help="noise level (denoising model)")
-    b.add_argument("--delta", default="1", help="mixing level, a number or 'auto'")
-    b.add_argument("--mu", default="auto", help="split level for the excess bound, or 'auto'")
+    b.add_argument("--delta", default=None, help="mixing level, a number or 'auto' (default 1)")
+    b.add_argument("--mu", default=None, help="excess-bound split level, or 'auto' (default)")
     b.add_argument("--out", default=None, help="artifact path")
     b.add_argument("--format", choices=["json", "csv"], default="json")
     b.set_defaults(func=cmd_bound)
@@ -454,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--loss", choices=["hs", "excess"], required=True)
     s.add_argument("--n", type=int, default=None)
     s.add_argument("--sigma", type=float, default=None)
-    s.add_argument("--delta", type=float, default=1.0)
+    s.add_argument("--delta", type=float, default=None, help="hs-bound mixing level (default 1)")
     s.add_argument("--reps", type=int, required=True)
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--workers", type=int, default=1)

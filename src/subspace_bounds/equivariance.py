@@ -134,12 +134,6 @@ def random_projector(p: int, d: int, rng) -> Projector:
     return projector_leq_d(haar_orthogonal(p, rng), d)
 
 
-def _leading_mask(p: int, d: int) -> np.ndarray:
-    pi = np.zeros(p)
-    pi[:d] = 1.0
-    return pi
-
-
 def dP_dir(p: int, d: int, xi: SkewMatrix) -> SymMatrix:
     """Directional derivative at the identity of the rank-d projector map.
 
@@ -150,9 +144,8 @@ def dP_dir(p: int, d: int, xi: SkewMatrix) -> SymMatrix:
     """
     if xi.dim != p:
         raise InvalidInput(f"direction has dim {xi.dim}, expected {p}")
-    if not 1 <= d <= p:
-        raise InvalidInput(f"d={d} out of range 1..{p}")
-    pi = _leading_mask(p, d)
+    _check_d(d, p)
+    pi = (np.arange(p) < d).astype(np.float64)
     # xi * pi[None, :] multiplies columns; pi[:, None] * xi multiplies rows.
     return SymMatrix(xi.a * pi[None, :] - pi[:, None] * xi.a)
 

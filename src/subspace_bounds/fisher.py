@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import OrthMatrix, SkewMatrix, skew_exp, sym_eig, vech, vech_diag_mask
+from .linalg import OrthMatrix, SkewMatrix, skew_exp, sym_eig_batch, vech, vech_diag_mask
 from .models import CovModel, DenoiseModel
 
 
@@ -35,6 +35,20 @@ def fisher_quad(model: CovModel | DenoiseModel, xi: SkewMatrix) -> float:
     return float(0.5 * np.sum(x * x * model.generator_fisher(lam[:, None], lam[None, :])))
 
 
+def _chi2_cov(model: CovModel, u: np.ndarray) -> np.ndarray:
+    """chi2_gauss_cov of each basis in a (B, p, p) stack, with one stacked eigensolve."""
+    lam = model.spectrum.lambdas
+    scale = 1.0 / np.sqrt(lam)
+    sigma1 = (u * lam) @ u.swapaxes(-1, -2)
+    same = np.all(sigma1 == np.diag(lam), axis=(-2, -1))
+    m = scale[:, None] * sigma1 * scale[None, :]
+    args = (1.0 - sym_eig_batch(m)[0]) ** 2
+    blocked = np.any(args >= 1.0, axis=-1)
+    log_one_plus_chi1 = -0.5 * np.sum(np.log1p(-np.where(blocked[:, None], 0.0, args)), axis=-1)
+    chi2 = np.where(blocked, np.inf, np.expm1(model.n * log_one_plus_chi1))
+    return np.where(same, 0.0, chi2)
+
+
 def chi2_gauss_cov(model: CovModel, u: OrthMatrix) -> float:
     """chi-square divergence of the n-sample law at U from the one at I.
 
@@ -45,22 +59,12 @@ def chi2_gauss_cov(model: CovModel, u: OrthMatrix) -> float:
 
     finite iff every m_k < 2; the n-fold product law gives
     chi2_n = (1 + chi2_1)^n - 1, computed as expm1(n * log1p(chi2_1)).
-    Returns +inf when the definiteness condition fails.
+    Returns 0 when S1 equals S0 exactly and +inf when the definiteness
+    condition fails.
     """
     if u.dim != model.p:
         raise InvalidInput(f"dimension mismatch: U is {u.dim}x{u.dim}, p={model.p}")
-    lam = model.spectrum.lambdas
-    scale = 1.0 / np.sqrt(lam)
-    sigma1 = (u.a * lam) @ u.a.T
-    if np.array_equal(sigma1, np.diag(lam)):
-        return 0.0
-    m = scale[:, None] * sigma1 * scale[None, :]
-    mvals = sym_eig(m).values
-    args = (1.0 - mvals) ** 2
-    if np.any(args >= 1.0):
-        return float("inf")
-    log_one_plus_chi1 = -0.5 * float(np.sum(np.log1p(-args)))
-    return float(np.expm1(model.n * log_one_plus_chi1))
+    return float(_chi2_cov(model, u.a[None])[0])
 
 
 def meanshift_quadratic(model: DenoiseModel, u: OrthMatrix) -> float:
@@ -169,7 +173,12 @@ def verify_fisher_limit(form: FisherForm, xi: SkewMatrix) -> FisherLimitReport:
     error is at most REL_TOL (absolute ZERO_ATOL when the target vanishes).
     """
     target = form.quad(xi)
-    ratios = [form.chi2(skew_exp(xi, t)) / (t * t) for t in T_GRID]
+    rotations = [skew_exp(xi, t) for t in T_GRID]
+    if isinstance(form.model, CovModel):  # the whole grid in one stacked eigensolve
+        chi2 = _chi2_cov(form.model, np.stack([u.a for u in rotations]))
+    else:
+        chi2 = [form.chi2(u) for u in rotations]
+    ratios = [c / (t * t) for c, t in zip(chi2, T_GRID)]
     if all(np.isfinite(r) for r in ratios):
         extrapolated = extrapolate_to_zero(T_GRID, ratios)
     else:

@@ -128,79 +128,23 @@ MAX_SWEEPS = 60  # Jacobi sweep cap; reaching it raises NotConverged
 SKIP_TOL = 1e-300  # off-diagonal entries this small are not rotated away
 
 
-def _jacobi_kernel(a: np.ndarray, v: np.ndarray) -> int:
-    """Cyclic Jacobi sweeps on a (in place); accumulates rotations into v.
-
-    Fixed sweep order (row-major over the upper triangle) so results are
-    reproducible bit for bit.  Returns the sweep at which the off-diagonal
-    mass fell below 1e-15 of the Frobenius norm, or MAX_SWEEPS if it never
-    did.
-    """
-    n = a.shape[0]
-    fro = 0.0
-    for i in range(n):
-        for j in range(n):
-            fro += a[i, j] * a[i, j]
-    fro = np.sqrt(fro)
-    if fro == 0.0:
-        return 0
-    tol = 1e-15 * fro
-    for sweep in range(MAX_SWEEPS):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += a[i, j] * a[i, j]
-        if np.sqrt(2.0 * off) <= tol:
-            return sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= SKIP_TOL:
-                    continue
-                app = a[p, p]
-                aqq = a[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                for i in range(n):
-                    if i != p and i != q:
-                        aip = a[i, p]
-                        aiq = a[i, q]
-                        a[i, p] = aip * c - aiq * s
-                        a[p, i] = a[i, p]
-                        a[i, q] = aiq * c + aip * s
-                        a[q, i] = a[i, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                for i in range(n):
-                    vip = v[i, p]
-                    viq = v[i, q]
-                    v[i, p] = vip * c - viq * s
-                    v[i, q] = viq * c + vip * s
-    return MAX_SWEEPS
-
-
 def _sequential_sum(x: np.ndarray) -> np.ndarray:
-    """Left-to-right sum along the last axis, as the scalar kernel's loops add."""
+    """Sum along the last axis, adding left to right: ((x_0 + x_1) + x_2) + ..."""
     if x.shape[-1] == 0:
         return np.zeros(x.shape[:-1])
     return np.cumsum(x, axis=-1)[..., -1]
 
 
 def _rotate_batch(w: np.ndarray, n: int, p: int, q: int) -> None:
-    """One (p, q) step of _jacobi_kernel on every matrix of the stack w.
+    """The Jacobi rotation that zeroes entry (p, q), on every matrix of the stack w.
 
     w holds each matrix in rows 0..n-1 and its rotation accumulator in rows
-    n..2n-1.  The scalar kernel's IEEE operations, on whole columns: column
-    i of the new rows p and q reads only the old columns p and q, and the
-    entries (p, p), (q, q), (p, q) are overwritten afterwards as the kernel
-    does.  Matrices whose |a_pq| is at most SKIP_TOL keep their old values.
+    n..2n-1.  With tau = (a_qq - a_pp) / (2 a_pq), t = sign(tau) / (|tau| +
+    sqrt(1 + tau^2)) (sign +1 at tau = 0), c = 1 / sqrt(1 + t^2) and s = t c,
+    column p becomes col_p c - col_q s and column q col_q c + col_p s, both
+    from the old columns; then a_pp -= t a_pq, a_qq += t a_pq, a_pq = a_qp = 0,
+    and rows p and q copy the new columns.  Matrices whose |a_pq| is at
+    most SKIP_TOL keep their old values.
     """
     apq, app, aqq = w[:, p, q], w[:, p, p], w[:, q, q]
     skip = np.abs(apq) <= SKIP_TOL
@@ -233,19 +177,23 @@ def _rotate_batch(w: np.ndarray, n: int, p: int, q: int) -> None:
 
 
 def _jacobi_batch(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """_jacobi_kernel on each matrix of a (B, n, n) stack, in place.
+    """Cyclic Jacobi sweeps on each matrix of a (B, n, n) stack, in place,
+    accumulating the rotations into the stack v.
 
-    Every numpy operation acts on all still-unconverged matrices at once,
-    and each matrix sees the scalar kernel's operations in its order, so
-    it ends with the same bits.  Matrices leave the working set at the
-    sweep their own convergence test passes.  Returns the sweep counts.
+    A matrix of Frobenius norm 0 does no sweep.  Each sweep stops a matrix
+    once sqrt(2 off) <= 1e-15 norm, and rotates the others at every (p, q),
+    p < q, in row-major order; the squares in norm (all entries) and off
+    (the upper triangle) are summed left to right in row-major order.
+    Every numpy operation is elementwise across the unconverged matrices,
+    so a matrix gets the same bits alone as in any stack.  Returns the
+    sweep at which each matrix stopped, or MAX_SWEEPS if it never did.
     """
     count, n = a.shape[0], a.shape[1]
     sweeps = np.zeros(count, dtype=np.int64)
     fro = np.sqrt(_sequential_sum((a * a).reshape(count, n * n)))
     live = np.flatnonzero(fro != 0.0)
     work, tol = np.concatenate([a[live], v[live]], axis=1), 1e-15 * fro[live]
-    upper = np.triu_indices(n, 1)  # row-major, the kernel's (i, j) order
+    upper = np.triu_indices(n, 1)  # row-major
     for sweep in range(MAX_SWEEPS):
         off_diag = work[:, upper[0], upper[1]]
         done = np.sqrt(2.0 * _sequential_sum(off_diag * off_diag)) <= tol
@@ -263,10 +211,6 @@ def _jacobi_batch(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return sweeps
 
 
-def _sweep_cap_error(where: str = "") -> NotConverged:
-    return NotConverged(f"Jacobi eigensolver reached the {MAX_SWEEPS}-sweep cap{where}")
-
-
 def _sort_and_sign(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Order (B, n) eigenvalues non-increasing (stable) with their (B, n, n)
     vector columns, and make each vector's first coordinate with magnitude
@@ -281,32 +225,14 @@ def _sort_and_sign(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.n
     return vals, np.where(lead_entry[:, None, :] < 0, -vecs, vecs)
 
 
-def sym_eig(a) -> EigDecomp:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Deterministic for fixed input: fixed sweep order, eigenvalues sorted
-    non-increasing (stable sort), and each eigenvector's first coordinate
-    with magnitude above 1e-12 is made positive.  Raises NotConverged if
-    the sweep cap is reached.
-    """
-    if not isinstance(a, SymMatrix):
-        a = SymMatrix(a)
-    n = a.dim
-    work = np.array(a.a, dtype=np.float64)
-    vecs = np.eye(n, dtype=np.float64)
-    if _jacobi_kernel(work, vecs) >= MAX_SWEEPS:
-        raise _sweep_cap_error()
-    vals, vecs = _sort_and_sign(np.diag(work)[None], vecs[None])
-    return EigDecomp(vals[0], OrthMatrix(vecs[0]))
-
-
 def sym_eig_batch(stack) -> tuple[np.ndarray, np.ndarray]:
-    """sym_eig of every matrix in a (B, n, n) stack, in one vectorized solve.
+    """Eigendecomposition of every matrix of a (B, n, n) stack by cyclic Jacobi rotations.
 
-    Each matrix is symmetrized as SymMatrix does and gets the bits sym_eig
-    gives it.  Returns (values, vectors): values (B, n), non-increasing
-    along the last axis, and vectors (B, n, n), eigenvectors in columns.
-    Raises NotConverged if any matrix reaches the sweep cap.
+    Each matrix is symmetrized as SymMatrix does and gets the same bits
+    alone as in any stack.  Returns (values, vectors): values (B, n), sorted
+    non-increasing (stable sort), and vectors (B, n, n), eigenvectors in
+    columns, each with its first coordinate of magnitude above 1e-12
+    positive.  Raises NotConverged if any matrix reaches the sweep cap.
     """
     a = np.asarray(stack, dtype=np.float64)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -315,11 +241,21 @@ def sym_eig_batch(stack) -> tuple[np.ndarray, np.ndarray]:
     vecs = np.broadcast_to(np.eye(a.shape[1]), a.shape).copy()
     capped = np.flatnonzero(_jacobi_batch(work, vecs) >= MAX_SWEEPS)
     if capped.size:
-        raise _sweep_cap_error(f" on matrix {capped[0]} of {a.shape[0]}")
+        where = f"on matrix {capped[0]} of {a.shape[0]}"
+        raise NotConverged(f"Jacobi eigensolver reached the {MAX_SWEEPS}-sweep cap {where}")
     vals, vecs = _sort_and_sign(np.diagonal(work, axis1=1, axis2=2), vecs)
     _require_sorted(vals)
     require_orthogonal(vecs)
     return vals, vecs
+
+
+def sym_eig(a) -> EigDecomp:
+    """Eigendecomposition of a symmetric matrix: sym_eig_batch on a stack of one."""
+    if not isinstance(a, SymMatrix):
+        a = SymMatrix(a)
+    vals, vecs = sym_eig_batch(a.a[None])
+    return EigDecomp(vals[0], OrthMatrix(vecs[0]))
+
 
 SQUARING_THRESHOLD = 0.5
 EXP_TOL = 1e-14

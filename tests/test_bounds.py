@@ -350,7 +350,8 @@ class TestHsLowerBound:
     def test_delta_must_be_finite_and_positive(self, delta):
         cov = CovModel(spike_spectrum(2, 1, 1, 2), n=8)
         denoise = DenoiseModel(spike_spectrum(2, 1, 1, 2), 0.5)
-        for bound, model in ((hs_lower_bound, cov), (denoise_lower_bound, denoise)):
+        cases = ((hs_lower_bound, cov), (denoise_lower_bound, denoise), (hs_bound_d1, cov))
+        for bound, model in cases:
             with pytest.raises(InvalidInput, match="^delta must be finite and > 0$"):
                 bound(model, delta)
 

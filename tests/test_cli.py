@@ -1,6 +1,8 @@
 import json
 import os
 import pathlib
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from subspace_bounds.cli import main
 VERIFY_GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "data" / "verify_golden.json").read_text(encoding="utf-8")
 )
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
 def run(args):
@@ -79,6 +82,39 @@ class TestBoundCommand:
         args = ["bound", "hs", "--spectrum", "spike:2,1,1,2", "--n", "8", "--delta", delta]
         assert run(args) == 3
         assert capsys.readouterr().err == "precondition failed: delta must be finite and > 0\n"
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["hs", "--spectrum", "spike:2,1,1,2", "--n", "8", "--mu", "0.3"], "--mu"),
+            (["hs", "--spectrum", "spike:2,1,1,2", "--n", "8", "--sigma", "1"], "--sigma"),
+            (["denoise", "--spectrum", "spike:2,1,1,2", "--sigma", "1", "--n", "8"], "--n"),
+            (["denoise", "--spectrum", "spike:2,1,1,2", "--sigma", "1", "--mu", "auto"], "--mu"),
+            (["excess", "--spectrum", "spike:4,1,2,6", "--n", "100", "--delta", "5"], "--delta"),
+            (["excess", "--spectrum", "spike:4,1,2,6", "--n", "100", "--sigma", "1"], "--sigma"),
+            (["canonical", "--spectrum", "spike:2,1,1,2", "--n", "8", "--delta", "1"], "--delta"),
+            (["relrank", "--spectrum", "spike:2,1,1,2", "--n", "12", "--mu", "auto"], "--mu"),
+        ],
+    )
+    def test_unread_flags_are_usage_errors(self, args, flag, tmp_path, capsys):
+        out = tmp_path / "bound.json"
+        assert run(["bound", *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: bound {args[0]} does not read {flag}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, default",
+        [
+            (["hs", "--spectrum", "spike:3,1,2,5", "--n", "20"], ["--delta", "1"]),
+            (["denoise", "--spectrum", "spike:3,1,2,5", "--sigma", "0.5"], ["--delta", "1"]),
+            (["excess", "--spectrum", "spike:4,1,2,6", "--n", "100"], ["--mu", "auto"]),
+        ],
+    )
+    def test_absent_parameter_reads_as_its_default(self, args, default, tmp_path):
+        implicit, explicit = tmp_path / "implicit.json", tmp_path / "explicit.json"
+        assert run(["bound", *args, "--out", str(implicit)]) == 0
+        assert run(["bound", *args, *default, "--out", str(explicit)]) == 0
+        assert implicit.read_bytes() == explicit.read_bytes()
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "bound.csv"
@@ -210,6 +246,36 @@ class TestSimulateCommand:
              "--reps", "0", "--seed", "1"]
         ) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--reps", "-1"), ("--workers", "0"), ("--workers", "-2")])
+    def test_non_positive_counts_are_usage_errors(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        args = [a for a in self.ARGS if a not in ("--reps", "400")]
+        assert run(args + ["--reps", "20", flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be >= 1, got {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, command, flag",
+        [
+            (["--loss", "excess", "--n", "100", "--delta", "1e9"], "simulate --loss excess --n", "--delta"),
+            (["--loss", "excess", "--n", "100", "--sigma", "1"], "simulate --loss excess --n", "--sigma"),
+            (["--loss", "hs", "--sigma", "1", "--n", "100"], "simulate --loss hs --sigma", "--n"),
+        ],
+    )
+    def test_unread_flags_are_usage_errors(self, args, command, flag, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        spectrum = ["--spectrum", "spike:4,1,2,6", "--reps", "20", "--seed", "1"]
+        assert run(["simulate", *args, *spectrum, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {command} does not read {flag}\n"
+        assert not out.exists()
+
+    def test_absent_delta_reads_as_one(self, tmp_path):
+        implicit, explicit = tmp_path / "implicit.csv", tmp_path / "explicit.csv"
+        args = [a for a in self.ARGS if a not in ("--reps", "400")] + ["--reps", "20"]
+        assert run(args + ["--out", str(implicit)]) == 0
+        assert run(args + ["--delta", "1", "--out", str(explicit)]) == 0
+        assert implicit.read_bytes() == explicit.read_bytes()
+
     def test_repeat_appends_identical_row(self, tmp_path):
         out = tmp_path / "sim.csv"
         run(self.ARGS + ["--out", str(out)])
@@ -307,6 +373,18 @@ class TestReportCommand:
              "--d-max", "4"]
         ) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--simulate", "0"), ("--simulate", "-3"), ("--workers", "0")]
+    )
+    def test_non_positive_counts_are_usage_errors(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        args = ["report", "--family", "exp", "--alpha", "1", "--p", "6", "--n", "200",
+                "--d-min", "2", "--d-max", "3", "--seed", "3", "--out", str(out)]
+        extra = [flag, value] if flag == "--simulate" else ["--simulate", "20", flag, value]
+        assert run(args + extra) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be >= 1, got {value}\n"
+        assert not out.exists()
+
     def test_simulated_columns_appended(self, tmp_path):
         out = tmp_path / "sweep_sim.csv"
         code = run(
@@ -338,3 +416,23 @@ class TestDeterminism:
             )
             rows.append(out.read_bytes())
         assert rows[0] == rows[1]
+
+
+def _readme_commands() -> list[list[str]]:
+    """The `subspace-bounds` commands of the README's "Command line" block, as argv lists."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n\n```bash\n(.*?)```", text, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("subspace-bounds ")]
+
+
+class TestReadmeCommands:
+    def test_block_is_found(self):
+        assert len(_readme_commands()) >= 10
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+    def test_command_exits_zero(self, argv, tmp_path):
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv = [*argv[:at], str(tmp_path / argv[at]), *argv[at + 1 :]]
+        assert run(argv) == 0

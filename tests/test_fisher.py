@@ -15,7 +15,7 @@ from subspace_bounds import (
     spike_spectrum,
     verify_fisher_limit,
 )
-from subspace_bounds.fisher import meanshift_quadratic
+from subspace_bounds.fisher import T_GRID, _chi2_cov, meanshift_quadratic
 from subspace_bounds.linalg import OrthMatrix, vech, vech_diag_mask
 
 from conftest import random_skew_unit, random_spectrum
@@ -161,6 +161,31 @@ class TestChiSquareCov:
         closed = chi2_gauss_cov(model, u)
         mc, se = mc_chi2_cov(model, u, 200_000, seed=42)
         assert abs(mc - closed) <= 3 * se
+
+    @pytest.mark.parametrize("p", [2, 6, 10])
+    def test_stacked_grid_matches_one_matrix_calls(self, p):
+        rng = np.random.default_rng(50 + p)
+        model = CovModel(random_spectrum(rng, p, max(1, p // 3), min_gap=0.05), n=40)
+        xi = SkewMatrix(random_skew_unit(rng, p))
+        rotations = [skew_exp(xi, t) for t in T_GRID]
+        single = np.array([chi2_gauss_cov(model, u) for u in rotations])
+        stacked = _chi2_cov(model, np.stack([u.a for u in rotations]))
+        assert stacked.tobytes() == single.tobytes()
+        ratios = verify_fisher_limit(FisherForm(model), xi).ratios
+        assert ratios == tuple(float(c / (t * t)) for c, t in zip(single, T_GRID))
+
+    def test_zero_and_inf_are_decided_per_matrix(self):
+        # lam / sqrt(lam)^2 rounds away from 1 for 6 and 0.2, so only the
+        # exact-equality test gives 0 at the identity.
+        model = CovModel(Spectrum([6.0, 0.2], 1), n=1)
+        rotations = [
+            OrthMatrix(np.eye(2)),
+            skew_exp(generator(2, 0, 1), np.pi / 2),
+            skew_exp(generator(2, 0, 1), 1e-3),
+        ]
+        stacked = _chi2_cov(model, np.stack([u.a for u in rotations]))
+        assert stacked[0] == 0.0 and stacked[1] == np.inf
+        assert stacked[2] == chi2_gauss_cov(model, rotations[2]) > 0.0
 
 
 class TestChiSquareMeanshift:

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -111,57 +113,62 @@ class TestSymEig:
             sym_eig(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
-def _scalar_eigs(stack):
-    """sym_eig (the one-matrix kernel) on each matrix, as stacked arrays."""
-    eigs = [sym_eig(m) for m in stack]
-    return np.array([e.values for e in eigs]), np.array([e.vectors.a for e in eigs])
+# The bits of every matrix of the mixed stacks below, as the one-matrix
+# scalar Jacobi kernel gave them before the stacked kernel replaced it.
+JACOBI_BITS = pathlib.Path(__file__).parent / "data" / "jacobi_bits.npz"
 
 
-def _assert_same_bits(stack):
-    values, vectors = sym_eig_batch(stack)
-    ref_values, ref_vectors = _scalar_eigs(stack)
-    assert values.tobytes() == ref_values.tobytes()
-    assert vectors.tobytes() == ref_vectors.tobytes()
+def _assert_same_bits(got, want):
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 class TestSymEigBatch:
-    """The stacked kernel performs the one-matrix kernel's IEEE operations
-    in the same order, so each matrix gets identical bits."""
+    """Each matrix gets saved bits, and the same bits alone as in any stack."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 10])
     def test_mixed_stack_matches_scalar_kernel_bitwise(self, n):
-        rng = np.random.default_rng(29 + n)
-        members = [random_sym(rng, n) for _ in range(12)]
-        members.append(np.zeros((n, n)))  # zero Frobenius norm: no sweep
-        members.append(np.diag(rng.standard_normal(n)))  # converged at sweep 0
-        if n > 1:
-            tiny = random_sym(rng, n)
-            tiny[0, 1] = tiny[1, 0] = 1e-301  # below the rotation mask
-            members.append(tiny)
-            zero_pair = random_sym(rng, n)
-            zero_pair[0, n - 1] = zero_pair[n - 1, 0] = 0.0
-            members.append(zero_pair)
-        members.append(random_sym(rng, n) * 1e150)
-        members.append(random_sym(rng, n) * 1e-150)
-        scales = 10.0 ** rng.uniform(-150, 150, (n, 1))
-        members.append(random_sym(rng, n) * scales * scales.T)  # badly scaled
-        _assert_same_bits(np.stack(members))
+        # Each stack holds 12 random matrices, a zero matrix (no sweep), a
+        # diagonal one (converged at sweep 0), for n > 1 one with a 1e-301
+        # entry (below SKIP_TOL) and one with a zero pair, and matrices
+        # scaled by 1e150, 1e-150 and 10^(+-150) per row and column.
+        saved = np.load(JACOBI_BITS)
+        stack, values, vectors = (saved[f"{key}_{n}"] for key in ("stack", "values", "vectors"))
+        got_values, got_vectors = sym_eig_batch(stack)
+        _assert_same_bits(got_values, values)
+        _assert_same_bits(got_vectors, vectors)
+        for k, member in enumerate(stack):
+            e = sym_eig(member)
+            _assert_same_bits(e.values, values[k])
+            _assert_same_bits(e.vectors.a, vectors[k])
 
     @settings(max_examples=40, deadline=None)
     @given(
-        n=st.integers(1, 6),
+        n=st.integers(1, 8),
         count=st.integers(1, 6),
+        position=st.integers(0, 5),
         seed=st.integers(0, 2**32 - 1),
-        exponent=st.integers(-150, 150),
         zero_frac=st.floats(0.0, 1.0),
+        tiny_frac=st.floats(0.0, 0.3),
     )
-    def test_property_random_stacks_match_scalar_kernel(self, n, count, seed, exponent, zero_frac):
-        # Not symmetric: both paths symmetrize as SymMatrix does.
+    def test_property_alone_equals_any_stack_position(
+        self, n, count, position, seed, zero_frac, tiny_frac
+    ):
+        # Not symmetric: both paths symmetrize as SymMatrix does.  Members
+        # get their own scale, so they converge at different sweeps.
         rng = np.random.default_rng(seed)
-        a = rng.standard_normal((count, n, n)) * 10.0**exponent
-        a[rng.uniform(size=a.shape) < zero_frac] = 0.0
-        _assert_same_bits(a)
+        scales = 10.0 ** rng.integers(-150, 151, (count, 1, 1))
+        stack = rng.standard_normal((count, n, n)) * scales
+        stack[rng.uniform(size=stack.shape) < zero_frac] = 0.0
+        stack[rng.uniform(size=stack.shape) < tiny_frac] = 1e-301
+        member = stack[position % count]
+        values, vectors = sym_eig_batch(stack)
+        alone = sym_eig(member)
+        _assert_same_bits(values[position % count], alone.values)
+        _assert_same_bits(vectors[position % count], alone.vectors.a)
+        alone_values, alone_vectors = sym_eig_batch(member[None])
+        _assert_same_bits(alone_values[0], alone.values)
+        _assert_same_bits(alone_vectors[0], alone.vectors.a)
 
     def test_rejects_nonfinite_and_bad_shapes(self):
         with pytest.raises(InvalidInput):
