@@ -42,7 +42,6 @@ from .equivariance import (
 )
 from .errors import ConditionNotMet, DegenerateGap, InvalidInput, NotConverged, Unsupported
 from .fisher import (
-    FisherForm,
     FisherLimitReport,
     chi2_gauss_cov,
     chi2_gauss_meanshift,

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import bounds, fisher, risksim, verify
+from . import bounds, risksim, verify
 from .equivariance import random_projector
 from .errors import ConditionNotMet, DegenerateGap, InvalidInput, NotConverged, Unsupported
 from .linalg import SkewMatrix
@@ -117,8 +117,8 @@ def _denoise_model(args, spectrum) -> DenoiseModel:
 
 
 def _reject_unread(args, command: str, reads: tuple) -> None:
-    """Usage error for a flag (all default to None) given to a command that does not read it."""
-    for flag in ("spectrum", "d", "n", "sigma", "delta", "mu", "p", "trials", "seed"):
+    """Usage error for a flag given (not None) to a command that does not read it."""
+    for flag in ("spectrum", "d", "n", "sigma", "delta", "mu", "p", "trials", "seed", "workers"):
         if getattr(args, flag, None) is not None and flag not in reads:
             raise _UsageError(f"{command} does not read --{flag}")
 
@@ -216,7 +216,7 @@ def cmd_simulate(args) -> int:
     model_flag = "sigma" if args.sigma is not None and args.loss == "hs" else "n"
     reads = (model_flag, "delta") if args.loss == "hs" else (model_flag,)
     command = f"simulate --loss {args.loss} --{model_flag}"
-    _reject_unread(args, command, ("spectrum", "d", "seed") + reads)
+    _reject_unread(args, command, ("spectrum", "d", "seed", "workers") + reads)
     _require_positive(args, "reps", "workers")
     spectrum = _spectrum(args)
     seed = _seed_from(args)
@@ -279,14 +279,16 @@ def _verify_fisher_limit(args) -> list[dict]:
     if args.spectrum is None:
         raise _UsageError("fisher-limit needs --spectrum")
     spectrum = _spectrum(args)
-    forms = []
+    if spectrum.p < 2:
+        raise _UsageError(f"--spectrum must have p >= 2 for fisher-limit, got p={spectrum.p}")
+    models = []
     if args.n is not None:
-        forms.append(fisher.FisherForm(CovModel(spectrum, args.n)))
+        models.append(CovModel(spectrum, args.n))
     if args.sigma is not None:
-        forms.append(fisher.FisherForm(DenoiseModel(spectrum, args.sigma)))
-    if not forms:
+        models.append(DenoiseModel(spectrum, args.sigma))
+    if not models:
         raise _UsageError("fisher-limit needs --n and/or --sigma")
-    return [check for form in forms for check in verify.fisher_limit_checks(form)]
+    return verify.fisher_limit_checks(models)
 
 
 def _derivative_check(name: str, errs: list) -> dict:
@@ -373,8 +375,12 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     if args.d_max < args.d_min:
         raise _UsageError("empty d grid")
+    # --seed, --workers and the seed variable only matter to a simulation.
+    simulate = args.simulate is not None
+    command = "report" if simulate else "report without --simulate"
+    _reject_unread(args, command, ("p", "n", "seed", "workers") if simulate else ("p", "n"))
     _require_positive(args, "simulate", "workers")
-    seed = _seed_from(args)
+    seed = _seed_from(args) if simulate else None
     rows = []
     ratios = []
     ds = list(range(args.d_min, args.d_max + 1))
@@ -397,19 +403,19 @@ def cmd_report(args) -> int:
             value = float("nan")
             ratio = float("nan")
         row = [args.family, args.alpha, args.p, args.n, d, lhs, holds, value, shape, ratio]
-        if args.simulate:
+        if simulate:
             config = risksim.SimConfig(
                 model=model,
                 loss="excess",
                 replicates=args.simulate,
                 seed=seed,
-                workers=args.workers,
+                workers=1 if args.workers is None else args.workers,
             )
             est = risksim.bayes_risk(config)
             row += [est.mean, est.std_error]
         rows.append(row)
     header = ["family", "alpha", "p", "n", "d", "condition_lhs", "condition_holds", "bound", "shape", "ratio"]
-    if args.simulate:
+    if simulate:
         header += ["risk", "se"]
     text = _csv_text(header, rows)
     _write_text(args.out, text)
@@ -498,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--d-max", type=int, default=12)
     r.add_argument("--simulate", type=int, default=None, help="also simulate (replicate count)")
     r.add_argument("--seed", type=int, default=None)
-    r.add_argument("--workers", type=int, default=1)
+    r.add_argument("--workers", type=int, default=None, help="simulation processes (default 1)")
     r.add_argument("--out", default=None)
     r.set_defaults(func=cmd_report)
     return parser

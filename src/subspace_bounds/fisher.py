@@ -1,11 +1,11 @@
-"""Fisher-information forms and closed-form Gaussian chi-square divergences.
+"""Fisher-information quadratic forms and their chi-square limit.
 
 For both observation models the Fisher information along a one-parameter
 subgroup exp(t*xi) exists as a quadratic form in xi, and it equals the
-small-t limit of chi2(P_{exp(t xi)}, P_I)/t^2.  The chi-square divergences
-are evaluated in closed form (log-domain, expm1/log1p) because verifying
-that limit numerically needs 12+ significant digits at t ~ 1e-4; Monte
-Carlo estimates of the same divergences live in the test suite as an
+small-t limit of chi2(P_{exp(t xi)}, P_I)/t^2.  Each model's ``chi2``
+evaluates the divergences in closed form (log-domain, expm1/log1p) because
+verifying that limit numerically needs 12+ significant digits at t ~ 1e-4;
+Monte Carlo estimates of the same divergences live in the test suite as an
 independent oracle.
 """
 
@@ -16,111 +16,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import OrthMatrix, SkewMatrix, skew_exp, sym_eig_batch, vech, vech_diag_mask
+from .linalg import OrthMatrix, SkewMatrix, skew_exp
 from .models import CovModel, DenoiseModel
-
-
-def _check_direction(xi: SkewMatrix, p: int) -> np.ndarray:
-    if not isinstance(xi, SkewMatrix):
-        xi = SkewMatrix(xi)
-    if xi.dim != p:
-        raise InvalidInput(f"direction has dim {xi.dim}, expected {p}")
-    return xi.a
 
 
 def fisher_quad(model: CovModel | DenoiseModel, xi: SkewMatrix) -> float:
     """(1/2) sum_ij xi_ij^2 I_ij, with I_ij the model's Fisher information along L(i, j)."""
-    x = _check_direction(xi, model.p)
+    x = (xi if isinstance(xi, SkewMatrix) else SkewMatrix(xi)).a
+    if x.shape[0] != model.p:
+        raise InvalidInput(f"direction has dim {x.shape[0]}, expected {model.p}")
     lam = model.spectrum.lambdas
     return float(0.5 * np.sum(x * x * model.generator_fisher(lam[:, None], lam[None, :])))
 
 
-def _chi2_cov(model: CovModel, u: np.ndarray) -> np.ndarray:
-    """chi2_gauss_cov of each basis in a (B, p, p) stack, with one stacked eigensolve."""
-    lam = model.spectrum.lambdas
-    scale = 1.0 / np.sqrt(lam)
-    sigma1 = (u * lam) @ u.swapaxes(-1, -2)
-    same = np.all(sigma1 == np.diag(lam), axis=(-2, -1))
-    m = scale[:, None] * sigma1 * scale[None, :]
-    args = (1.0 - sym_eig_batch(m)[0]) ** 2
-    blocked = np.any(args >= 1.0, axis=-1)
-    log_one_plus_chi1 = -0.5 * np.sum(np.log1p(-np.where(blocked[:, None], 0.0, args)), axis=-1)
-    chi2 = np.where(blocked, np.inf, np.expm1(model.n * log_one_plus_chi1))
-    return np.where(same, 0.0, chi2)
+def _chi2_one(model: CovModel | DenoiseModel, u: OrthMatrix) -> float:
+    if u.dim != model.p:
+        raise InvalidInput(f"dimension mismatch: U is {u.dim}x{u.dim}, p={model.p}")
+    return float(model.chi2(u.a[None])[0])
 
 
 def chi2_gauss_cov(model: CovModel, u: OrthMatrix) -> float:
-    """chi-square divergence of the n-sample law at U from the one at I.
-
-    Single-sample value for centered Gaussians N(0, S1) vs N(0, S0):
-    with m the eigenvalues of S0^{-1/2} S1 S0^{-1/2},
-
-        1 + chi2_1 = prod_k (m_k (2 - m_k))^{-1/2},
-
-    finite iff every m_k < 2; the n-fold product law gives
-    chi2_n = (1 + chi2_1)^n - 1, computed as expm1(n * log1p(chi2_1)).
-    Returns 0 when S1 equals S0 exactly and +inf when the definiteness
-    condition fails.
-    """
-    if u.dim != model.p:
-        raise InvalidInput(f"dimension mismatch: U is {u.dim}x{u.dim}, p={model.p}")
-    return float(_chi2_cov(model, u.a[None])[0])
-
-
-def meanshift_quadratic(model: DenoiseModel, u: OrthMatrix) -> float:
-    """Quadratic form Delta^T (sigma^2 Sigma_W)^{-1} Delta of the mean shift.
-
-    Delta = vech(U diag(lam) U^T - diag(lam)); Sigma_W is the diagonal
-    covariance of the half-vectorized GOE matrix (2 on diagonal positions,
-    1 elsewhere).
-    """
-    if u.dim != model.p:
-        raise InvalidInput(f"dimension mismatch: U is {u.dim}x{u.dim}, p={model.p}")
-    lam = model.spectrum.lambdas
-    delta = vech((u.a * lam) @ u.a.T - np.diag(lam))
-    inv_w = np.where(vech_diag_mask(model.p), 0.5, 1.0) / model.sigma**2
-    return float(np.sum(inv_w * delta * delta))
+    """``CovModel.chi2`` at one basis U."""
+    return _chi2_one(model, u)
 
 
 def chi2_gauss_meanshift(model: DenoiseModel, u: OrthMatrix) -> float:
-    """chi-square divergence for equal-covariance Gaussians: expm1(quadratic)."""
-    return float(np.expm1(meanshift_quadratic(model, u)))
-
-
-@dataclass(frozen=True)
-class FisherForm:
-    """The Fisher quadratic form of one model, with its matching chi-square."""
-
-    model: CovModel | DenoiseModel
-
-    @property
-    def kind(self) -> str:
-        return self.model.kind
-
-    @property
-    def p(self) -> int:
-        return self.model.p
-
-    def quad(self, xi: SkewMatrix) -> float:
-        return fisher_quad(self.model, xi)
-
-    def pair(self, xi: SkewMatrix, eta: SkewMatrix) -> float:
-        """Bilinear value by polarization: (Q(xi+eta) - Q(xi-eta)) / 4."""
-        xa = _check_direction(xi, self.p)
-        ea = _check_direction(eta, self.p)
-        plus = self.quad(SkewMatrix(xa + ea))
-        minus = self.quad(SkewMatrix(xa - ea))
-        return 0.25 * (plus - minus)
-
-    def generator_quad(self, i: int, j: int) -> float:
-        """Closed form of the quadratic form on the generator L(i, j)."""
-        lam = self.model.spectrum.lambdas
-        return float(self.model.generator_fisher(lam[i], lam[j]))
-
-    def chi2(self, u: OrthMatrix) -> float:
-        if isinstance(self.model, CovModel):
-            return chi2_gauss_cov(self.model, u)
-        return chi2_gauss_meanshift(self.model, u)
+    """``DenoiseModel.chi2`` at one basis U."""
+    return _chi2_one(model, u)
 
 
 def extrapolate_to_zero(ts, fs) -> float:
@@ -165,19 +87,19 @@ class FisherLimitReport:
         }
 
 
-def verify_fisher_limit(form: FisherForm, xi: SkewMatrix) -> FisherLimitReport:
-    """Check that chi2(exp(t xi))/t^2 converges to the Fisher value.
+def rotation_grid(xi: SkewMatrix) -> np.ndarray:
+    """The rotations exp(t xi), t in T_GRID, as one stack."""
+    return np.stack([skew_exp(xi, t).a for t in T_GRID])
 
-    Evaluates the ratio at each t of T_GRID, extrapolates to t = 0, and
-    compares with the closed-form quadratic form; PASS when the relative
-    error is at most REL_TOL (absolute ZERO_ATOL when the target vanishes).
+
+def limit_report(model: CovModel | DenoiseModel, xi: SkewMatrix, chi2) -> FisherLimitReport:
+    """Report on chi2, the model's divergences at rotation_grid(xi).
+
+    Extrapolates chi2/t^2 to t = 0 and compares with the closed-form
+    quadratic form; PASS when the relative error is at most REL_TOL
+    (absolute ZERO_ATOL when the target vanishes).
     """
-    target = form.quad(xi)
-    rotations = [skew_exp(xi, t) for t in T_GRID]
-    if isinstance(form.model, CovModel):  # the whole grid in one stacked eigensolve
-        chi2 = _chi2_cov(form.model, np.stack([u.a for u in rotations]))
-    else:
-        chi2 = [form.chi2(u) for u in rotations]
+    target = fisher_quad(model, xi)
     ratios = [c / (t * t) for c, t in zip(chi2, T_GRID)]
     if all(np.isfinite(r) for r in ratios):
         extrapolated = extrapolate_to_zero(T_GRID, ratios)
@@ -190,10 +112,16 @@ def verify_fisher_limit(form: FisherForm, xi: SkewMatrix) -> FisherLimitReport:
         rel_error = abs(extrapolated - target) / abs(target)
         passed = bool(np.isfinite(extrapolated) and rel_error <= REL_TOL)
     return FisherLimitReport(
-        kind=form.kind,
+        kind=model.kind,
         ratios=tuple(float(r) for r in ratios),
         extrapolated=float(extrapolated),
         closed_form=float(target),
         rel_error=float(rel_error),
         passed=passed,
     )
+
+
+def verify_fisher_limit(model: CovModel | DenoiseModel, xi: SkewMatrix) -> FisherLimitReport:
+    """Check that chi2(exp(t xi))/t^2 converges to the Fisher value, with the
+    whole t grid in one ``model.chi2`` call."""
+    return limit_report(model, xi, model.chi2(rotation_grid(xi)))

@@ -5,8 +5,9 @@ A :class:`Spectrum` is an ordered eigenvalue vector together with the rank
 ``CovModel`` (n i.i.d. centered Gaussian vectors with covariance U diag(lam)
 U^T) and ``DenoiseModel`` (a single symmetric matrix U diag(lam) U^T + sigma
 times GOE noise); each gives its Fisher information along the generator
-L(i, j) and draws the matrix a plug-in estimator diagonalizes.  All
-randomness flows through :class:`RngStream`, a counter-based generator
+L(i, j), the chi-square divergence of its law at a stack of bases from the
+law at the identity, and draws the matrix a plug-in estimator diagonalizes.
+All randomness flows through :class:`RngStream`, a counter-based generator
 keyed by (seed, stream), so distinct streams are independent and every
 draw is reproducible.
 """
@@ -14,12 +15,21 @@ draw is reproducible.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import OrthMatrix, SymMatrix, require_orthogonal
+from .linalg import OrthMatrix, SymMatrix, require_orthogonal, sym_eig_batch, vech, vech_diag_mask
+
+
+def _whole(value, name: str) -> int:
+    """value as an int; InvalidInput unless it is a finite whole number."""
+    number = float(value) if isinstance(value, (int, float)) else math.nan
+    if not (math.isfinite(number) and number.is_integer()):
+        raise InvalidInput(f"{name} must be a whole number, got {value!r}")
+    return int(number)
 
 
 @dataclass(frozen=True)
@@ -56,7 +66,7 @@ class Spectrum:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Spectrum":
-        return cls(obj["lambdas"], int(obj["d"]))
+        return cls(obj["lambdas"], _whole(obj["d"], "d"))
 
 
 @dataclass(frozen=True)
@@ -81,6 +91,31 @@ class CovModel:
         """Fisher information n (lam_i - lam_j)^2 / (lam_i lam_j) along L(i, j); broadcasts."""
         gap = li - lj
         return self.n * gap * gap / (li * lj)
+
+    def chi2(self, u: np.ndarray) -> np.ndarray:
+        """chi-square divergence of the n-sample law at each basis of a (B, p, p)
+        stack from the law at I, with one stacked eigensolve.
+
+        Single-sample value for centered Gaussians N(0, S1) vs N(0, S0):
+        with m the eigenvalues of S0^{-1/2} S1 S0^{-1/2},
+
+            1 + chi2_1 = prod_k (m_k (2 - m_k))^{-1/2},
+
+        finite iff every m_k < 2; the n-fold product law gives
+        chi2_n = (1 + chi2_1)^n - 1, computed as expm1(n * log1p(chi2_1)).
+        Each entry is 0 when S1 equals S0 exactly and +inf when the
+        definiteness condition fails.
+        """
+        lam = self.spectrum.lambdas
+        scale = 1.0 / np.sqrt(lam)
+        sigma1 = (u * lam) @ u.swapaxes(-1, -2)
+        same = np.all(sigma1 == np.diag(lam), axis=(-2, -1))
+        m = scale[:, None] * sigma1 * scale[None, :]
+        args = (1.0 - sym_eig_batch(m)[0]) ** 2
+        blocked = np.any(args >= 1.0, axis=-1)
+        log_one_plus_chi1 = -0.5 * np.sum(np.log1p(-np.where(blocked[:, None], 0.0, args)), axis=-1)
+        chi2 = np.where(blocked, np.inf, np.expm1(self.n * log_one_plus_chi1))
+        return np.where(same, 0.0, chi2)
 
     def observe(self, u: np.ndarray, g: np.random.Generator) -> np.ndarray:
         """Empirical covariance of ``sample_cov``'s n-by-p sample at basis array u."""
@@ -109,6 +144,17 @@ class DenoiseModel:
         """Fisher information (lam_i - lam_j)^2 / sigma^2 along L(i, j); broadcasts."""
         gap = li - lj
         return gap * gap / self.sigma**2
+
+    def chi2(self, u: np.ndarray) -> np.ndarray:
+        """chi-square divergence of the law at each basis of a (B, p, p) stack from
+        the law at I: expm1 of Delta^T (sigma^2 Sigma_W)^{-1} Delta, with
+        Delta = vech(U diag(lam) U^T - diag(lam)) and Sigma_W the GOE's vech
+        covariance (2 on the diagonal, 1 elsewhere).  The products stay 2-d
+        matmuls, one per basis: a stacked matmul changes the last bits."""
+        lam = self.spectrum.lambdas
+        inv_w = np.where(vech_diag_mask(self.p), 0.5, 1.0) / self.sigma**2
+        deltas = [vech((x * lam) @ x.T - np.diag(lam)) for x in u]
+        return np.expm1(np.array([np.sum(inv_w * delta * delta) for delta in deltas]))
 
     def observe(self, u: np.ndarray, g: np.random.Generator) -> np.ndarray:
         """Observation of ``sample_denoise`` at basis array u, before SymMatrix symmetrizes it."""
@@ -245,6 +291,8 @@ def poly_spectrum(alpha: float, p: int, d: int = 1) -> Spectrum:
 
 def spike_spectrum(lam1: float, lam2: float, d: int, p: int) -> Spectrum:
     """Two-group spectrum: d leading eigenvalues lam1, the rest lam2."""
+    if p < 1:
+        raise InvalidInput("p must be >= 1")
     if not lam1 >= lam2:
         raise InvalidInput("spike spectrum needs lam1 >= lam2")
     lam = np.full(p, lam2, dtype=np.float64)
@@ -257,11 +305,17 @@ def parse_spectrum(text: str, d: int | None = None) -> Spectrum:
 
     Shorthands: ``exp:alpha,p``, ``poly:alpha,p`` (both need d supplied
     separately), ``spike:lam1,lam2,d,p``.  Anything starting with ``{`` is
-    parsed as the JSON object {"lambdas": [...], "d": k}.
+    parsed as the JSON object {"lambdas": [...], "d": k}.  Every p and d
+    must be a finite whole number.
     """
     text = text.strip()
     if text.startswith("{"):
-        spectrum = Spectrum.from_json_dict(json.loads(text))
+        try:
+            spectrum = Spectrum.from_json_dict(json.loads(text))
+        except InvalidInput:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:  # bad JSON, a missing key, bad lambdas
+            raise InvalidInput(f"cannot parse spectrum {text!r}: {exc!r}") from exc
         return spectrum if d is None else Spectrum(spectrum.lambdas, d)
     kind, _, rest = text.partition(":")
     try:
@@ -269,11 +323,11 @@ def parse_spectrum(text: str, d: int | None = None) -> Spectrum:
     except ValueError as exc:
         raise InvalidInput(f"cannot parse spectrum {text!r}: {exc}") from exc
     if kind == "exp" and len(args) == 2:
-        return exp_spectrum(args[0], int(args[1]), d if d is not None else 1)
+        return exp_spectrum(args[0], _whole(args[1], "p"), d if d is not None else 1)
     if kind == "poly" and len(args) == 2:
-        return poly_spectrum(args[0], int(args[1]), d if d is not None else 1)
+        return poly_spectrum(args[0], _whole(args[1], "p"), d if d is not None else 1)
     if kind == "spike" and len(args) == 4:
-        spectrum = spike_spectrum(args[0], args[1], int(args[2]), int(args[3]))
+        spectrum = spike_spectrum(args[0], args[1], _whole(args[2], "d"), _whole(args[3], "p"))
         if d is not None and d != spectrum.d:
             raise InvalidInput(f"d={d} conflicts with spike d={spectrum.d}")
         return spectrum

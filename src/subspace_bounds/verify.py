@@ -18,7 +18,8 @@ from .equivariance import (
     projector_leq_d,
     weighted_loss,
 )
-from .fisher import FisherForm, verify_fisher_limit
+from .errors import InvalidInput
+from .fisher import T_GRID, limit_report, rotation_grid
 from .linalg import SkewMatrix, skew_exp
 
 FD_STEPS = (1e-3, 1e-4, 1e-5)
@@ -30,19 +31,26 @@ def check_record(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "status": "PASS" if passed else "FAIL", "detail": detail}
 
 
-def fisher_limit_checks(form: FisherForm) -> list[dict]:
-    """One check record per generator L(i, j), i < j: chi2/t^2 extrapolated
-    to t = 0 against the closed-form Fisher value."""
-    p = form.p
+def fisher_limit_checks(models) -> list[dict]:
+    """One check record per model and generator L(i, j), i < j, in that order:
+    chi2/t^2 extrapolated to t = 0 against the closed-form Fisher value.  The
+    T_GRID rotations of every generator are built once, as one stack, and each
+    model scores the whole stack in one ``chi2`` call."""
+    p = models[0].p
+    if p < 2 or any(model.p != p for model in models):
+        raise InvalidInput("fisher-limit checks need models of one dimension p >= 2")
+    generators = [(i, j, generator(p, i, j)) for i in range(p - 1) for j in range(i + 1, p)]
+    rotations = np.concatenate([rotation_grid(xi) for _, _, xi in generators])
     checks = []
-    for i in range(p - 1):
-        for j in range(i + 1, p):
-            report = verify_fisher_limit(form, generator(p, i, j))
+    for model in models:
+        chi2 = model.chi2(rotations).reshape(len(generators), len(T_GRID))
+        for (i, j, xi), row in zip(generators, chi2):
+            report = limit_report(model, xi, row)
             detail = (
                 f"limit={report.extrapolated:.9g} "
                 f"closed={report.closed_form:.9g} rel_err={report.rel_error:.3e}"
             )
-            record = check_record(f"{form.kind} L({i},{j})", report.passed, detail)
+            record = check_record(f"{model.kind} L({i},{j})", report.passed, detail)
             checks.append({**record, "report": report.to_json_dict()})
     return checks
 

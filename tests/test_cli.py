@@ -48,6 +48,24 @@ class TestBoundCommand:
     def test_bad_spectrum_is_usage_error(self):
         assert run(["bound", "hs", "--spectrum", "nope:1", "--n", "4"]) == 2
 
+    @pytest.mark.parametrize(
+        "spectrum, extra",
+        [
+            ("exp:1,nan", []),
+            ("exp:1,inf", []),
+            ("{bad", []),
+            ('{"lambdas": [2, 1]}', []),
+            ('{"lambdas": "ab", "d": 1}', []),
+            ("exp:1,4.7", ["--d", "2"]),
+            ("spike:2,1,1.9,3", []),
+            ('{"lambdas": [2, 1], "d": 1.5}', []),
+        ],
+    )
+    def test_malformed_spectrum_is_one_line_usage_error(self, spectrum, extra, capsys):
+        assert run(["bound", "hs", "--spectrum", spectrum, *extra, "--n", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_precondition_failure_is_exit_3(self):
         # flat leading block: the excess bound's separation assumption fails
         assert (
@@ -139,6 +157,15 @@ class TestVerifyCommand:
         payload = json.loads(out.read_text())
         assert payload["status"] == "PASS"
         assert "1.5" in payload["checks"][0]["detail"]
+
+    def test_fisher_limit_needs_two_dimensions(self, tmp_path, capsys):
+        out = tmp_path / "fisher.json"
+        args = ["verify", "fisher-limit", "--spectrum", "exp:0.5,1", "--n", "5", "--out", str(out)]
+        assert run(args) == 2
+        assert capsys.readouterr().err == (
+            "error: --spectrum must have p >= 2 for fisher-limit, got p=1\n"
+        )
+        assert not out.exists()
 
     def test_derivatives_pass(self):
         assert run(["verify", "derivatives", "--p", "5", "--trials", "3", "--seed", "1"]) == 0
@@ -384,6 +411,31 @@ class TestReportCommand:
         assert run(args + extra) == 2
         assert capsys.readouterr().err == f"error: {flag} must be >= 1, got {value}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "5"), ("--workers", "3")])
+    def test_simulation_flags_need_simulate(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        args = ["report", "--family", "exp", "--p", "12", "--n", "1000", "--d-min", "3",
+                "--d-max", "4", flag, value, "--out", str(out)]
+        assert run(args) == 2
+        assert capsys.readouterr().err == f"error: report without --simulate does not read {flag}\n"
+        assert not out.exists()
+
+    def test_seed_variable_is_read_only_to_simulate(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SUBSPACE_BOUNDS_SEED", "abc")
+        args = ["report", "--family", "exp", "--alpha", "1", "--p", "12", "--n", "1000",
+                "--d-min", "3", "--d-max", "4"]
+        assert run(args + ["--out", str(tmp_path / "bound.csv")]) == 0
+        assert run(args + ["--simulate", "5", "--out", str(tmp_path / "sim.csv")]) == 2
+        assert "SUBSPACE_BOUNDS_SEED must be an integer" in capsys.readouterr().err
+
+    def test_absent_workers_reads_as_one(self, tmp_path):
+        args = ["report", "--family", "exp", "--alpha", "1", "--p", "6", "--n", "200",
+                "--d-min", "2", "--d-max", "3", "--simulate", "30", "--seed", "3"]
+        run(args + ["--out", str(tmp_path / "absent.csv")])
+        run(args + ["--workers", "1", "--out", str(tmp_path / "one.csv")])
+        absent = (tmp_path / "absent.csv").read_bytes()
+        assert absent == (tmp_path / "one.csv").read_bytes() and absent.count(b"\r\n") == 3
 
     def test_simulated_columns_appended(self, tmp_path):
         out = tmp_path / "sweep_sim.csv"

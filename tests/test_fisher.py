@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from subspace_bounds import (
     CovModel,
     DenoiseModel,
-    FisherForm,
+    InvalidInput,
     SkewMatrix,
     Spectrum,
     chi2_gauss_cov,
@@ -15,8 +17,9 @@ from subspace_bounds import (
     spike_spectrum,
     verify_fisher_limit,
 )
-from subspace_bounds.fisher import T_GRID, _chi2_cov, meanshift_quadratic
+from subspace_bounds.fisher import T_GRID
 from subspace_bounds.linalg import OrthMatrix, vech, vech_diag_mask
+from subspace_bounds.verify import fisher_limit_checks
 
 from conftest import random_skew_unit, random_spectrum
 
@@ -108,24 +111,18 @@ class TestFisherForms:
         xi = SkewMatrix(random_skew_unit(rng, p))
         scaled = SkewMatrix(3.0 * xi.a)
         spectrum = random_spectrum(rng, p, 2, min_gap=0.05)
-        for form in (
-            FisherForm(CovModel(spectrum, 2)),
-            FisherForm(DenoiseModel(spectrum, 0.7)),
-        ):
-            assert form.quad(scaled) == pytest.approx(9.0 * form.quad(xi), rel=1e-12)
-
-    def test_bilinear_symmetry_on_generators(self, rng):
-        spectrum = random_spectrum(rng, 4, 2, min_gap=0.05)
-        form = FisherForm(CovModel(spectrum, 3))
-        a, b = generator(4, 0, 2), generator(4, 1, 3)
-        assert form.pair(a, b) == pytest.approx(form.pair(b, a), abs=1e-12)
+        for model in (CovModel(spectrum, 2), DenoiseModel(spectrum, 0.7)):
+            assert fisher_quad(model, scaled) == pytest.approx(
+                9.0 * fisher_quad(model, xi), rel=1e-12
+            )
 
     def test_generator_quad_matches_quad(self, rng):
         spectrum = random_spectrum(rng, 5, 2, min_gap=0.05)
-        for form in (FisherForm(CovModel(spectrum, 4)), FisherForm(DenoiseModel(spectrum, 1.3))):
+        lam = spectrum.lambdas
+        for model in (CovModel(spectrum, 4), DenoiseModel(spectrum, 1.3)):
             for i, j in ((0, 3), (1, 4), (0, 1)):
-                assert form.generator_quad(i, j) == pytest.approx(
-                    form.quad(generator(5, i, j)), rel=1e-12
+                assert model.generator_fisher(lam[i], lam[j]) == pytest.approx(
+                    fisher_quad(model, generator(5, i, j)), rel=1e-12
                 )
 
 
@@ -169,9 +166,9 @@ class TestChiSquareCov:
         xi = SkewMatrix(random_skew_unit(rng, p))
         rotations = [skew_exp(xi, t) for t in T_GRID]
         single = np.array([chi2_gauss_cov(model, u) for u in rotations])
-        stacked = _chi2_cov(model, np.stack([u.a for u in rotations]))
+        stacked = model.chi2(np.stack([u.a for u in rotations]))
         assert stacked.tobytes() == single.tobytes()
-        ratios = verify_fisher_limit(FisherForm(model), xi).ratios
+        ratios = verify_fisher_limit(model, xi).ratios
         assert ratios == tuple(float(c / (t * t)) for c, t in zip(single, T_GRID))
 
     def test_zero_and_inf_are_decided_per_matrix(self):
@@ -183,7 +180,7 @@ class TestChiSquareCov:
             skew_exp(generator(2, 0, 1), np.pi / 2),
             skew_exp(generator(2, 0, 1), 1e-3),
         ]
-        stacked = _chi2_cov(model, np.stack([u.a for u in rotations]))
+        stacked = model.chi2(np.stack([u.a for u in rotations]))
         assert stacked[0] == 0.0 and stacked[1] == np.inf
         assert stacked[2] == chi2_gauss_cov(model, rotations[2]) > 0.0
 
@@ -199,13 +196,6 @@ class TestChiSquareMeanshift:
         u = skew_exp(generator(2, 0, 1), t)
         assert chi2_gauss_meanshift(model, u) / t**2 == pytest.approx(4.0, rel=1e-2)
 
-    def test_close_to_quadratic_form_when_small(self):
-        model = DenoiseModel(spike_spectrum(3, 1, 1, 3), sigma=1.0)
-        u = skew_exp(generator(3, 0, 2), 1e-2)
-        quad = meanshift_quadratic(model, u)
-        chi2 = chi2_gauss_meanshift(model, u)
-        assert abs(chi2 - quad) / quad < quad
-
     def test_matches_monte_carlo(self):
         model = DenoiseModel(Spectrum([3.0, 1.0], 1), sigma=1.0)
         u = skew_exp(generator(2, 0, 1), 0.3)
@@ -213,28 +203,60 @@ class TestChiSquareMeanshift:
         mc, se = mc_chi2_meanshift(model, u, 200_000, seed=43)
         assert abs(mc - closed) <= 3 * se
 
+    @pytest.mark.parametrize("p", [2, 6, 10])
+    def test_stack_matches_one_matrix_calls(self, p):
+        # a stacked 3-d matmul would move the last bits of the products
+        rng = np.random.default_rng(80 + p)
+        model = DenoiseModel(random_spectrum(rng, p, max(1, p // 3), min_gap=0.05), sigma=0.4)
+        xi = SkewMatrix(random_skew_unit(rng, p))
+        rotations = [skew_exp(xi, t) for t in (*T_GRID, 0.3)]
+        single = np.array([chi2_gauss_meanshift(model, u) for u in rotations])
+        stacked = model.chi2(np.stack([u.a for u in rotations]))
+        assert stacked.tobytes() == single.tobytes()
+
 
 class TestFisherLimit:
     def test_cov_example(self):
-        form = FisherForm(CovModel(spike_spectrum(2, 1, 1, 2), n=3))
-        report = verify_fisher_limit(form, generator(2, 0, 1))
+        model = CovModel(spike_spectrum(2, 1, 1, 2), n=3)
+        report = verify_fisher_limit(model, generator(2, 0, 1))
         assert report.passed
         assert report.extrapolated == pytest.approx(1.5, rel=1e-6)
 
     def test_equal_eigenvalues_limit_zero(self):
-        form = FisherForm(CovModel(spike_spectrum(2, 2, 1, 3), n=2))
-        report = verify_fisher_limit(form, generator(3, 0, 1))
+        model = CovModel(spike_spectrum(2, 2, 1, 3), n=2)
+        report = verify_fisher_limit(model, generator(3, 0, 1))
         assert report.passed
         assert report.closed_form == 0.0
 
     def test_denoise_example(self):
-        form = FisherForm(DenoiseModel(spike_spectrum(3, 1, 1, 2), sigma=2.0))
-        report = verify_fisher_limit(form, generator(2, 0, 1))
+        model = DenoiseModel(spike_spectrum(3, 1, 1, 2), sigma=2.0)
+        report = verify_fisher_limit(model, generator(2, 0, 1))
         assert report.passed
         assert report.extrapolated == pytest.approx(1.0, rel=1e-6)
 
     def test_report_serializes(self):
-        form = FisherForm(CovModel(spike_spectrum(2, 1, 1, 2), n=1))
-        payload = verify_fisher_limit(form, generator(2, 0, 1)).to_json_dict()
+        model = CovModel(spike_spectrum(2, 1, 1, 2), n=1)
+        payload = verify_fisher_limit(model, generator(2, 0, 1)).to_json_dict()
         assert payload["status"] == "PASS"
         assert len(payload["ratios"]) == 3
+
+
+class TestFisherLimitChecks:
+    @pytest.mark.parametrize("p", [2, 6, 10])
+    def test_stack_matches_one_report_per_generator(self, p):
+        rng = np.random.default_rng(90 + p)
+        spectrum = random_spectrum(rng, p, max(1, p // 2), min_gap=0.05)
+        models = [CovModel(spectrum, 20), DenoiseModel(spectrum, 0.6)]
+        order = [(model, i, j) for model in models for i in range(p - 1) for j in range(i + 1, p)]
+        reports = [verify_fisher_limit(m, generator(p, i, j)).to_json_dict() for m, i, j in order]
+        checks = fisher_limit_checks(models)
+        assert [c["name"] for c in checks] == [f"{m.kind} L({i},{j})" for m, i, j in order]
+        assert json.dumps([c["report"] for c in checks]) == json.dumps(reports)
+
+    def test_needs_two_dimensions_and_one_p(self):
+        with pytest.raises(InvalidInput):
+            fisher_limit_checks([CovModel(Spectrum([1.0], 1), 3)])
+        with pytest.raises(InvalidInput):
+            fisher_limit_checks(
+                [CovModel(spike_spectrum(2, 1, 1, 3), 3), DenoiseModel(spike_spectrum(2, 1, 1, 2), 1)]
+            )

@@ -223,3 +223,28 @@ class TestSpectrumShorthand:
             parse_spectrum("spike:1,2,1,4")  # increasing pair
         with pytest.raises(InvalidInput):
             parse_spectrum("spike:2,1,1,4", d=2)  # conflicting d
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "exp:1,nan",
+            "exp:1,inf",
+            "exp:1,4.7",
+            "poly:1,-inf",
+            "spike:2,1,1.9,3",
+            "spike:2,1,1,-3",
+            "{bad",
+            '{"lambdas": [2, 1]}',
+            '{"lambdas": "ab", "d": 1}',
+            '{"lambdas": [2, 1], "d": 1.5}',
+            '{"lambdas": [2, 1], "d": "one"}',
+        ],
+    )
+    def test_malformed_input_is_invalid(self, text):
+        with pytest.raises(InvalidInput):
+            parse_spectrum(text)
+
+    def test_whole_float_counts_are_accepted(self):
+        assert parse_spectrum("exp:1,10.0", d=2).p == 10
+        assert parse_spectrum("spike:2,1,2.0,4.0").d == 2
+        assert parse_spectrum('{"lambdas": [2, 1], "d": 1.0}').d == 1

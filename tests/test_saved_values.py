@@ -23,7 +23,6 @@ import pytest
 from subspace_bounds import (
     CovModel,
     DenoiseModel,
-    FisherForm,
     SkewMatrix,
     Spectrum,
     WeightMatrix,
@@ -32,6 +31,7 @@ from subspace_bounds import (
     denoise_lower_bound,
     excess_lower_bound,
     exp_spectrum,
+    fisher_quad,
     hs_lower_bound,
     optimize_delta,
     poly_spectrum,
@@ -59,14 +59,14 @@ INSTANCES = [(name, model, (loss,)) for name, model, loss in DOMINATION_CONFIGS]
 def _fisher_values(model, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     d, p = model.spectrum.d, model.p
-    form = FisherForm(model)
-    out = {"quad": form.quad(SkewMatrix(random_skew_unit(rng, p)))}
+    lam = model.spectrum.lambdas
+    out = {"quad": fisher_quad(model, SkewMatrix(random_skew_unit(rng, p)))}
     if p <= 8:
         pairs = [(i, j) for i in range(d) for j in range(d, p)]
     else:
         pairs = [(0, d), (d - 1, p - 1), (0, p - 1)]
     for i, j in pairs:
-        out[f"generator_quad {i},{j}"] = form.generator_quad(i, j)
+        out[f"generator_quad {i},{j}"] = float(model.generator_fisher(lam[i], lam[j]))
     z = rng.uniform(0.1, 1.0, (d, p - d))
     weights = WeightMatrix(rng.uniform(0.5, 2.0, (p, p)))
     out["cramer_rao_ratio"] = cramer_rao_ratio(model, weights, range(d), range(d, p), z)
