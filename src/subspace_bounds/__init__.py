@@ -40,7 +40,7 @@ from .equivariance import (
     random_projector,
     weighted_loss,
 )
-from .errors import ConditionNotMet, DegenerateGap, InvalidInput, NotConverged, Unsupported
+from .errors import ConditionNotMet, DegenerateGap, InvalidInput, NotConverged
 from .fisher import (
     FisherLimitReport,
     chi2_gauss_cov,

@@ -17,9 +17,9 @@ runs in numpy with the bits of the Python DFS.  Optimality is certified on
 every solve by the minimum cut that its last breadth-first search leaves,
 whose capacity must equal the flow to within 1e-9 of the flow.  The
 searches over mu and delta read each min cut as a line in the parameter
-and stop at a maximum that these lines certify.  A brute-force LP oracle (scipy HiGHS) provides
-an independent verification path for small instances and is used only by
-tests and the verify command.
+and stop at a maximum that these lines certify.  A sparse LP oracle (scipy
+HiGHS) provides an independent verification path at any size and is used
+only by tests and the verify command.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConditionNotMet, InvalidInput, Unsupported
+from .errors import ConditionNotMet, InvalidInput
 from .equivariance import WeightMatrix
 from .models import CovModel, DenoiseModel
 
@@ -71,10 +71,6 @@ class SubstochasticProgram:
     @property
     def shape(self) -> tuple:
         return self.caps.shape
-
-    def big_cap(self) -> float:
-        """Finite stand-in for infinite edge caps: can never bind."""
-        return float(self.row_caps.sum() + self.col_caps.sum() + 1.0)
 
 
 class FlowSolution(NamedTuple):
@@ -200,7 +196,8 @@ def substochastic_max(prog: SubstochasticProgram) -> FlowSolution:
     if nr == 0 or nc == 0:
         no_rows, no_cols, x = np.zeros(nr, dtype=bool), np.zeros(nc, dtype=bool), np.zeros((nr, nc))
         return FlowSolution(0.0, x, 0.0, no_rows, no_cols, x > 0.0, ~no_rows, no_cols)
-    caps = np.where(np.isinf(prog.caps), prog.big_cap(), prog.caps)
+    big = float(prog.row_caps.sum() + prog.col_caps.sum() + 1.0)  # an edge cap that never binds
+    caps = np.where(np.isinf(prog.caps), big, prog.caps)
     built = (caps > 0.0) & (prog.row_caps > 0.0)[:, None] & (prog.col_caps > 0.0)[None, :]
     rows, cols = np.nonzero(built)
     edge_caps = caps[built]
@@ -238,37 +235,31 @@ def substochastic_max(prog: SubstochasticProgram) -> FlowSolution:
     return FlowSolution(value, x, cut, tight_rows, tight_cols, tight_edges, rows_in, cols_in)
 
 
-LP_ORACLE_LIMIT = 16
-
-
 def lp_oracle(prog: SubstochasticProgram) -> float:
-    """Independent optimum via a dense LP solve (scipy HiGHS); tests only.
+    """Independent optimum via a sparse LP solve (scipy HiGHS); tests and verify only.
 
     Kept deliberately separate from the flow solver so the two routes
-    cross-validate each other.  Supports |I| * |J| <= 16.
+    cross-validate each other.  One variable per positive edge cap, an
+    infinite cap left unbounded; the constraint rows are the row sums, then
+    the column sums.  ``milp`` with no integrality is an LP solve.
     """
-    from scipy.optimize import linprog
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_array
 
     nr, nc = prog.shape
-    if nr * nc > LP_ORACLE_LIMIT:
-        raise Unsupported(f"lp_oracle supports at most {LP_ORACLE_LIMIT} variables")
-    if nr == 0 or nc == 0:
+    rows, cols = np.nonzero(prog.caps > 0.0)
+    nvar = len(rows)
+    if nvar == 0:
         return 0.0
-    big = prog.big_cap()
-    ub = np.where(np.isinf(prog.caps), big, prog.caps).ravel()
-    nvar = nr * nc
-    a_rows = np.zeros((nr, nvar))
-    for i in range(nr):
-        a_rows[i, i * nc : (i + 1) * nc] = 1.0
-    a_cols = np.zeros((nc, nvar))
-    for j in range(nc):
-        a_cols[j, j::nc] = 1.0
-    res = linprog(
-        c=-np.ones(nvar),
-        A_ub=np.vstack([a_rows, a_cols]),
-        b_ub=np.concatenate([prog.row_caps, prog.col_caps]),
-        bounds=list(zip(np.zeros(nvar), ub)),
-        method="highs",
+    var = np.arange(nvar)
+    a = csr_array(
+        (np.ones(2 * nvar), (np.concatenate([rows, nr + cols]), np.concatenate([var, var]))),
+        shape=(nr + nc, nvar),
+    )
+    res = milp(
+        -np.ones(nvar),
+        constraints=LinearConstraint(a, -np.inf, np.concatenate([prog.row_caps, prog.col_caps])),
+        bounds=Bounds(0.0, prog.caps[rows, cols]),
     )
     if not res.success:
         raise RuntimeError(f"LP oracle failed: {res.message}")
@@ -508,7 +499,7 @@ def _excess_program(model: CovModel, mu: float, r: int, s: int) -> Substochastic
     gaps = lam[:r, None] - lam[None, s:]
     caps = gaps / _fisher_rectangle(model, range(r), range(s, model.p))
     if not np.all(np.isfinite(caps)) or np.any(caps <= 0):
-        raise RuntimeError("excess caps must be finite and positive inside the rectangle")
+        raise InvalidInput("excess caps must be finite and positive inside the rectangle")
     row_caps = np.maximum(lam[:r] - mu, 0.0)
     col_caps = np.maximum(mu - lam[s:], 0.0)
     return SubstochasticProgram(caps, row_caps, col_caps)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bounds, risksim, verify
 from .equivariance import random_projector
-from .errors import ConditionNotMet, DegenerateGap, InvalidInput, NotConverged, Unsupported
+from .errors import ConditionNotMet, DegenerateGap, InvalidInput, NotConverged
 from .linalg import SkewMatrix
 from .models import (
     CovModel,
@@ -89,12 +89,16 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 def _seed_from(args) -> int:
     if getattr(args, "seed", None) is not None:
-        return args.seed
-    text = os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from exc
+        seed, name = args.seed, "--seed"
+    else:
+        text = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            seed, name = int(text), SEED_ENV_VAR
+        except ValueError as exc:
+            raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from exc
+    if seed < 0:
+        raise _UsageError(f"{name} must be >= 0, got {seed}")
+    return seed
 
 
 def _spectrum(args):
@@ -379,14 +383,14 @@ def cmd_report(args) -> int:
     simulate = args.simulate is not None
     command = "report" if simulate else "report without --simulate"
     _reject_unread(args, command, ("p", "n", "seed", "workers") if simulate else ("p", "n"))
-    _require_positive(args, "simulate", "workers")
+    _require_positive(args, "n", "simulate", "workers")
+    if args.d_min < 1 or args.d_max >= args.p:
+        raise _UsageError(f"every d must be in 1..p-1={args.p - 1}, got {args.d_min}..{args.d_max}")
     seed = _seed_from(args) if simulate else None
     rows = []
     ratios = []
     ds = list(range(args.d_min, args.d_max + 1))
     for d in ds:
-        if not 1 <= d < args.p:
-            raise _UsageError(f"d={d} must satisfy 1 <= d < p={args.p}")
         if args.family == "exp":
             spectrum = exp_spectrum(args.alpha, args.p, d)
             shape = d * np.exp(-args.alpha * d) / args.n
@@ -429,6 +433,8 @@ def cmd_report(args) -> int:
     print(f"ratio band: min {lo:.4g}, max {hi:.4g}, spread x{hi / lo:.3f}, center {center:.4g}")
     if args.family == "exp":
         valid = [(d, r) for d, r in zip(ds, rows) if r[6]]
+        if len(valid) < 2:
+            raise _UsageError("the exp slope fit needs two or more d that satisfy the bound condition")
         xs = np.array([d for d, _ in valid], dtype=float)
         ys = np.array([np.log(r[7] * args.n) - np.log(d) for d, r in valid])
         slope = float(np.polyfit(xs, ys, 1)[0])
@@ -518,7 +524,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InvalidInput, ConditionNotMet, DegenerateGap, Unsupported) as exc:
+    except (InvalidInput, ConditionNotMet, DegenerateGap) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except NotConverged as exc:

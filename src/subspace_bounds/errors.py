@@ -5,10 +5,6 @@ class InvalidInput(ValueError):
     """An argument violates a documented precondition."""
 
 
-class Unsupported(RuntimeError):
-    """The requested instance is outside the supported size range."""
-
-
 class ConditionNotMet(RuntimeError):
     """A closed-form bound was requested outside its validity condition."""
 

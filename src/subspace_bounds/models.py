@@ -131,8 +131,8 @@ class DenoiseModel:
     kind = "denoising"
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise InvalidInput("sigma must be > 0")
+        if not (self.sigma > 0 and 0 < self.sigma * self.sigma < np.inf):
+            raise InvalidInput(f"sigma must be > 0 with sigma^2 > 0 and finite, got {self.sigma:g}")
         if self.spectrum.lambdas[-1] < 0:
             raise InvalidInput("denoising model requires nonnegative eigenvalues")
 

@@ -57,6 +57,8 @@ class SimConfig:
             raise InvalidInput(f"loss must be one of {LOSS_TAGS}")
         if self.loss == "excess" and not isinstance(self.model, CovModel):
             raise InvalidInput("excess loss is defined for the covariance model only")
+        if self.seed < 0:
+            raise InvalidInput("seed must be >= 0")
         if self.replicates < 1:
             raise InvalidInput("replicates must be >= 1")
         if self.workers < 1:

@@ -15,7 +15,6 @@ from subspace_bounds import (
     InvalidInput,
     Spectrum,
     SubstochasticProgram,
-    Unsupported,
     WeightMatrix,
     canonical_bound,
     cramer_rao_ratio,
@@ -26,6 +25,7 @@ from subspace_bounds import (
     hs_lower_bound,
     lp_oracle,
     optimize_delta,
+    poly_spectrum,
     relrank_bound,
     relrank_condition,
     singleton_max,
@@ -125,46 +125,22 @@ def _brute_force_delta(model):
     return best, caps.shape
 
 
-def large_programs():
-    """The programs of three bound_solve instances at d = p/2: hs exp:0.02,400
-    n=1000 (Dinic takes two phases), excess exp:0.02,400 n=1000 at mid mu,
-    and denoise exp:0.02,200 sigma=0.1."""
-    cov = CovModel(exp_spectrum(0.02, 400, 200), 1000)
-    denoise = DenoiseModel(exp_spectrum(0.02, 200, 100), 0.1)
-    lam = cov.spectrum.lambdas
-    mid_mu = 0.5 * (lam[199] + lam[200])
-    return {
-        "hs": bounds._rectangle_solve(cov, 1.0)[0],
-        "excess": bounds._excess_program(cov, mid_mu, *bounds._excess_index_sets(cov)),
-        "denoise": bounds._rectangle_solve(denoise, 1.0)[0],
-    }
-
-
-def sparse_lp_mass(prog):
-    """The program's optimum as a sparse LP (scipy HiGHS), feasibility tolerances 1e-10."""
-    from scipy import sparse
-    from scipy.optimize import linprog
-
-    nr, nc = prog.shape
-    var = np.arange(nr * nc)
-    ones = np.ones(nr * nc)
-    a_ub = sparse.vstack(
-        [
-            sparse.csr_matrix((ones, (var // nc, var)), shape=(nr, nr * nc)),
-            sparse.csr_matrix((ones, (var % nc, var)), shape=(nc, nr * nc)),
-        ]
-    )
-    ub = np.where(np.isinf(prog.caps), prog.big_cap(), prog.caps).ravel()
-    res = linprog(
-        -ones,
-        A_ub=a_ub,
-        b_ub=np.concatenate([prog.row_caps, prog.col_caps]),
-        bounds=np.column_stack([np.zeros(nr * nc), ub]),
-        method="highs",
-        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
-    )
-    assert res.success
-    return -res.fun
+# (bound, family, alpha, p, n or sigma) of the benchmark's 13 single solves.
+BOUND_SOLVE_INSTANCES = (
+    ("hs", "exp", 0.02, 100, 1000),
+    ("hs", "exp", 0.02, 200, 1000),
+    ("hs", "exp", 0.02, 400, 1000),
+    ("hs", "poly", 1.0, 100, 100000),
+    ("hs", "poly", 1.0, 200, 100000),
+    ("hs", "poly", 1.0, 400, 100000),
+    ("denoise", "exp", 0.02, 100, 0.1),
+    ("denoise", "exp", 0.02, 150, 0.1),
+    ("denoise", "exp", 0.02, 200, 0.1),
+    ("denoise", "poly", 1.0, 200, 1e-3),
+    ("excess", "exp", 0.02, 200, 1000),
+    ("excess", "exp", 0.02, 400, 1000),
+    ("excess", "poly", 1.0, 100, 100000),
+)
 
 
 def reference_solution(prog):
@@ -194,8 +170,31 @@ def scaled(prog, k):
 
 
 @pytest.fixture(scope="module")
-def large():
-    return large_programs()
+def solve_programs():
+    """The programs of the 13 bound_solve instances at d = p/2, keyed by
+    (bound, family, p): delta = 1 for hs and denoise, and mu halfway between
+    lam_d and lam_{d+1} for excess."""
+    out = {}
+    for bound, family, alpha, p, param in BOUND_SOLVE_INSTANCES:
+        spectrum = (exp_spectrum if family == "exp" else poly_spectrum)(alpha, p, p // 2)
+        if bound == "denoise":
+            prog = bounds._rectangle_solve(DenoiseModel(spectrum, param), 1.0)[0]
+        elif bound == "hs":
+            prog = bounds._rectangle_solve(CovModel(spectrum, param), 1.0)[0]
+        else:
+            model, lam = CovModel(spectrum, param), spectrum.lambdas
+            mid_mu = 0.5 * (lam[p // 2 - 1] + lam[p // 2])
+            prog = bounds._excess_program(model, mid_mu, *bounds._excess_index_sets(model))
+        out[bound, family, p] = prog
+    return out
+
+
+@pytest.fixture(scope="module")
+def large(solve_programs):
+    """hs exp:0.02,400 n=1000 (Dinic takes two phases; 200 x 200), excess
+    exp:0.02,400 n=1000 at mid mu, and denoise exp:0.02,200 sigma=0.1."""
+    keys = {"hs": 400, "excess": 400, "denoise": 200}
+    return {name: solve_programs[name, "exp", p] for name, p in keys.items()}
 
 
 class TestSubstochasticMax:
@@ -241,10 +240,9 @@ class TestSubstochasticMax:
             assert np.all(sol.x.sum(axis=1) <= prog.row_caps + 1e-9)
             assert np.all(sol.x.sum(axis=0) <= prog.col_caps + 1e-9)
 
-    def test_matches_dense_lp_on_larger_instances(self, large):
-        """Beyond the oracle's size cap, check the flow solver against a
-        sparse LP: random rectangles of the bound assemblies' sizes, and the
-        programs of three bound_solve instances at p = 200 and 400."""
+    def test_matches_lp_oracle_at_bound_sizes(self, solve_programs):
+        """Random rectangles of the bound assemblies' sizes, and the programs
+        of all 13 bound_solve instances at p = 100..400."""
         rng = np.random.default_rng(51)
         for _ in range(10):
             nr, nc = int(rng.integers(5, 9)), int(rng.integers(6, 13))
@@ -253,10 +251,11 @@ class TestSubstochasticMax:
             prog = SubstochasticProgram(
                 caps, rng.uniform(0.05, 2.0, nr), rng.uniform(0.05, 2.0, nc)
             )
-            assert abs(substochastic_max(prog).value - sparse_lp_mass(prog)) <= 1e-8
-        for prog in large.values():
+            assert abs(substochastic_max(prog).value - lp_oracle(prog)) <= 1e-8
+        assert len(solve_programs) == 13
+        for key, prog in solve_programs.items():
             value = substochastic_max(prog).value
-            assert abs(value - sparse_lp_mass(prog)) <= 1e-9 * value
+            assert abs(value - lp_oracle(prog)) <= 1e-9 * value, key
 
     def test_monotone_in_capacities(self):
         rng = np.random.default_rng(19)
@@ -314,11 +313,13 @@ class TestLpOracle:
     def test_zero_caps(self):
         prog = SubstochasticProgram([[0.0, 0.0]], [1.0], [1.0, 1.0])
         assert lp_oracle(prog) == pytest.approx(0.0, abs=1e-12)
+        assert lp_oracle(SubstochasticProgram(np.zeros((0, 3)), [], np.ones(3))) == 0.0
 
-    def test_too_large_rejected(self):
-        prog = SubstochasticProgram(np.ones((5, 4)), np.ones(5), np.ones(4))
-        with pytest.raises(Unsupported):
-            lp_oracle(prog)
+    def test_agrees_at_40k_variables(self, large):
+        prog = large["hs"]
+        assert np.count_nonzero(prog.caps > 0.0) == 40_000
+        value = substochastic_max(prog).value
+        assert abs(value - lp_oracle(prog)) <= 1e-9 * value
 
 
 class TestHsLowerBound:
@@ -432,6 +433,12 @@ class TestExcessLowerBound:
     def test_precondition_flat_leading_block(self):
         model = CovModel(spike_spectrum(2, 2, 1, 3), n=10)
         with pytest.raises(InvalidInput):
+            excess_lower_bound(model, mu="auto")
+
+    def test_overflowing_fisher_information_is_invalid_input(self):
+        # n (lam_1 - lam_2)^2 / (lam_1 lam_2) overflows, so the cap gap / I is 0
+        model = CovModel(spike_spectrum(1e300, 1e-300, 1, 3), n=5)
+        with pytest.raises(InvalidInput, match="excess caps must be finite and positive"):
             excess_lower_bound(model, mu="auto")
 
     def test_auto_dominates_grid(self):

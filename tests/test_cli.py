@@ -101,6 +101,14 @@ class TestBoundCommand:
         assert run(args) == 3
         assert capsys.readouterr().err == "precondition failed: delta must be finite and > 0\n"
 
+    @pytest.mark.parametrize("sigma", ["1e300", "1e-300", "inf", "nan"])
+    @pytest.mark.parametrize("delta", [[], ["--delta", "auto"]])
+    def test_sigma_squared_out_of_range_is_exit_3(self, sigma, delta, capsys):
+        args = ["bound", "denoise", "--spectrum", "exp:1,3", "--d", "1", "--sigma", sigma, *delta]
+        assert run(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("precondition failed: sigma must be > 0") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "args, flag",
         [
@@ -229,6 +237,30 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == f"error: verify {suite} does not read {flag}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("sigma", ["1e300", "1e-300", "inf", "nan"])
+    def test_fisher_limit_sigma_squared_out_of_range_is_exit_3(self, sigma, tmp_path, capsys):
+        out = tmp_path / "verify.json"
+        args = ["verify", "fisher-limit", "--spectrum", "exp:1,3", "--d", "1", "--sigma", sigma]
+        assert run([*args, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("precondition failed: sigma must be > 0") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["lp-oracle", "--trials", "1", "--seed", "-1"],
+            ["loss-identity", "--p", "2", "--d", "1", "--trials", "1", "--seed", "-5"],
+            ["derivatives", "--p", "3", "--trials", "1", "--seed", "-2"],
+        ],
+    )
+    def test_negative_seed_is_usage_error(self, args, tmp_path, capsys):
+        out = tmp_path / "verify.json"
+        assert run(["verify", *args, "--out", str(out)]) == 2
+        seed = args[args.index("--seed") + 1]
+        assert capsys.readouterr().err == f"error: --seed must be >= 0, got {seed}\n"
+        assert not out.exists()
+
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["verify", "everything"])
@@ -327,6 +359,28 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: SUBSPACE_BOUNDS_SEED must be an integer, got 'abc'"]
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        args = ["simulate", "--loss", "hs", "--spectrum", "exp:1,3", "--d", "1", "--n", "5",
+                "--reps", "2", "--seed", "-1", "--out", str(tmp_path / "sim.csv")]
+        assert run(args) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not (tmp_path / "sim.csv").exists()
+
+    def test_negative_seed_env_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("SUBSPACE_BOUNDS_SEED", "-3")
+        args = [a for a in self.ARGS if a not in ("--seed", "1")]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: SUBSPACE_BOUNDS_SEED must be >= 0, got -3"]
+
+    @pytest.mark.parametrize("sigma", ["1e300", "1e-300", "inf", "nan"])
+    def test_sigma_squared_out_of_range_is_exit_3(self, sigma, tmp_path, capsys):
+        args = ["simulate", "--loss", "hs", "--spectrum", "exp:1,3", "--d", "1", "--sigma", sigma,
+                "--reps", "2", "--seed", "1", "--out", str(tmp_path / "sim.csv")]
+        assert run(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("precondition failed: sigma must be > 0") and err.count("\n") == 1
+
     def test_sweep_cap_is_one_line_exit_5(self, monkeypatch, capsys):
         import subspace_bounds.linalg as linalg
 
@@ -412,6 +466,24 @@ class TestReportCommand:
         assert capsys.readouterr().err == f"error: {flag} must be >= 1, got {value}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "n, d_min, d_max, err",
+        [
+            ("0", "2", "3", "--n must be >= 1, got 0"),
+            ("-1", "2", "3", "--n must be >= 1, got -1"),
+            ("200", "0", "3", "every d must be in 1..p-1=5, got 0..3"),
+            ("200", "2", "6", "every d must be in 1..p-1=5, got 2..6"),
+            ("200", str(-(2**63)), str(2**63), f"every d must be in 1..p-1=5, got {-(2**63)}..{2**63}"),
+        ],
+    )
+    def test_bad_n_or_d_range_is_usage_error(self, n, d_min, d_max, err, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        args = ["report", "--family", "poly", "--p", "6", "--n", n, "--d-min", d_min,
+                "--d-max", d_max, "--out", str(out)]
+        assert run(args) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--seed", "5"), ("--workers", "3")])
     def test_simulation_flags_need_simulate(self, flag, value, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -428,6 +500,13 @@ class TestReportCommand:
         assert run(args + ["--out", str(tmp_path / "bound.csv")]) == 0
         assert run(args + ["--simulate", "5", "--out", str(tmp_path / "sim.csv")]) == 2
         assert "SUBSPACE_BOUNDS_SEED must be an integer" in capsys.readouterr().err
+
+    def test_one_point_slope_fit_is_usage_error(self, capsys):
+        args = ["report", "--family", "exp", "--alpha", "1", "--p", "12", "--n", "1000000",
+                "--d-min", "3", "--d-max", "3"]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the exp slope fit needs two or more d") and err.count("\n") == 1
 
     def test_absent_workers_reads_as_one(self, tmp_path):
         args = ["report", "--family", "exp", "--alpha", "1", "--p", "6", "--n", "200",

@@ -48,6 +48,11 @@ class TestSpectrum:
         with pytest.raises(InvalidInput):
             DenoiseModel(Spectrum([1.0, 0.5], 1), 0.0)
 
+    @pytest.mark.parametrize("sigma", [1e300, 1e-300, np.inf, np.nan, -1.0])
+    def test_denoise_sigma_squared_must_be_positive_and_finite(self, sigma):
+        with pytest.raises(InvalidInput, match="sigma must be > 0"):
+            DenoiseModel(Spectrum([1.0, 0.5], 1), sigma)
+
 
 class TestRngStream:
     def test_same_key_identical_bytes(self):
@@ -155,12 +160,13 @@ class TestSamplers:
         assert stats.ks_2samp(plain, conj).pvalue > KS_ALPHA
 
     def test_denoise_noiseless_limit(self):
-        model = DenoiseModel(Spectrum([3.0, 1.0, 0.0], 2), sigma=1e-300)
+        # the smallest decade whose square is still a positive float
+        model = DenoiseModel(Spectrum([3.0, 1.0, 0.0], 2), sigma=1e-150)
         g = RngStream(8, 0).generator()
         u = haar_orthogonal(3, g)
         signal = (u.a * model.spectrum.lambdas) @ u.a.T
         x = sample_denoise(model, u, g)
-        np.testing.assert_allclose(x.a, signal, atol=1e-290)
+        np.testing.assert_allclose(x.a, signal, atol=1e-140)
 
     def test_denoise_unbiased(self):
         model = DenoiseModel(Spectrum([3.0, 1.0], 1), sigma=1.0)

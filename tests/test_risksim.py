@@ -95,6 +95,10 @@ class TestBayesRisk:
         with pytest.raises(InvalidInput):
             SimConfig(dm, "excess", replicates=10, seed=0)
 
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(InvalidInput, match="seed must be >= 0"):
+            SimConfig(self.MODEL, "hs_squared", replicates=10, seed=-1)
+
     def test_replicates_must_be_positive(self):
         with pytest.raises(InvalidInput):
             SimConfig(self.MODEL, "hs_squared", replicates=0, seed=0)
