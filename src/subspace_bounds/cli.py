@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 usage error, 3 precondition failure (also a
 simulated replicate whose eigenvalue gap stays degenerate after every
 resample), 4 a verification or domination check failed (a sentinel for
 implementation bugs: the inequalities it guards are mathematically
-guaranteed), 5 a numerical solver stopped at its iteration cap.  All
+guaranteed), 5 the LAPACK eigensolver did not converge.  All
 artifacts are deterministic given flags and seed: JSON is dumped with
 sorted keys and CSV rows use shortest round-trip float formatting.
 """
@@ -222,6 +222,8 @@ def cmd_simulate(args) -> int:
     command = f"simulate --loss {args.loss} --{model_flag}"
     _reject_unread(args, command, ("spectrum", "d", "seed", "workers") + reads)
     _require_positive(args, "reps", "workers")
+    if args.reps < 2:
+        raise _UsageError(f"--reps must be >= 2: one replicate has no standard error, got {args.reps}")
     spectrum = _spectrum(args)
     seed = _seed_from(args)
     delta = 1.0 if args.delta is None else args.delta

@@ -14,4 +14,4 @@ class DegenerateGap(RuntimeError):
 
 
 class NotConverged(RuntimeError):
-    """An iterative solver stopped at its iteration cap before converging."""
+    """A numerical solver did not converge (LAPACK's symmetric eigensolver failed)."""

@@ -1,10 +1,12 @@
 """Dense real matrix kernel.
 
-Symmetric eigendecomposition (cyclic Jacobi, for one matrix or a stack),
-skew-symmetric matrix exponential (scaling and squaring), half-vectorization
-and the trace inner product.  Everything here is deterministic: identical
-inputs produce bit-identical outputs, which downstream Monte Carlo code
-relies on.
+Symmetric eigendecomposition (LAPACK's ``eigh``, for one matrix or a
+stack, under a fixed order and sign convention), skew-symmetric matrix
+exponential (scaling and squaring), half-vectorization and the trace inner
+product.  Everything here is deterministic: with one numpy and LAPACK
+build, identical inputs produce bit-identical outputs, and a matrix gets
+the same eigendecomposition alone as in any stack, which downstream Monte
+Carlo code relies on.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import numpy as np
 
 from .errors import InvalidInput, NotConverged
 
-# No compiled kernel: the eigensolver is plain numpy.  perfbench/run.py
-# reads this flag for its machine record.
+# No compiled kernel of the package's own: the eigensolver is numpy's LAPACK.
+# perfbench/run.py reads this flag for its machine record.
 _HAVE_NUMBA = False
 
 
@@ -124,93 +126,6 @@ class EigDecomp:
         return (v * self.values) @ v.T
 
 
-MAX_SWEEPS = 60  # Jacobi sweep cap; reaching it raises NotConverged
-SKIP_TOL = 1e-300  # off-diagonal entries this small are not rotated away
-
-
-def _sequential_sum(x: np.ndarray) -> np.ndarray:
-    """Sum along the last axis, adding left to right: ((x_0 + x_1) + x_2) + ..."""
-    if x.shape[-1] == 0:
-        return np.zeros(x.shape[:-1])
-    return np.cumsum(x, axis=-1)[..., -1]
-
-
-def _rotate_batch(w: np.ndarray, n: int, p: int, q: int) -> None:
-    """The Jacobi rotation that zeroes entry (p, q), on every matrix of the stack w.
-
-    w holds each matrix in rows 0..n-1 and its rotation accumulator in rows
-    n..2n-1.  With tau = (a_qq - a_pp) / (2 a_pq), t = sign(tau) / (|tau| +
-    sqrt(1 + tau^2)) (sign +1 at tau = 0), c = 1 / sqrt(1 + t^2) and s = t c,
-    column p becomes col_p c - col_q s and column q col_q c + col_p s, both
-    from the old columns; then a_pp -= t a_pq, a_qq += t a_pq, a_pq = a_qp = 0,
-    and rows p and q copy the new columns.  Matrices whose |a_pq| is at
-    most SKIP_TOL keep their old values.
-    """
-    apq, app, aqq = w[:, p, q], w[:, p, p], w[:, q, q]
-    skip = np.abs(apq) <= SKIP_TOL
-    masked = bool(skip.any())
-    if masked:
-        if skip.all():
-            return
-        apq = np.where(skip, 1.0, apq)
-    tau = (aqq - app) / (2.0 * apq)
-    # 1/(tau + r) for tau >= 0 and -1/(-tau + r) below, in one expression.
-    t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-    c, s = c[:, None], s[:, None]
-    col_p, col_q = w[:, :, p], w[:, :, q]
-    new_p = col_p * c - col_q * s
-    new_q = col_q * c + col_p * s
-    shift = t * apq
-    new_p[:, p] = app - shift
-    new_p[:, q] = 0.0
-    new_q[:, q] = aqq + shift
-    new_q[:, p] = 0.0
-    if masked:
-        new_p = np.where(skip[:, None], col_p, new_p)
-        new_q = np.where(skip[:, None], col_q, new_q)
-    w[:, :, p] = new_p
-    w[:, :, q] = new_q
-    w[:, p, :] = new_p[:, :n]
-    w[:, q, :] = new_q[:, :n]
-
-
-def _jacobi_batch(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cyclic Jacobi sweeps on each matrix of a (B, n, n) stack, in place,
-    accumulating the rotations into the stack v.
-
-    A matrix of Frobenius norm 0 does no sweep.  Each sweep stops a matrix
-    once sqrt(2 off) <= 1e-15 norm, and rotates the others at every (p, q),
-    p < q, in row-major order; the squares in norm (all entries) and off
-    (the upper triangle) are summed left to right in row-major order.
-    Every numpy operation is elementwise across the unconverged matrices,
-    so a matrix gets the same bits alone as in any stack.  Returns the
-    sweep at which each matrix stopped, or MAX_SWEEPS if it never did.
-    """
-    count, n = a.shape[0], a.shape[1]
-    sweeps = np.zeros(count, dtype=np.int64)
-    fro = np.sqrt(_sequential_sum((a * a).reshape(count, n * n)))
-    live = np.flatnonzero(fro != 0.0)
-    work, tol = np.concatenate([a[live], v[live]], axis=1), 1e-15 * fro[live]
-    upper = np.triu_indices(n, 1)  # row-major
-    for sweep in range(MAX_SWEEPS):
-        off_diag = work[:, upper[0], upper[1]]
-        done = np.sqrt(2.0 * _sequential_sum(off_diag * off_diag)) <= tol
-        if done.any():
-            out = live[done]
-            a[out], v[out], sweeps[out] = work[done, :n], work[done, n:], sweep
-            rest = ~done
-            live, work, tol = live[rest], work[rest], tol[rest]
-        if not live.size:
-            return sweeps
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _rotate_batch(work, n, p, q)
-    a[live], v[live], sweeps[live] = work[:, :n], work[:, n:], MAX_SWEEPS
-    return sweeps
-
-
 def _sort_and_sign(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Order (B, n) eigenvalues non-increasing (stable) with their (B, n, n)
     vector columns, and make each vector's first coordinate with magnitude
@@ -226,24 +141,23 @@ def _sort_and_sign(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def sym_eig_batch(stack) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of every matrix of a (B, n, n) stack by cyclic Jacobi rotations.
+    """Eigendecomposition of every matrix of a (B, n, n) stack by LAPACK (``np.linalg.eigh``).
 
     Each matrix is symmetrized as SymMatrix does and gets the same bits
     alone as in any stack.  Returns (values, vectors): values (B, n), sorted
     non-increasing (stable sort), and vectors (B, n, n), eigenvectors in
     columns, each with its first coordinate of magnitude above 1e-12
-    positive.  Raises NotConverged if any matrix reaches the sweep cap.
+    positive.  Raises NotConverged if LAPACK reports no convergence.
     """
     a = np.asarray(stack, dtype=np.float64)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise InvalidInput(f"expected a stack of square matrices, got shape {a.shape}")
-    work = symmetrized(a)
-    vecs = np.broadcast_to(np.eye(a.shape[1]), a.shape).copy()
-    capped = np.flatnonzero(_jacobi_batch(work, vecs) >= MAX_SWEEPS)
-    if capped.size:
-        where = f"on matrix {capped[0]} of {a.shape[0]}"
-        raise NotConverged(f"Jacobi eigensolver reached the {MAX_SWEEPS}-sweep cap {where}")
-    vals, vecs = _sort_and_sign(np.diagonal(work, axis1=1, axis2=2), vecs)
+    sym = symmetrized(a)
+    try:
+        vals, vecs = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise NotConverged(f"LAPACK eigensolver failed: {exc}") from exc
+    vals, vecs = _sort_and_sign(vals, vecs)
     _require_sorted(vals)
     require_orthogonal(vecs)
     return vals, vecs

@@ -88,9 +88,12 @@ class CovModel:
         return self.spectrum.p
 
     def generator_fisher(self, li, lj):
-        """Fisher information n (lam_i - lam_j)^2 / (lam_i lam_j) along L(i, j); broadcasts."""
+        """Fisher information n (lam_i - lam_j)^2 / (lam_i lam_j) along L(i, j); broadcasts.
+
+        Computed as n (gap / lam_i) (gap / lam_j), from eigenvalue ratios, so
+        it neither overflows nor underflows when the spectrum is rescaled."""
         gap = li - lj
-        return self.n * gap * gap / (li * lj)
+        return self.n * (gap / li) * (gap / lj)
 
     def chi2(self, u: np.ndarray) -> np.ndarray:
         """chi-square divergence of the n-sample law at each basis of a (B, p, p)
@@ -141,9 +144,11 @@ class DenoiseModel:
         return self.spectrum.p
 
     def generator_fisher(self, li, lj):
-        """Fisher information (lam_i - lam_j)^2 / sigma^2 along L(i, j); broadcasts."""
-        gap = li - lj
-        return gap * gap / self.sigma**2
+        """Fisher information ((lam_i - lam_j) / sigma)^2 along L(i, j); broadcasts.
+
+        The gap is divided by sigma before squaring, so the value does not
+        depend on the scale of lam and sigma together."""
+        return ((li - lj) / self.sigma) ** 2
 
     def chi2(self, u: np.ndarray) -> np.ndarray:
         """chi-square divergence of the law at each basis of a (B, p, p) stack from

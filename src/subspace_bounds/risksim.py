@@ -31,6 +31,7 @@ from .models import (
     CovModel,
     DenoiseModel,
     RngStream,
+    _as_generator,
     empirical_cov,
     haar_orthogonal_batch,
 )
@@ -255,7 +256,7 @@ def overlap_clt(model: CovModel, i: int, j: int, replicates: int, rng) -> Overla
         raise InvalidInput("overlap scale is undefined for equal eigenvalues")
     if replicates < 2:
         raise InvalidInput("need at least 2 replicates")
-    g = rng.generator() if isinstance(rng, RngStream) else rng
+    g = _as_generator(rng)
     ident = np.eye(p)
     values = np.empty(replicates)
     for lo in range(0, replicates, CHUNK):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from subspace_bounds import Spectrum
+
+# Every property test draws the same examples on every run, so tier-1 is deterministic.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def random_spectrum(rng, p, d, min_gap=0.0, low=0.2, high=3.0) -> Spectrum:

@@ -658,3 +658,71 @@ class TestCramerRaoRatio:
         w = WeightMatrix(np.array([[0.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(InvalidInput):
             cramer_rao_ratio(model, w, [0], [1], [[1.0]])
+
+
+def _outcome(compute):
+    """compute()'s value, or InvalidInput if it raises that."""
+    try:
+        return compute()
+    except InvalidInput:
+        return InvalidInput
+
+
+def _searched_delta_and_value(model):
+    delta, result = optimize_delta(model)
+    return delta, result.value
+
+
+@st.composite
+def scale_cases(draw):
+    """(lambdas, d, n, sigma, k): eigenvalues in eighths from 1/8 to 8 (ties allowed),
+    a rank d < p, a sample size, a noise level and a decimal scale exponent."""
+    p = draw(st.integers(2, 7))
+    eighths = sorted(draw(st.lists(st.integers(1, 64), min_size=p, max_size=p)), reverse=True)
+    return (
+        [m / 8.0 for m in eighths],
+        draw(st.integers(1, p - 1)),
+        draw(st.sampled_from([1, 5, 50, 1000, 10**4])),
+        draw(st.sampled_from([0.1, 0.5, 1.0, 3.0])),
+        draw(st.integers(-300, 300)),
+    )
+
+
+class TestScaleInvariance:
+    """Rescaling the spectrum by 10^k (and sigma with it) leaves the hs and
+    denoising bounds unchanged and scales the excess bound by 10^k, to 1e-12
+    relative, or the library rejects both problems: the bounds depend on
+    eigenvalue ratios only, and no intermediate may overflow or underflow."""
+
+    @staticmethod
+    def _assert_same(unscaled, scaled):
+        if unscaled is InvalidInput or scaled is InvalidInput:
+            assert unscaled is scaled
+        else:
+            assert scaled == pytest.approx(unscaled, rel=1e-12, abs=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200)
+    @given(scale_cases())
+    def test_bounds_follow_the_scale_of_the_spectrum(self, case):
+        lambdas, d, n, sigma, k = case
+        scale = 10.0**k
+        spectra = Spectrum(lambdas, d), Spectrum([x * scale for x in lambdas], d)
+        cov = [CovModel(spectrum, n) for spectrum in spectra]
+        for fn in (
+            lambda m: hs_lower_bound(m).value,
+            _searched_delta_and_value,
+        ):
+            self._assert_same(*(_outcome(lambda: fn(m)) for m in cov))
+        excess = [_outcome(lambda: excess_lower_bound(m, "auto").value) for m in cov]
+        if excess[1] is not InvalidInput:
+            excess[1] /= scale
+        self._assert_same(*excess)
+        scaled_sigma = sigma * scale
+        if not 0.0 < scaled_sigma * scaled_sigma < math.inf:
+            # Outside DenoiseModel's documented range for sigma^2.
+            with pytest.raises(InvalidInput, match="sigma must be > 0"):
+                DenoiseModel(spectra[1], scaled_sigma)
+            return
+        denoise = DenoiseModel(spectra[0], sigma), DenoiseModel(spectra[1], scaled_sigma)
+        self._assert_same(*(_outcome(lambda: denoise_lower_bound(m).value) for m in denoise))

@@ -7,10 +7,13 @@ import shlex
 import numpy as np
 import pytest
 
+from subspace_bounds import exp_spectrum
 from subspace_bounds.cli import main
 
 # Args, artifact and stdout of two `verify` commands per suite, as the CLI
-# wrote them while it still ran each suite's loops itself.
+# wrote them while it still ran each suite's loops itself.  The fisher-limit
+# rows were re-saved when the eigensolver became LAPACK's eigh and the Fisher
+# information moved to ratio form; their floats moved by under 1e-11 relative.
 VERIFY_GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "data" / "verify_golden.json").read_text(encoding="utf-8")
 )
@@ -108,6 +111,15 @@ class TestBoundCommand:
         assert run(args) == 3
         err = capsys.readouterr().err
         assert err.startswith("precondition failed: sigma must be > 0") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e154, 1e160, 1e-170])
+    def test_hs_bound_does_not_depend_on_spectrum_scale(self, scale, capsys):
+        # n (gap / lam_i) (gap / lam_j) stays finite where n gap^2 / (lam_i lam_j) overflowed.
+        lambdas = [float(x) * scale for x in exp_spectrum(1.0, 10, 3).lambdas]
+        spectrum = json.dumps({"lambdas": lambdas, "d": 3})
+        assert run(["bound", "hs", "--spectrum", spectrum, "--n", "1000"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "hs lower bound: 0.00102442769956"
 
     @pytest.mark.parametrize(
         "args, flag",
@@ -381,14 +393,28 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("precondition failed: sigma must be > 0") and err.count("\n") == 1
 
-    def test_sweep_cap_is_one_line_exit_5(self, monkeypatch, capsys):
-        import subspace_bounds.linalg as linalg
+    def test_eigensolver_failure_is_one_line_exit_5(self, monkeypatch, capsys):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         assert run(self.ARGS) == 5
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert err.startswith("not converged: Jacobi eigensolver reached the 1-sweep cap")
+        assert err.splitlines() == [
+            "not converged: LAPACK eigensolver failed: Eigenvalues did not converge"
+        ]
+
+    def test_one_replicate_is_usage_error(self, tmp_path, capsys):
+        # One draw has no standard error, so it cannot be 3 SE below the bound.
+        out = tmp_path / "sim.csv"
+        args = ["simulate", "--loss", "excess", "--spectrum", '{"lambdas": [3, 2, 1], "d": 1}',
+                "--n", "5", "--d", "1", "--seed", "5", "--out", str(out)]
+        assert run([*args, "--reps", "1"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --reps must be >= 2: one replicate has no standard error, got 1"
+        ]
+        assert not out.exists()
+        assert run([*args, "--reps", "2"]) == 0
 
     def test_degenerate_replicate_is_one_line_exit_3(self, capsys):
         # n = 1 gives a rank-one covariance: the gap below d = 2 is always zero

@@ -134,7 +134,7 @@ FOUND = [
     ([*SIMULATE_HS, "--sigma", "1e300"], None),
     (["report", "--family", "poly", "--p", "4", "--n", "0"], None),
     (["simulate", "--loss", "excess", "--spectrum", "spike:1e300,1e-300,1,3", "--n", "5",
-      "--reps", "1"], None),
+      "--reps", "2"], None),
 ]
 
 

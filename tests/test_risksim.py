@@ -210,50 +210,50 @@ GOLDEN_RISKS = [
     (
         CovModel(Spectrum(_P4, 2), 50),
         "hs_squared",
-        '{"loss": "hs_squared", "mean": 0.07579551312244645, "replicates": 600, '
-        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.0031572005536183983}',
+        '{"loss": "hs_squared", "mean": 0.07579551312244642, "replicates": 600, '
+        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.0031572005536184}',
     ),
     (
         CovModel(Spectrum(_P8, 3), 60),
         "hs_squared",
-        '{"loss": "hs_squared", "mean": 0.6715373723650122, "replicates": 600, '
-        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.021700228325853596}',
+        '{"loss": "hs_squared", "mean": 0.6715373723650118, "replicates": 600, '
+        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.021700228325853565}',
     ),
     (
         CovModel(Spectrum(_P4, 2), 50),
         "excess",
-        '{"loss": "excess", "mean": 0.09413517232730138, "replicates": 600, '
-        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.0036473167918749903}',
+        '{"loss": "excess", "mean": 0.09413517232730265, "replicates": 600, '
+        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.003647316791874988}',
     ),
     (
         CovModel(Spectrum(_P8, 3), 60),
         "excess",
-        '{"loss": "excess", "mean": 0.6199757199640463, "replicates": 600, '
-        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.016584918130155165}',
+        '{"loss": "excess", "mean": 0.6199757199640569, "replicates": 600, '
+        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.016584918130155175}',
     ),
     (
         DenoiseModel(Spectrum([10.0, 0.0, 0.0, 0.0], 1), 1.0),
         "hs_squared",
-        '{"loss": "hs_squared", "mean": 0.06340572370881417, "replicates": 600, '
-        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.0020959200439608964}',
+        '{"loss": "hs_squared", "mean": 0.06340572370881414, "replicates": 600, '
+        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.0020959200439608972}',
     ),
     (
         DenoiseModel(Spectrum([12.0, 8.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], 2), 1.0),
         "hs_squared",
-        '{"loss": "hs_squared", "mean": 0.28959694075660297, "replicates": 600, '
-        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.006116083477514248}',
+        '{"loss": "hs_squared", "mean": 0.2895969407566029, "replicates": 600, '
+        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.006116083477514235}',
     ),
 ]
 GOLDEN_OVERLAP = (
     '{"i": 0, "j": 2, "n": 200, "replicates": 700, "sample_mean": 0.5092166067222873, '
-    '"schema": 1, "status": "PASS", "std_error": 0.025823417551863233, '
-    '"target": 0.4444444444444444, "z_score": 2.5082722744871306}'
+    '"schema": 1, "status": "PASS", "std_error": 0.02582341755186323, '
+    '"target": 0.4444444444444444, "z_score": 2.508272274487131}'
 )
 
 
 class TestGoldenBytes:
-    """Simulation output is pinned to the bytes of the one-matrix pipeline:
-    the six acceptance-criterion-6 models over two replicate chunks."""
+    """Simulation output is pinned to saved bytes: the six acceptance-criterion-6
+    models over two replicate chunks, and one overlap report."""
 
     @pytest.mark.parametrize("model,loss,expected", GOLDEN_RISKS)
     def test_risk_estimate_json(self, model, loss, expected):
@@ -277,6 +277,10 @@ class TestOverlap:
     def test_equal_indices_rejected(self):
         with pytest.raises(InvalidInput):
             overlap_clt(self.MODEL, 1, 1, 100, RngStream(107, 1))
+
+    def test_rng_must_be_stream_or_generator(self):
+        with pytest.raises(InvalidInput, match="expected RngStream or numpy Generator"):
+            overlap_clt(self.MODEL, 0, 1, 4, "x")
 
     def test_wrong_side_rejected(self):
         model = CovModel(Spectrum([3.0, 2.0, 1.0], 2), n=100)
