@@ -1,8 +1,9 @@
 """Numerical verification of the formulas behind the bounds.
 
 Two ingredients make the routing programs valid lower bounds: the Fisher
-information of each mixing direction (the small-t limit of a chi-square
-divergence) and the closed-form derivatives of the projector map on the
+information of each mixing direction (the small-t limit of chi-square /
+t^2, and of D / t^2 with D = log(1 + chi-square), the Renyi divergence of
+order 2) and the closed-form derivatives of the projector map on the
 rotation group.  Both have independent numerical checks: divergence
 ratios extrapolated to t = 0, and finite differences of the exact
 exponentiated curves.
@@ -17,20 +18,20 @@ from subspace_bounds import (
     Spectrum,
     fisher_quad,
     generator,
-    skew_exp,
+    skew_exp_batch,
     verify_fisher_limit,
 )
 from subspace_bounds.verify import FD_STEPS, derivative_errors
 
-# %% chi-square over t^2 converges to the Fisher value -----------------------
+# %% log(1 + chi-square) over t^2 converges to the Fisher value --------------
 spectrum = Spectrum([3.0, 1.5, 0.8], 1)
 xi = generator(3, 0, 2)
 ts = (1e-1, 1e-2, 1e-3)
-rotations = np.stack([skew_exp(xi, t).a for t in ts])
+rotations = skew_exp_batch(xi.a[None], ts)[0]  # exp(t xi) for every t, one eigensolve
 for model in (CovModel(spectrum, n=2), DenoiseModel(spectrum, sigma=1.3)):
     print(f"{model.kind} model, direction L(0, 2):")
-    for t, value in zip(ts, model.chi2(rotations)):  # every t in one call
-        print(f"  chi2(t={t:g}) / t^2 = {value / t**2:.8f}")
+    for t, value in zip(ts, model.renyi2(rotations)):  # every t in one call
+        print(f"  D(t={t:g}) / t^2 = {value / t**2:.8f}")
     report = verify_fisher_limit(model, xi)
     print(f"  extrapolated limit  = {report.extrapolated:.8f}")
     print(f"  closed-form value   = {report.closed_form:.8f}")

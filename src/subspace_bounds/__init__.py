@@ -55,6 +55,7 @@ from .linalg import (
     SymMatrix,
     hs_inner,
     skew_exp,
+    skew_exp_batch,
     sym_eig,
     sym_eig_batch,
     unvech,

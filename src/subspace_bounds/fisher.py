@@ -1,11 +1,11 @@
-"""Fisher-information quadratic forms and their chi-square limit.
+"""Fisher-information quadratic forms and their divergence limit.
 
 For both observation models the Fisher information along a one-parameter
 subgroup exp(t*xi) exists as a quadratic form in xi, and it equals the
-small-t limit of chi2(P_{exp(t xi)}, P_I)/t^2.  Each model's ``chi2``
-evaluates the divergences in closed form (log-domain, expm1/log1p) because
-verifying that limit numerically needs 12+ significant digits at t ~ 1e-4;
-Monte Carlo estimates of the same divergences live in the test suite as an
+small-t limit of D/t^2, D = log(1 + chi2(P_{exp(t xi)}, P_I)), which each
+model's ``renyi2`` evaluates in closed form: the check needs 12+ digits at
+t ~ 1e-4, and D/t^2, unlike chi2/t^2, stays near the limit at any n.
+Monte Carlo estimates of chi2 = expm1(D) live in the test suite as an
 independent oracle.
 """
 
@@ -16,32 +16,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import OrthMatrix, SkewMatrix, skew_exp
+from .linalg import OrthMatrix, SkewMatrix, skew_exp_batch
 from .models import CovModel, DenoiseModel
 
 
 def fisher_quad(model: CovModel | DenoiseModel, xi: SkewMatrix) -> float:
-    """(1/2) sum_ij xi_ij^2 I_ij, with I_ij the model's Fisher information along L(i, j)."""
+    """(1/2) sum_ij xi_ij^2 I_ij, with I_ij the model's Fisher information along
+    L(i, j); InvalidInput if any I_ij overflows."""
     x = (xi if isinstance(xi, SkewMatrix) else SkewMatrix(xi)).a
     if x.shape[0] != model.p:
         raise InvalidInput(f"direction has dim {x.shape[0]}, expected {model.p}")
     lam = model.spectrum.lambdas
-    return float(0.5 * np.sum(x * x * model.generator_fisher(lam[:, None], lam[None, :])))
+    info = model.generator_fisher(lam[:, None], lam[None, :])
+    if not np.isfinite(info).all():
+        raise InvalidInput(f"the {model.kind} Fisher information overflows the float range")
+    return float(0.5 * np.sum(x * x * info))
 
 
 def _chi2_one(model: CovModel | DenoiseModel, u: OrthMatrix) -> float:
     if u.dim != model.p:
         raise InvalidInput(f"dimension mismatch: U is {u.dim}x{u.dim}, p={model.p}")
-    return float(model.chi2(u.a[None])[0])
+    return float(np.expm1(model.renyi2(u.a[None])[0]))
 
 
 def chi2_gauss_cov(model: CovModel, u: OrthMatrix) -> float:
-    """``CovModel.chi2`` at one basis U."""
+    """chi-square divergence at one basis U: expm1 of ``CovModel.renyi2``."""
     return _chi2_one(model, u)
 
 
 def chi2_gauss_meanshift(model: DenoiseModel, u: OrthMatrix) -> float:
-    """``DenoiseModel.chi2`` at one basis U."""
+    """chi-square divergence at one basis U: expm1 of ``DenoiseModel.renyi2``."""
     return _chi2_one(model, u)
 
 
@@ -66,7 +70,7 @@ ZERO_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class FisherLimitReport:
-    """Comparison of the chi2(t)/t^2 limit, extrapolated from t in T_GRID, with the closed form."""
+    """Comparison of the D(t)/t^2 limit, extrapolated from t in T_GRID, with the closed form."""
 
     kind: str
     ratios: tuple
@@ -87,41 +91,28 @@ class FisherLimitReport:
         }
 
 
-def rotation_grid(xi: SkewMatrix) -> np.ndarray:
-    """The rotations exp(t xi), t in T_GRID, as one stack."""
-    return np.stack([skew_exp(xi, t).a for t in T_GRID])
-
-
-def limit_report(model: CovModel | DenoiseModel, xi: SkewMatrix, chi2) -> FisherLimitReport:
-    """Report on chi2, the model's divergences at rotation_grid(xi).
-
-    Extrapolates chi2/t^2 to t = 0 and compares with the closed-form
-    quadratic form; PASS when the relative error is at most REL_TOL
-    (absolute ZERO_ATOL when the target vanishes).
-    """
-    target = fisher_quad(model, xi)
-    ratios = [c / (t * t) for c, t in zip(chi2, T_GRID)]
-    if all(np.isfinite(r) for r in ratios):
-        extrapolated = extrapolate_to_zero(T_GRID, ratios)
-    else:
-        extrapolated = float("inf")
-    if target == 0.0:
-        rel_error = abs(extrapolated)
-        passed = rel_error <= ZERO_ATOL
-    else:
-        rel_error = abs(extrapolated - target) / abs(target)
-        passed = bool(np.isfinite(extrapolated) and rel_error <= REL_TOL)
+def limit_report(model: CovModel | DenoiseModel, target: float, renyi2) -> FisherLimitReport:
+    """Report on renyi2, the model's divergences D at exp(t xi), t in T_GRID:
+    D/t^2 extrapolated to t = 0 against target = fisher_quad(model, xi), PASS
+    when the relative error is at most REL_TOL (absolute ZERO_ATOL when the
+    target vanishes)."""
+    ratios = tuple(float(c / (t * t)) for c, t in zip(renyi2, T_GRID))
+    extrapolated = extrapolate_to_zero(T_GRID, ratios) if np.isfinite(ratios).all() else np.inf
+    scale, tol = (1.0, ZERO_ATOL) if target == 0.0 else (abs(target), REL_TOL)
+    rel_error = abs(extrapolated - target) / scale  # inf or nan never passes
     return FisherLimitReport(
         kind=model.kind,
-        ratios=tuple(float(r) for r in ratios),
+        ratios=ratios,
         extrapolated=float(extrapolated),
         closed_form=float(target),
         rel_error=float(rel_error),
-        passed=passed,
+        passed=bool(rel_error <= tol),
     )
 
 
 def verify_fisher_limit(model: CovModel | DenoiseModel, xi: SkewMatrix) -> FisherLimitReport:
-    """Check that chi2(exp(t xi))/t^2 converges to the Fisher value, with the
-    whole t grid in one ``model.chi2`` call."""
-    return limit_report(model, xi, model.chi2(rotation_grid(xi)))
+    """Check that D(exp(t xi))/t^2 converges to the Fisher value, with the
+    whole t grid in one ``skew_exp_batch`` and one ``model.renyi2`` call."""
+    xi = xi if isinstance(xi, SkewMatrix) else SkewMatrix(xi)
+    target = fisher_quad(model, xi)  # an overflow raises before any divergence
+    return limit_report(model, target, model.renyi2(skew_exp_batch(xi.a[None], T_GRID)[0]))

@@ -2,11 +2,12 @@
 
 Symmetric eigendecomposition (LAPACK's ``eigh``, for one matrix or a
 stack, under a fixed order and sign convention), skew-symmetric matrix
-exponential (scaling and squaring), half-vectorization and the trace inner
+exponential (one Hermitian ``eigh`` per generator, for a stack of
+generators and a grid of times), half-vectorization and the trace inner
 product.  Everything here is deterministic: with one numpy and LAPACK
 build, identical inputs produce bit-identical outputs, and a matrix gets
-the same eigendecomposition alone as in any stack, which downstream Monte
-Carlo code relies on.
+the same eigendecomposition and exponential alone as in any stack, which
+downstream Monte Carlo code and the Fisher-limit checks rely on.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ class OrthMatrix:
 
 
 def _require_sorted(values: np.ndarray) -> None:
-    if np.any(np.diff(values, axis=-1) > 0):
+    if np.any(values[..., 1:] > values[..., :-1]):
         raise InvalidInput("eigenvalues must be sorted non-increasing")
 
 
@@ -171,37 +172,35 @@ def sym_eig(a) -> EigDecomp:
     return EigDecomp(vals[0], OrthMatrix(vecs[0]))
 
 
-SQUARING_THRESHOLD = 0.5
-EXP_TOL = 1e-14
+def skew_exp_batch(xis, ts) -> np.ndarray:
+    """exp(t xi) for each xi of a (B, n, n) stack, antisymmetrized as SkewMatrix
+    does, and each t of ts: a (B, T, n, n) array of orthogonal matrices.
+
+    1j * xi = V diag(w) V^H is Hermitian (one ``np.linalg.eigh`` per xi), and
+    exp(t xi) = Re(V diag(exp(-1j t w)) V^H) in any eigenbasis.  A rotation
+    gets the same bits alone as in any stack.  NotConverged if LAPACK fails.
+    """
+    a = np.asarray(xis, dtype=np.float64)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise InvalidInput(f"expected a stack of square matrices, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvalidInput("matrix entries must be finite")
+    try:
+        w, v = np.linalg.eigh(1j * ((a - a.swapaxes(-1, -2)) / 2.0))
+    except np.linalg.LinAlgError as exc:
+        raise NotConverged(f"LAPACK eigensolver failed: {exc}") from exc
+    phases = np.exp(-1j * np.asarray(ts, dtype=np.float64)[:, None] * w[:, None, :])
+    v = v[:, None]
+    result = ((v * phases[:, :, None, :]) @ v.conj().swapaxes(-1, -2)).real
+    require_orthogonal(result)
+    return result
 
 
 def skew_exp(xi, t: float = 1.0) -> OrthMatrix:
-    """exp(t*xi) for skew-symmetric xi, by scaling-and-squaring Taylor.
-
-    Scaling halves the argument until its 1-norm is at most 0.5; the Taylor
-    series is summed until the next term falls below 1e-14 relative to the
-    partial sum.  The result is orthogonal with determinant +1.
-    """
+    """exp(t*xi) for skew-symmetric xi: skew_exp_batch on a stack of one."""
     if not isinstance(xi, SkewMatrix):
         xi = SkewMatrix(xi)
-    a = t * xi.a
-    n = a.shape[0]
-    norm1 = float(np.max(np.abs(a).sum(axis=0))) if n else 0.0
-    squarings = 0
-    while norm1 > SQUARING_THRESHOLD:
-        a = a / 2.0
-        norm1 /= 2.0
-        squarings += 1
-    result = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, 60):
-        term = term @ a / k
-        result = result + term
-        if np.max(np.abs(term)) <= EXP_TOL * max(1.0, np.max(np.abs(result))):
-            break
-    for _ in range(squarings):
-        result = result @ result
-    return OrthMatrix(result)
+    return OrthMatrix(skew_exp_batch(xi.a[None], (t,))[0, 0])
 
 
 def vech(a) -> np.ndarray:

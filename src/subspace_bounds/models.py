@@ -5,8 +5,8 @@ A :class:`Spectrum` is an ordered eigenvalue vector together with the rank
 ``CovModel`` (n i.i.d. centered Gaussian vectors with covariance U diag(lam)
 U^T) and ``DenoiseModel`` (a single symmetric matrix U diag(lam) U^T + sigma
 times GOE noise); each gives its Fisher information along the generator
-L(i, j), the chi-square divergence of its law at a stack of bases from the
-law at the identity, and draws the matrix a plug-in estimator diagonalizes.
+L(i, j), the divergence log(1 + chi-square) of its law at a stack of bases
+from the law at the identity, and draws the matrix an estimator diagonalizes.
 All randomness flows through :class:`RngStream`, a counter-based generator
 keyed by (seed, stream), so distinct streams are independent and every
 draw is reproducible.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import OrthMatrix, SymMatrix, require_orthogonal, sym_eig_batch, vech, vech_diag_mask
+from .linalg import OrthMatrix, SymMatrix, require_orthogonal, sym_eig_batch
 
 
 def _whole(value, name: str) -> int:
@@ -46,7 +46,7 @@ class Spectrum:
             raise InvalidInput("lambdas must be a non-empty vector")
         if not np.all(np.isfinite(lam)):
             raise InvalidInput("lambdas must be finite")
-        if np.any(np.diff(lam) > 0):
+        if np.any(lam[1:] > lam[:-1]):
             raise InvalidInput("lambdas must be sorted non-increasing")
         if not 1 <= d <= lam.size:
             raise InvalidInput(f"d={d} out of range 1..{lam.size}")
@@ -91,13 +91,15 @@ class CovModel:
         """Fisher information n (lam_i - lam_j)^2 / (lam_i lam_j) along L(i, j); broadcasts.
 
         Computed as n (gap / lam_i) (gap / lam_j), from eigenvalue ratios, so
-        it neither overflows nor underflows when the spectrum is rescaled."""
+        it neither overflows nor underflows when the spectrum is rescaled.
+        A true value beyond the float range is inf, silently; callers reject it."""
         gap = li - lj
-        return self.n * (gap / li) * (gap / lj)
+        with np.errstate(over="ignore"):
+            return self.n * (gap / li) * (gap / lj)
 
-    def chi2(self, u: np.ndarray) -> np.ndarray:
-        """chi-square divergence of the n-sample law at each basis of a (B, p, p)
-        stack from the law at I, with one stacked eigensolve.
+    def renyi2(self, u: np.ndarray) -> np.ndarray:
+        """Renyi divergence of order 2, D = log(1 + chi2), of the n-sample law at
+        each basis of a (B, p, p) stack from the law at I, in one eigensolve.
 
         Single-sample value for centered Gaussians N(0, S1) vs N(0, S0):
         with m the eigenvalues of S0^{-1/2} S1 S0^{-1/2},
@@ -105,9 +107,8 @@ class CovModel:
             1 + chi2_1 = prod_k (m_k (2 - m_k))^{-1/2},
 
         finite iff every m_k < 2; the n-fold product law gives
-        chi2_n = (1 + chi2_1)^n - 1, computed as expm1(n * log1p(chi2_1)).
-        Each entry is 0 when S1 equals S0 exactly and +inf when the
-        definiteness condition fails.
+        D = n * log1p(chi2_1).  Each entry is 0 when S1 equals S0 exactly
+        and +inf when the definiteness condition fails.
         """
         lam = self.spectrum.lambdas
         scale = 1.0 / np.sqrt(lam)
@@ -117,8 +118,7 @@ class CovModel:
         args = (1.0 - sym_eig_batch(m)[0]) ** 2
         blocked = np.any(args >= 1.0, axis=-1)
         log_one_plus_chi1 = -0.5 * np.sum(np.log1p(-np.where(blocked[:, None], 0.0, args)), axis=-1)
-        chi2 = np.where(blocked, np.inf, np.expm1(self.n * log_one_plus_chi1))
-        return np.where(same, 0.0, chi2)
+        return np.where(same, 0.0, np.where(blocked, np.inf, self.n * log_one_plus_chi1))
 
     def observe(self, u: np.ndarray, g: np.random.Generator) -> np.ndarray:
         """Empirical covariance of ``sample_cov``'s n-by-p sample at basis array u."""
@@ -134,8 +134,8 @@ class DenoiseModel:
     kind = "denoising"
 
     def __post_init__(self):
-        if not (self.sigma > 0 and 0 < self.sigma * self.sigma < np.inf):
-            raise InvalidInput(f"sigma must be > 0 with sigma^2 > 0 and finite, got {self.sigma:g}")
+        if not 0 < self.sigma < np.inf:
+            raise InvalidInput(f"sigma must be > 0 and finite, got {self.sigma:g}")
         if self.spectrum.lambdas[-1] < 0:
             raise InvalidInput("denoising model requires nonnegative eigenvalues")
 
@@ -147,19 +147,20 @@ class DenoiseModel:
         """Fisher information ((lam_i - lam_j) / sigma)^2 along L(i, j); broadcasts.
 
         The gap is divided by sigma before squaring, so the value does not
-        depend on the scale of lam and sigma together."""
-        return ((li - lj) / self.sigma) ** 2
+        depend on the scale of lam and sigma together.  A true value beyond
+        the float range is inf, silently; callers reject it."""
+        with np.errstate(over="ignore"):
+            return ((li - lj) / self.sigma) ** 2
 
-    def chi2(self, u: np.ndarray) -> np.ndarray:
-        """chi-square divergence of the law at each basis of a (B, p, p) stack from
-        the law at I: expm1 of Delta^T (sigma^2 Sigma_W)^{-1} Delta, with
-        Delta = vech(U diag(lam) U^T - diag(lam)) and Sigma_W the GOE's vech
-        covariance (2 on the diagonal, 1 elsewhere).  The products stay 2-d
-        matmuls, one per basis: a stacked matmul changes the last bits."""
+    def renyi2(self, u: np.ndarray) -> np.ndarray:
+        """Renyi divergence of order 2, D = log(1 + chi2), of the law at each basis
+        of a (B, p, p) stack from the law at I.  For the mean shift M = U diag(lam)
+        U^T - diag(lam), D = vech(M)^T (sigma^2 Sigma_W)^{-1} vech(M) with Sigma_W the
+        GOE's vech covariance (2 on the diagonal, 1 elsewhere); each off-diagonal
+        entry appears twice in M, so D = (1/2) sum_kl (M_kl / sigma)^2."""
         lam = self.spectrum.lambdas
-        inv_w = np.where(vech_diag_mask(self.p), 0.5, 1.0) / self.sigma**2
-        deltas = [vech((x * lam) @ x.T - np.diag(lam)) for x in u]
-        return np.expm1(np.array([np.sum(inv_w * delta * delta) for delta in deltas]))
+        shift = ((u * lam) @ u.swapaxes(-1, -2) - np.diag(lam)) / self.sigma
+        return 0.5 * np.sum(shift * shift, axis=(-2, -1))
 
     def observe(self, u: np.ndarray, g: np.random.Generator) -> np.ndarray:
         """Observation of ``sample_denoise`` at basis array u, before SymMatrix symmetrizes it."""
@@ -285,13 +286,15 @@ def empirical_cov(data) -> SymMatrix:
 def exp_spectrum(alpha: float, p: int, d: int = 1) -> Spectrum:
     """lambda_j = exp(-alpha * j), j = 1..p."""
     j = np.arange(1, p + 1, dtype=np.float64)
-    return Spectrum(np.exp(-alpha * j), d)
+    with np.errstate(over="ignore"):  # Spectrum rejects an eigenvalue that overflowed
+        return Spectrum(np.exp(-alpha * j), d)
 
 
 def poly_spectrum(alpha: float, p: int, d: int = 1) -> Spectrum:
     """lambda_j = j^(-alpha-1), j = 1..p."""
     j = np.arange(1, p + 1, dtype=np.float64)
-    return Spectrum(j ** (-alpha - 1.0), d)
+    with np.errstate(over="ignore"):  # Spectrum rejects an eigenvalue that overflowed
+        return Spectrum(j ** (-alpha - 1.0), d)
 
 
 def spike_spectrum(lam1: float, lam2: float, d: int, p: int) -> Spectrum:

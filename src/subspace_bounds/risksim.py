@@ -182,7 +182,8 @@ def bayes_risk(config: SimConfig) -> RiskEstimate:
     reps = config.replicates
     chunks = [(config, lo, min(lo + CHUNK, reps)) for lo in range(0, reps, CHUNK)]
     if config.workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # Under fork the pool starts all max_workers processes at its first submit.
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(chunks))) as pool:
             parts = list(pool.map(_chunk_worker, chunks))
     else:
         parts = [_chunk_sums(*chunk) for chunk in chunks]

@@ -19,8 +19,8 @@ from .equivariance import (
     weighted_loss,
 )
 from .errors import InvalidInput
-from .fisher import T_GRID, limit_report, rotation_grid
-from .linalg import SkewMatrix, skew_exp
+from .fisher import T_GRID, fisher_quad, limit_report
+from .linalg import SkewMatrix, skew_exp, skew_exp_batch
 
 FD_STEPS = (1e-3, 1e-4, 1e-5)
 BAND_FACTOR = 3.0
@@ -33,19 +33,22 @@ def check_record(name: str, passed: bool, detail: str) -> dict:
 
 def fisher_limit_checks(models) -> list[dict]:
     """One check record per model and generator L(i, j), i < j, in that order:
-    chi2/t^2 extrapolated to t = 0 against the closed-form Fisher value.  The
-    T_GRID rotations of every generator are built once, as one stack, and each
-    model scores the whole stack in one ``chi2`` call."""
+    D/t^2, D = log(1 + chi2), extrapolated to t = 0 against the closed-form
+    Fisher value.  Every closed-form value comes first, so an overflow raises
+    before any divergence.  One ``skew_exp_batch`` call builds the T_GRID
+    rotations of every generator, and each model scores them in one call."""
     p = models[0].p
     if p < 2 or any(model.p != p for model in models):
         raise InvalidInput("fisher-limit checks need models of one dimension p >= 2")
-    generators = [(i, j, generator(p, i, j)) for i in range(p - 1) for j in range(i + 1, p)]
-    rotations = np.concatenate([rotation_grid(xi) for _, _, xi in generators])
+    pairs = [(i, j) for i in range(p - 1) for j in range(i + 1, p)]
+    xis = np.stack([generator(p, i, j).a for i, j in pairs])
+    targets = [[fisher_quad(model, xi) for xi in xis] for model in models]
+    rotations = skew_exp_batch(xis, T_GRID).reshape(-1, p, p)
     checks = []
-    for model in models:
-        chi2 = model.chi2(rotations).reshape(len(generators), len(T_GRID))
-        for (i, j, xi), row in zip(generators, chi2):
-            report = limit_report(model, xi, row)
+    for model, model_targets in zip(models, targets):
+        renyi2 = model.renyi2(rotations).reshape(len(pairs), len(T_GRID))
+        for (i, j), target, row in zip(pairs, model_targets, renyi2):
+            report = limit_report(model, target, row)
             detail = (
                 f"limit={report.extrapolated:.9g} "
                 f"closed={report.closed_form:.9g} rel_err={report.rel_error:.3e}"

@@ -101,7 +101,8 @@ MC_SPOT_INSTANCES = [
 
 
 def test_criterion_3_fisher_limits_and_mc_oracle():
-    """Extrapolated chi2/t^2 vs closed forms, and closed forms vs Monte Carlo."""
+    """Extrapolated D/t^2, D = log(1 + chi2), vs closed forms, and chi2 = expm1(D)
+    vs Monte Carlo."""
     start = time.perf_counter()
     rng = np.random.default_rng(103)
     worst_rel = 0.0
@@ -126,7 +127,7 @@ def test_criterion_3_fisher_limits_and_mc_oracle():
         else:
             model = DenoiseModel(spectrum, float(param))
             mc, se = mc_chi2_meanshift(model, u, 1_000_000, seed)
-        closed = model.chi2(u.a[None])[0]
+        closed = np.expm1(model.renyi2(u.a[None])[0])
         z = abs(mc - closed) / se
         worst_z = max(worst_z, z)
         assert z <= 3.0, f"{kind} {lam} t={t}: z = {z:.2f}"

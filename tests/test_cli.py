@@ -3,6 +3,8 @@ import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from subspace_bounds.cli import main
 # wrote them while it still ran each suite's loops itself.  The fisher-limit
 # rows were re-saved when the eigensolver became LAPACK's eigh and the Fisher
 # information moved to ratio form; their floats moved by under 1e-11 relative.
+# They were re-saved again, with "derivatives seed 1", when the limit moved
+# to D = log(1 + chi2) and the rotations to one Hermitian eigensolve each.
 VERIFY_GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "data" / "verify_golden.json").read_text(encoding="utf-8")
 )
@@ -107,10 +111,40 @@ class TestBoundCommand:
     @pytest.mark.parametrize("sigma", ["1e300", "1e-300", "inf", "nan"])
     @pytest.mark.parametrize("delta", [[], ["--delta", "auto"]])
     def test_sigma_squared_out_of_range_is_exit_3(self, sigma, delta, capsys):
+        # Only a non-finite sigma is exit 3; a sigma whose square leaves the
+        # float range is accepted, and at 1e-300 every cap 2 sigma^2 / gap^2 is 0.
         args = ["bound", "denoise", "--spectrum", "exp:1,3", "--d", "1", "--sigma", sigma, *delta]
+        if sigma in ("inf", "nan"):
+            assert run(args) == 3
+            err = capsys.readouterr().err
+            assert err == f"precondition failed: sigma must be > 0 and finite, got {sigma}\n"
+        else:
+            assert run(args) == 0
+            out, err = capsys.readouterr()
+            value = float(out.splitlines()[0].removeprefix("denoise lower bound: "))
+            assert err == "" and (value > 0.0 if sigma == "1e300" else value == 0.0)
+
+    def test_denoise_bound_does_not_depend_on_scale_of_spectrum_and_sigma(self, capsys):
+        spectrum = '{"lambdas": [3e200, 1e200], "d": 1}'
+        assert run(["bound", "denoise", "--spectrum", spectrum, "--sigma", "1e200"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "denoise lower bound: 0.166666666667"
+        assert run(["bound", "denoise", "--spectrum", "spike:3,1,1,2", "--sigma", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "denoise lower bound: 0.166666666667"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--loss", "excess", "--spectrum", "spike:1e300,1e-300,1,3", "--n", "5",
+             "--reps", "2"],
+            ["bound", "canonical", "--spectrum", '{"lambdas": [1e308, 1e308, -1e308], "d": 1}',
+             "--n", "1"],
+            ["verify", "fisher-limit", "--spectrum", "spike:1e200,1,1,3", "--sigma", "1e-150"],
+        ],
+    )
+    def test_extreme_scale_is_exit_3_with_one_line(self, args, capsys):
         assert run(args) == 3
         err = capsys.readouterr().err
-        assert err.startswith("precondition failed: sigma must be > 0") and err.count("\n") == 1
+        assert err.startswith("precondition failed: ") and err.count("\n") == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e154, 1e160, 1e-170])
@@ -251,12 +285,36 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("sigma", ["1e300", "1e-300", "inf", "nan"])
     def test_fisher_limit_sigma_squared_out_of_range_is_exit_3(self, sigma, tmp_path, capsys):
+        # sigma = 1e300 is accepted and every information is 0; at 1e-300 it
+        # is accepted too, but the information (gap / sigma)^2 overflows.
         out = tmp_path / "verify.json"
         args = ["verify", "fisher-limit", "--spectrum", "exp:1,3", "--d", "1", "--sigma", sigma]
-        assert run([*args, "--out", str(out)]) == 3
+        code = run([*args, "--out", str(out)])
         err = capsys.readouterr().err
-        assert err.startswith("precondition failed: sigma must be > 0") and err.count("\n") == 1
-        assert not out.exists()
+        if sigma == "1e300":
+            assert code == 0 and err == "" and json.loads(out.read_text())["status"] == "PASS"
+            return
+        assert code == 3 and err.count("\n") == 1 and not out.exists()
+        if sigma == "1e-300":
+            assert err == "precondition failed: the denoising Fisher information overflows the float range\n"
+        else:
+            assert err.startswith("precondition failed: sigma must be > 0 and finite")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--spectrum", "exp:0.5,8", "--d", "1", "--n", "1000"],
+            ["--spectrum", "exp:0.5,8", "--d", "1", "--n", "10000000"],
+            ["--spectrum", "exp:1,4", "--d", "1", "--n", "1000", "--sigma", "0.1"],
+        ],
+    )
+    def test_fisher_limit_passes_at_large_information(self, args, tmp_path, capsys):
+        # chi2 = expm1(D) strays from its t^2 limit here; D = log(1 + chi2) does not.
+        out = tmp_path / "verify.json"
+        assert run(["verify", "fisher-limit", *args, "--out", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert all(c["status"] == "PASS" for c in checks)
+        assert max(c["report"]["rel_error"] for c in checks) <= 1e-7
 
     @pytest.mark.parametrize(
         "args",
@@ -387,11 +445,18 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("sigma", ["1e300", "1e-300", "inf", "nan"])
     def test_sigma_squared_out_of_range_is_exit_3(self, sigma, tmp_path, capsys):
+        # Only a non-finite sigma is exit 3; 1e300 and 1e-300 simulate.
+        out = tmp_path / "sim.csv"
         args = ["simulate", "--loss", "hs", "--spectrum", "exp:1,3", "--d", "1", "--sigma", sigma,
-                "--reps", "2", "--seed", "1", "--out", str(tmp_path / "sim.csv")]
-        assert run(args) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("precondition failed: sigma must be > 0") and err.count("\n") == 1
+                "--reps", "2", "--seed", "1", "--out", str(out)]
+        if sigma in ("inf", "nan"):
+            assert run(args) == 3
+            err = capsys.readouterr().err
+            assert err == f"precondition failed: sigma must be > 0 and finite, got {sigma}\n"
+        else:
+            assert run(args) == 0
+            assert capsys.readouterr().err == ""
+            assert out.read_text().splitlines()[1].startswith(f"denoise,3,1,{float(sigma)!r},")
 
     def test_eigensolver_failure_is_one_line_exit_5(self, monkeypatch, capsys):
         def fail(a):
@@ -593,3 +658,18 @@ class TestReadmeCommands:
             at = argv.index("--out") + 1
             argv = [*argv[:at], str(tmp_path / argv[at]), *argv[at + 1 :]]
         assert run(argv) == 0
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only where the LP oracle runs; importing scipy.linalg
+    # alone would about double the start-up time of every command.
+    code = (
+        "import sys, subspace_bounds, subspace_bounds.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

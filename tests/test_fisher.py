@@ -11,6 +11,7 @@ from subspace_bounds import (
     Spectrum,
     chi2_gauss_cov,
     chi2_gauss_meanshift,
+    exp_spectrum,
     fisher_quad,
     generator,
     skew_exp,
@@ -165,9 +166,11 @@ class TestChiSquareCov:
         model = CovModel(random_spectrum(rng, p, max(1, p // 3), min_gap=0.05), n=40)
         xi = SkewMatrix(random_skew_unit(rng, p))
         rotations = [skew_exp(xi, t) for t in T_GRID]
-        single = np.array([chi2_gauss_cov(model, u) for u in rotations])
-        stacked = model.chi2(np.stack([u.a for u in rotations]))
+        single = np.array([model.renyi2(u.a[None])[0] for u in rotations])
+        stacked = model.renyi2(np.stack([u.a for u in rotations]))
         assert stacked.tobytes() == single.tobytes()
+        chi2 = np.array([chi2_gauss_cov(model, u) for u in rotations])
+        assert chi2.tobytes() == np.expm1(single).tobytes()
         ratios = verify_fisher_limit(model, xi).ratios
         assert ratios == tuple(float(c / (t * t)) for c, t in zip(single, T_GRID))
 
@@ -180,9 +183,9 @@ class TestChiSquareCov:
             skew_exp(generator(2, 0, 1), np.pi / 2),
             skew_exp(generator(2, 0, 1), 1e-3),
         ]
-        stacked = model.chi2(np.stack([u.a for u in rotations]))
+        stacked = model.renyi2(np.stack([u.a for u in rotations]))
         assert stacked[0] == 0.0 and stacked[1] == np.inf
-        assert stacked[2] == chi2_gauss_cov(model, rotations[2]) > 0.0
+        assert np.expm1(stacked[2]) == chi2_gauss_cov(model, rotations[2]) > 0.0
 
 
 class TestChiSquareMeanshift:
@@ -205,14 +208,35 @@ class TestChiSquareMeanshift:
 
     @pytest.mark.parametrize("p", [2, 6, 10])
     def test_stack_matches_one_matrix_calls(self, p):
-        # a stacked 3-d matmul would move the last bits of the products
         rng = np.random.default_rng(80 + p)
         model = DenoiseModel(random_spectrum(rng, p, max(1, p // 3), min_gap=0.05), sigma=0.4)
         xi = SkewMatrix(random_skew_unit(rng, p))
         rotations = [skew_exp(xi, t) for t in (*T_GRID, 0.3)]
         single = np.array([chi2_gauss_meanshift(model, u) for u in rotations])
-        stacked = model.chi2(np.stack([u.a for u in rotations]))
+        stacked = np.expm1(model.renyi2(np.stack([u.a for u in rotations])))
         assert stacked.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("p", [2, 5, 9])
+    def test_full_matrix_sum_equals_vech_quadratic(self, p):
+        # (1/2) sum_kl (Delta_kl / sigma)^2 counts each off-diagonal entry twice,
+        # which is the vech quadratic with the GOE covariance's inverse.
+        rng = np.random.default_rng(70 + p)
+        model = DenoiseModel(random_spectrum(rng, p, 1, min_gap=0.05), sigma=0.7)
+        lam = model.spectrum.lambdas
+        inv_w = np.where(vech_diag_mask(p), 0.5, 1.0) / model.sigma**2
+        for t in (*T_GRID, 0.3, 2.0):
+            u = skew_exp(SkewMatrix(random_skew_unit(rng, p)), t)
+            delta = vech((u.a * lam) @ u.a.T - np.diag(lam))
+            quad = float(np.sum(inv_w * delta * delta))
+            assert model.renyi2(u.a[None])[0] == pytest.approx(quad, rel=1e-13, abs=0.0)
+
+    def test_sigma_is_divided_before_squaring(self):
+        # sigma^2 leaves the float range at both scales; D does not depend on the scale.
+        u = skew_exp(generator(2, 0, 1), 0.3).a[None]
+        base = DenoiseModel(Spectrum([3.0, 1.0], 1), 1.0).renyi2(u)[0]
+        for scale in (1e200, 1e-200):
+            model = DenoiseModel(Spectrum([3.0 * scale, scale], 1), scale)
+            assert model.renyi2(u)[0] == pytest.approx(base, rel=1e-14)
 
 
 class TestFisherLimit:
@@ -240,6 +264,27 @@ class TestFisherLimit:
         assert payload["status"] == "PASS"
         assert len(payload["ratios"]) == 3
 
+    @pytest.mark.parametrize("n", [3, 1000, 10**5, 10**7, 10**12])
+    def test_log_domain_limit_holds_at_any_n(self, n):
+        # chi2 = expm1(D) is far from its t^2 limit at t = 1e-2 once n t^2 I is
+        # not small, and overflows at n = 1e7; D / t^2 stays close at every n.
+        model = CovModel(exp_spectrum(0.5, 8, 1), n)
+        checks = fisher_limit_checks([model])
+        assert len(checks) == 28
+        assert max(c["report"]["rel_error"] for c in checks) <= 1e-7
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.1, 1e-3])
+    def test_log_domain_limit_holds_at_small_sigma(self, sigma):
+        checks = fisher_limit_checks([DenoiseModel(exp_spectrum(1.0, 4, 1), sigma)])
+        assert max(c["report"]["rel_error"] for c in checks) <= 1e-10
+
+    def test_non_finite_fisher_value_is_invalid_input(self):
+        model = DenoiseModel(spike_spectrum(1e200, 1, 1, 3), 1e-150)
+        with pytest.raises(InvalidInput, match="Fisher information overflows"):
+            fisher_quad(model, generator(3, 1, 2))
+        with pytest.raises(InvalidInput, match="Fisher information overflows"):
+            verify_fisher_limit(model, generator(3, 0, 1))
+
 
 class TestFisherLimitChecks:
     @pytest.mark.parametrize("p", [2, 6, 10])
@@ -252,6 +297,22 @@ class TestFisherLimitChecks:
         checks = fisher_limit_checks(models)
         assert [c["name"] for c in checks] == [f"{m.kind} L({i},{j})" for m, i, j in order]
         assert json.dumps([c["report"] for c in checks]) == json.dumps(reports)
+
+    def test_non_finite_fisher_value_raises_before_any_divergence(self, monkeypatch):
+        def no_divergence(self, u):
+            raise AssertionError("a divergence was computed")
+
+        monkeypatch.setattr(DenoiseModel, "renyi2", no_divergence)
+        monkeypatch.setattr(CovModel, "renyi2", no_divergence)
+        spectrum = spike_spectrum(1e200, 1, 1, 3)
+        for models in (
+            [DenoiseModel(spectrum, 1e-150)],
+            [CovModel(spectrum, 5), DenoiseModel(spectrum, 1e-150)],
+        ):
+            with pytest.raises(InvalidInput, match="denoising Fisher information overflows"):
+                fisher_limit_checks(models)
+        with pytest.raises(InvalidInput, match="denoising Fisher information overflows"):
+            verify_fisher_limit(DenoiseModel(spectrum, 1e-150), generator(3, 0, 1))
 
     def test_needs_two_dimensions_and_one_p(self):
         with pytest.raises(InvalidInput):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subspace_bounds import (
+    EigDecomp,
     InvalidInput,
     NotConverged,
     OrthMatrix,
@@ -12,6 +13,7 @@ from subspace_bounds import (
     SymMatrix,
     hs_inner,
     skew_exp,
+    skew_exp_batch,
     sym_eig,
     sym_eig_batch,
     unvech,
@@ -19,7 +21,7 @@ from subspace_bounds import (
 )
 from subspace_bounds.linalg import vech_diag_mask
 
-from conftest import random_sym
+from conftest import random_skew_unit, random_sym
 
 
 class TestTypes:
@@ -106,6 +108,11 @@ class TestSymEig:
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInput):
             sym_eig(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    def test_order_check_compares_neighbours_without_overflow(self):
+        assert EigDecomp([1e308, -1e308], np.eye(2)).values[1] == -1e308
+        with pytest.raises(InvalidInput, match="sorted non-increasing"):
+            EigDecomp([-1e308, 1e308], np.eye(2))
 
 
 def _assert_same_bits(got, want):
@@ -227,6 +234,61 @@ class TestSkewExp:
     def test_determinant_plus_one(self, rng):
         xi = SkewMatrix(rng.standard_normal((5, 5)))
         assert np.linalg.det(skew_exp(xi, 2.0).a) == pytest.approx(1.0, abs=1e-10)
+
+
+class TestSkewExpBatch:
+    """exp(t xi) from one Hermitian eigensolve per xi: accurate, and the same
+    bits alone as at any position of any stack."""
+
+    @pytest.mark.parametrize("p", [2, 5, 10, 20, 40])
+    def test_matches_scipy_expm(self, p):
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(600 + p)
+        xis = np.stack([random_skew_unit(rng, p) for _ in range(4)])
+        ts = (1e-4, 1e-2, 0.5, 1.0, 3.0, 7.0)
+        rotations = skew_exp_batch(xis, ts)
+        assert rotations.shape == (4, len(ts), p, p)
+        for xi, row in zip(xis, rotations):
+            for t, q in zip(ts, row):
+                assert np.max(np.abs(q - expm(t * xi))) <= 1e-13
+
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(1, 40),
+        count=st.integers(1, 6),
+        position=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+        times=st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=4),
+    )
+    def test_property_alone_equals_any_stack_position(self, n, count, position, seed, times):
+        rng = np.random.default_rng(seed)
+        stack = rng.standard_normal((count, n, n))  # antisymmetrized as SkewMatrix does
+        rotations = skew_exp_batch(stack, times)
+        k = position % count
+        alone = skew_exp_batch(stack[k][None], times)[0]
+        _assert_same_bits(rotations[k], alone)
+        for t, q in zip(times, alone):
+            _assert_same_bits(skew_exp(stack[k], t).a, q)
+            _assert_same_bits(skew_exp_batch(stack[k][None], [t])[0, 0], q)
+
+    def test_lapack_failure_raises_not_converged(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NotConverged, match="did not converge"):
+            skew_exp(np.zeros((3, 3)), 1.0)
+
+    def test_rejects_nonfinite_and_bad_shapes(self):
+        with pytest.raises(InvalidInput):
+            skew_exp_batch(np.array([[[0.0, np.inf], [0.0, 0.0]]]), [1.0])
+        with pytest.raises(InvalidInput):
+            skew_exp_batch(np.zeros((3, 3)), [1.0])
+        with pytest.raises(InvalidInput):
+            skew_exp_batch(np.zeros((2, 3, 4)), [1.0])
+        with pytest.raises(InvalidInput, match="not orthogonal"):
+            skew_exp_batch(np.array([[[0.0, 1.0], [-1.0, 0.0]]]), [np.nan])
 
 
 class TestVech:

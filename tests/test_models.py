@@ -50,8 +50,25 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("sigma", [1e300, 1e-300, np.inf, np.nan, -1.0])
     def test_denoise_sigma_squared_must_be_positive_and_finite(self, sigma):
-        with pytest.raises(InvalidInput, match="sigma must be > 0"):
-            DenoiseModel(Spectrum([1.0, 0.5], 1), sigma)
+        # sigma needs only 0 < sigma < inf: nothing squares sigma before
+        # dividing by it, so a sigma whose square leaves the float range is fine.
+        if 0.0 < sigma < np.inf:
+            assert DenoiseModel(Spectrum([1.0, 0.5], 1), sigma).sigma == sigma
+        else:
+            with pytest.raises(InvalidInput, match="sigma must be > 0 and finite"):
+                DenoiseModel(Spectrum([1.0, 0.5], 1), sigma)
+
+    def test_order_check_does_not_overflow(self):
+        # Neighbours are compared, not subtracted: 1e308 - (-1e308) overflows.
+        spectrum = Spectrum([1e308, 1e308, -1e308], 1)
+        assert spectrum.lambdas[-1] == -1e308
+        with pytest.raises(InvalidInput, match="sorted non-increasing"):
+            Spectrum([-1e308, 1e308], 1)
+
+    @pytest.mark.parametrize("make", [lambda: exp_spectrum(-1000.0, 4), lambda: poly_spectrum(-1e300, 4)])
+    def test_overflowing_family_is_rejected_without_warning(self, make):
+        with pytest.raises(InvalidInput, match="lambdas must be finite"):
+            make()
 
 
 class TestRngStream:

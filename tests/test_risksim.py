@@ -83,6 +83,32 @@ class TestBayesRisk:
         multi = bayes_risk(SimConfig(self.MODEL, "hs_squared", 1100, seed=2, workers=3))
         assert base == multi
 
+    def test_pool_has_at_most_one_process_per_chunk(self, monkeypatch):
+        # Under fork a pool starts all max_workers processes at its first
+        # submit; this fake records the request and maps in this process.
+        import subspace_bounds.risksim as rs
+
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(rs, "ProcessPoolExecutor", SerialPool)
+        base = bayes_risk(SimConfig(self.MODEL, "hs_squared", 1100, seed=2, workers=1))
+        many = bayes_risk(SimConfig(self.MODEL, "hs_squared", 1100, seed=2, workers=5000))
+        assert requested == [3]  # 1100 replicates make 3 chunks of at most CHUNK = 512
+        assert json.dumps(many.to_json_dict()) == json.dumps(base.to_json_dict())
+
     def test_mean_dominates_bound(self):
         from subspace_bounds import hs_lower_bound
 
