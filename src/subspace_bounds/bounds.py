@@ -13,7 +13,10 @@ max-flow problem on
     col j  -> sink    (capacity col_cap_j)
 
 using Dinic's algorithm, whose first phase (the row-major greedy flow)
-runs in numpy with the bits of the Python DFS.  Optimality is certified on
+runs in numpy with the bits of the Python DFS.  The later phases work on
+flat arc arrays: numpy frontier BFS levels, then a Python DFS over that
+phase's admissible arcs only, with the pushes of a scan of every arc.
+No scipy module is imported on this path.  Optimality is certified on
 every solve by the minimum cut that its last breadth-first search leaves,
 whose capacity must equal the flow to within 1e-9 of the flow.  The
 searches over mu and delta read each min cut as a line in the parameter
@@ -85,71 +88,101 @@ class FlowSolution(NamedTuple):
 
 
 class _MaxFlowGraph:
-    """Residual graph solved by Dinic's algorithm (Dinic, 1970).
+    """Residual graph solved by Dinic's algorithm (Dinic, 1970), on arrays.
 
     Arc 2k runs ends[k, 0] -> ends[k, 1] with residual res[k, 0]; arc 2k + 1
-    is its reverse, with res[k, 1].  Each phase labels the nodes by BFS
-    distance from the source over arcs with residual > 0, then saturates a
-    blocking flow along arcs that climb one level, with a current-arc
-    pointer per node (arcs in arc order) and dead ends pruned.
+    is its reverse, with res[k, 1].  ``tail`` and ``res`` are flat arrays in
+    arc order, and ``res`` is updated in place.  Each phase labels the nodes
+    by BFS distance from the source over arcs with residual > 0, one numpy
+    step per level: the heads of the arcs whose tail is on the frontier,
+    those not yet labelled (distances do not depend on visit order).  The
+    BFS stops at the sink's level, so a step costs O(arcs) and a phase's BFS
+    at most O(n arcs), the bound of its blocking flow.
+    The blocking flow saturates arcs that climb one level, with a
+    current-arc pointer per node (arcs in arc order) and dead ends pruned.
+    Its DFS walks only the phase's admissible arcs (residual > 0, head one
+    level above tail), grouped by tail in arc order, on Python lists of
+    their residuals and their reverses' that go back to ``res`` after the
+    phase.  It makes exactly the pushes of a DFS that scans every arc: a
+    push raises only reverse residuals, and a reverse arc goes one level
+    down, so no arc outside the set becomes admissible within the phase,
+    and an arc in it is skipped just when the scan would skip it (saturated,
+    or its head a dead end).  Nodes past the sink's level, unlabelled here,
+    lead to no path to the sink, so leaving them out changes no push.
     Termination needs no epsilon, even in IEEE arithmetic: an augmenting
     path's bottleneck arc is left with r - r = 0 exactly and every other
     residual on it stays > 0, so each phase saturates every shortest path,
     the source-sink distance grows, and at most n phases run.  When the
     BFS no longer reaches the sink, every arc leaving the labelled set has
     residual exactly 0, so that set is the source side of a minimum cut.
+    ``phases`` counts the phases (each pushes) and ``paths`` the augmenting
+    paths.
     """
 
     def __init__(self, n: int, ends: np.ndarray, res: np.ndarray):
-        owner = ends.ravel()
-        order = owner.argsort(kind="stable").tolist()
-        stops = np.bincount(owner, minlength=n).cumsum().tolist()
-        self.n = n
-        self.adj = [order[a:b] for a, b in zip([0] + stops, stops)]
-        self.to: list[int] = ends[:, ::-1].ravel().tolist()
-        self.res: list[float] = res.ravel().tolist()
+        self.n, self.ends = n, ends
+        self.tail, self.res = ends.ravel(), res.ravel()
+        self.phases = self.paths = 0
+
+    def _levels(self, s: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """(level, heads): BFS distances from s over arcs with residual > 0, up
+        to t's level, -1 where not reached; each arc's head, or the dummy node
+        n at level 0 for an arc without residual."""
+        n = self.n
+        heads = np.where(self.res.reshape(-1, 2) > 0.0, self.ends[:, ::-1], n).ravel()
+        level = np.full(n + 1, -1)
+        level[s] = level[n] = depth = 0
+        while level[t] < 0:
+            hit = heads[(level == depth)[self.tail]]
+            new = hit[level[hit] < 0]
+            if not new.size:
+                break
+            depth += 1
+            level[new] = depth
+        return level, heads
 
     def max_flow(self, s: int, t: int) -> np.ndarray:
         """Push a maximum s-t flow; return the source side of a minimum cut."""
-        n, adj, to, res = self.n, self.adj, self.to, self.res
+        tail, res = self.tail, self.res
         while True:
-            level = [-1] * n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for eid in adj[u]:
-                    v = to[eid]
-                    if level[v] < 0 and res[eid] > 0.0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
+            level, heads = self._levels(s, t)
             if level[t] < 0:
-                return np.array(level) >= 0
-            current = [0] * n
+                return level[:-1] >= 0
+            self.phases += 1
+            rise = level[tail] + 1
+            adm = np.flatnonzero((level[heads] == rise) & (rise > 0))
+            adm = adm[tail[adm].argsort(kind="stable")]  # by tail, in arc order within a tail
+            tl, hd = tail[adm], heads[adm]
+            current = np.searchsorted(tl, np.arange(self.n + 1)).tolist()
+            stops, tl, hd = current[1:], tl.tolist(), hd.tolist()
+            fwd, rev, level = res[adm].tolist(), res[adm ^ 1].tolist(), level.tolist()
             path: list[int] = []
             u = s
             while True:
                 if u == t:
-                    push = min(res[eid] for eid in path)
-                    for eid in path:
-                        res[eid] -= push
-                        res[eid ^ 1] += push
-                    k = next(k for k, eid in enumerate(path) if res[eid] == 0.0)
-                    u = to[path[k] ^ 1]
+                    push = min(fwd[a] for a in path)
+                    for a in path:
+                        fwd[a] -= push
+                        rev[a] += push
+                    k = next(k for k, a in enumerate(path) if fwd[a] == 0.0)
+                    u = tl[path[k]]
                     del path[k:]
+                    self.paths += 1
                     continue
-                arcs, i, up = adj[u], current[u], level[u] + 1
-                while i < len(arcs) and not (res[arcs[i]] > 0.0 and level[to[arcs[i]]] == up):
+                i, stop, up = current[u], stops[u], level[u] + 1
+                while i < stop and not (fwd[i] > 0.0 and level[hd[i]] == up):
                     i += 1
                 current[u] = i
-                if i < len(arcs):
-                    path.append(arcs[i])
-                    u = to[arcs[i]]
+                if i < stop:
+                    path.append(i)
+                    u = hd[i]
                 elif u == s:
                     break
                 else:
                     level[u] = -1  # dead end: no path to t through u this phase
-                    u = to[path.pop() ^ 1]
+                    u = tl[path.pop()]
                     current[u] += 1
+            res[adm], res[adm ^ 1] = fwd, rev
 
 
 def _first_phase(edge_caps, rows, cols, row_caps, col_caps):
@@ -189,8 +222,9 @@ def substochastic_max(prog: SubstochasticProgram) -> FlowSolution:
     Returns the optimal mass matrix together with the certified min-cut
     value and constraint-activity flags.  Dinic's first phase runs in numpy;
     the later phases and the final BFS run in ``_MaxFlowGraph`` from its
-    residuals.  Raises if the cut and the flow differ by more than 1e-9 of
-    the flow (which would indicate a solver bug, not a bad instance).
+    residuals, and the flows are read back as a slice of its residual array.
+    Raises if the cut and the flow differ by more than 1e-9 of the flow
+    (which would indicate a solver bug, not a bad instance).
     """
     nr, nc = prog.shape
     if nr == 0 or nc == 0:

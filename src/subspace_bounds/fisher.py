@@ -20,9 +20,15 @@ from .linalg import OrthMatrix, SkewMatrix, skew_exp_batch
 from .models import CovModel, DenoiseModel
 
 
+T_GRID = (1e-2, 1e-3, 1e-4)
+_TINY = np.finfo(float).tiny
+
+
 def fisher_quad(model: CovModel | DenoiseModel, xi: SkewMatrix) -> float:
     """(1/2) sum_ij xi_ij^2 I_ij, with I_ij the model's Fisher information along
-    L(i, j); InvalidInput if any I_ij overflows."""
+    L(i, j).  InvalidInput if any I_ij overflows, or if some pair with
+    lam_i != lam_j has I_ij t^2 below the smallest normal float at the least t
+    of T_GRID, where its divergence would vanish instead of approaching the limit."""
     x = (xi if isinstance(xi, SkewMatrix) else SkewMatrix(xi)).a
     if x.shape[0] != model.p:
         raise InvalidInput(f"direction has dim {x.shape[0]}, expected {model.p}")
@@ -30,6 +36,10 @@ def fisher_quad(model: CovModel | DenoiseModel, xi: SkewMatrix) -> float:
     info = model.generator_fisher(lam[:, None], lam[None, :])
     if not np.isfinite(info).all():
         raise InvalidInput(f"the {model.kind} Fisher information overflows the float range")
+    if ((info * min(T_GRID) ** 2 < _TINY) & (lam[:, None] != lam)).any():
+        raise InvalidInput(
+            f"the {model.kind} Fisher information underflows the float range at t={min(T_GRID):g}"
+        )
     return float(0.5 * np.sum(x * x * info))
 
 
@@ -63,7 +73,6 @@ def extrapolate_to_zero(ts, fs) -> float:
     return float(total)
 
 
-T_GRID = (1e-2, 1e-3, 1e-4)
 REL_TOL = 1e-3
 ZERO_ATOL = 1e-9
 

@@ -143,16 +143,113 @@ BOUND_SOLVE_INSTANCES = (
 )
 
 
+class ReferenceMaxFlowGraph:
+    """The scanning pure-Python Dinic solver that ``bounds._MaxFlowGraph``
+    replaced, kept verbatim as the oracle, with the same two counters:
+    ``phases`` (phases that pushed) and ``paths`` (augmenting paths)."""
+
+    def __init__(self, n: int, ends: np.ndarray, res: np.ndarray):
+        owner = ends.ravel()
+        order = owner.argsort(kind="stable").tolist()
+        stops = np.bincount(owner, minlength=n).cumsum().tolist()
+        self.n = n
+        self.adj = [order[a:b] for a, b in zip([0] + stops, stops)]
+        self.to: list[int] = ends[:, ::-1].ravel().tolist()
+        self.res: list[float] = res.ravel().tolist()
+        self.phases = self.paths = 0
+
+    def max_flow(self, s: int, t: int) -> np.ndarray:
+        """Push a maximum s-t flow; return the source side of a minimum cut."""
+        n, adj, to, res = self.n, self.adj, self.to, self.res
+        while True:
+            level = [-1] * n
+            level[s] = 0
+            queue = [s]
+            for u in queue:
+                for eid in adj[u]:
+                    v = to[eid]
+                    if level[v] < 0 and res[eid] > 0.0:
+                        level[v] = level[u] + 1
+                        queue.append(v)
+            if level[t] < 0:
+                return np.array(level) >= 0
+            self.phases += 1
+            current = [0] * n
+            path: list[int] = []
+            u = s
+            while True:
+                if u == t:
+                    push = min(res[eid] for eid in path)
+                    for eid in path:
+                        res[eid] -= push
+                        res[eid ^ 1] += push
+                    k = next(k for k, eid in enumerate(path) if res[eid] == 0.0)
+                    u = to[path[k] ^ 1]
+                    del path[k:]
+                    self.paths += 1
+                    continue
+                arcs, i, up = adj[u], current[u], level[u] + 1
+                while i < len(arcs) and not (res[arcs[i]] > 0.0 and level[to[arcs[i]]] == up):
+                    i += 1
+                current[u] = i
+                if i < len(arcs):
+                    path.append(arcs[i])
+                    u = to[arcs[i]]
+                elif u == s:
+                    break
+                else:
+                    level[u] = -1  # dead end: no path to t through u this phase
+                    u = to[path.pop() ^ 1]
+                    current[u] += 1
+
+
+def solve_on(graph, prog, first_phase=bounds._first_phase):
+    """substochastic_max(prog) with ``graph`` as the residual graph class and
+    ``first_phase`` as Dinic's first phase: (solution, (phases, paths)) of the
+    graph it built, or (solution, None) if it built none."""
+    built = []
+
+    class Counted(graph):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    with mock.patch.object(bounds, "_MaxFlowGraph", Counted), mock.patch.object(
+        bounds, "_first_phase", first_phase
+    ):
+        sol = substochastic_max(prog)
+    return sol, (built[0].phases, built[0].paths) if built else None
+
+
+def zero_flow(edge_caps, rows, cols, row_caps, col_caps):
+    return np.zeros(len(edge_caps)), row_caps, col_caps
+
+
 def reference_solution(prog):
     """substochastic_max with Dinic's first phase skipped: the graph is built
-    with zero flow and the pure-Python ``_MaxFlowGraph.max_flow`` runs every
-    phase from scratch."""
+    with zero flow and the frozen ``ReferenceMaxFlowGraph`` runs every phase
+    from scratch."""
+    return solve_on(ReferenceMaxFlowGraph, prog, zero_flow)[0]
 
-    def zero_flow(edge_caps, rows, cols, row_caps, col_caps):
-        return np.zeros(len(edge_caps)), row_caps, col_caps
 
-    with mock.patch.object(bounds, "_first_phase", zero_flow):
-        return substochastic_max(prog)
+def assert_same_pushes(prog):
+    """The array solver and the frozen Python Dinic, both after the numpy
+    first phase, give the same bits and the same phase and path counts;
+    returns those counts."""
+    sol, counts = solve_on(bounds._MaxFlowGraph, prog)
+    ref, ref_counts = solve_on(ReferenceMaxFlowGraph, prog)
+    assert_same_bits(sol, ref)
+    assert counts == ref_counts
+    return counts
+
+
+def sparse_program(nr, nc, degree, seed):
+    """nr x nc program with about ``degree`` edges per row, integer edge caps
+    1..3 and integer row and column caps 1..8."""
+    rng = np.random.default_rng(seed)
+    caps = rng.integers(1, 4, (nr, nc)).astype(np.float64)
+    caps[rng.uniform(size=(nr, nc)) >= degree / nc] = 0.0
+    return SubstochasticProgram(caps, rng.integers(1, 9, nr), rng.integers(1, 9, nc))
 
 
 def assert_same_bits(sol, ref):
@@ -303,6 +400,43 @@ class TestSubstochasticMax:
     @pytest.mark.parametrize("name", ["hs", "excess", "denoise"])
     def test_first_phase_keeps_the_python_bits_at_real_sizes(self, name, large):
         assert_same_bits(substochastic_max(large[name]), reference_solution(large[name]))
+
+
+class TestLaterPhases:
+    """The array Dinic makes the frozen Python Dinic's pushes after the first phase."""
+
+    def test_bound_solve_programs(self, solve_programs):
+        counts = [assert_same_pushes(prog) for prog in solve_programs.values()]
+        assert sum(phases > 0 for phases, _ in counts) == 5
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda: optimize_delta(DenoiseModel(exp_spectrum(0.02, 60, 30), 0.1)),
+            lambda: excess_lower_bound(CovModel(exp_spectrum(0.02, 20, 10), 100), "auto"),
+        ],
+        ids=["optimize_delta", "excess_auto"],
+    )
+    def test_search_solves(self, search):
+        with mock.patch.object(bounds, "substochastic_max", wraps=substochastic_max) as solver:
+            search()
+        counts = [assert_same_pushes(call.args[0]) for call in solver.call_args_list]
+        assert len(counts) >= 3 and any(phases > 0 for phases, _ in counts)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        st.integers(1, 80),
+        st.integers(1, 80),
+        st.sampled_from([2, 3, 5, 8]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_sparse_integer_rectangles(self, nr, nc, degree, seed):
+        assert_same_pushes(sparse_program(nr, nc, degree, seed))
+
+    def test_sparse_family_needs_several_phases(self):
+        phases = [solve_on(bounds._MaxFlowGraph, sparse_program(80, 80, 5, seed))[1][0]
+                  for seed in range(20)]
+        assert max(phases) >= 4
 
 
 class TestLpOracle:

@@ -283,22 +283,37 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == f"error: verify {suite} does not read {flag}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("sigma", ["1e300", "1e-300", "inf", "nan"])
+    @pytest.mark.parametrize("sigma", ["1e300", "1e158", "1e-300", "inf", "nan"])
     def test_fisher_limit_sigma_squared_out_of_range_is_exit_3(self, sigma, tmp_path, capsys):
-        # sigma = 1e300 is accepted and every information is 0; at 1e-300 it
-        # is accepted too, but the information (gap / sigma)^2 overflows.
+        # sigma = 1e300 and 1e158 are accepted, but every information
+        # (gap / sigma)^2 times t^2 = 1e-8 falls below the smallest normal
+        # float, so no divergence could approach the limit; at 1e-300 the
+        # information overflows.
         out = tmp_path / "verify.json"
         args = ["verify", "fisher-limit", "--spectrum", "exp:1,3", "--d", "1", "--sigma", sigma]
         code = run([*args, "--out", str(out)])
         err = capsys.readouterr().err
-        if sigma == "1e300":
-            assert code == 0 and err == "" and json.loads(out.read_text())["status"] == "PASS"
-            return
         assert code == 3 and err.count("\n") == 1 and not out.exists()
         if sigma == "1e-300":
             assert err == "precondition failed: the denoising Fisher information overflows the float range\n"
+        elif sigma in ("1e300", "1e158"):
+            assert err == (
+                "precondition failed: the denoising Fisher information underflows the float"
+                " range at t=0.0001\n"
+            )
         else:
             assert err.startswith("precondition failed: sigma must be > 0 and finite")
+
+    def test_fisher_limit_passes_at_small_information(self, tmp_path, capsys):
+        # At sigma = 1e140 every information is near 1e-281: small, but its
+        # divergences at t = 1e-4 stay normal floats and reach the limit.
+        out = tmp_path / "verify.json"
+        args = ["verify", "fisher-limit", "--spectrum", "exp:1,3", "--d", "1", "--sigma", "1e140"]
+        assert run([*args, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        artifact = json.loads(out.read_text())
+        assert artifact["status"] == "PASS"
+        assert max(c["report"]["rel_error"] for c in artifact["checks"]) <= 1e-9
 
     @pytest.mark.parametrize(
         "args",
@@ -673,3 +688,24 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_flow_solves_load_no_scipy():
+    # The max-flow solver stays numpy: importing scipy.sparse.csgraph alone
+    # takes about as long as a whole bound command's start-up.
+    code = (
+        "import sys\n"
+        "from subspace_bounds import DenoiseModel, exp_spectrum, optimize_delta\n"
+        "from subspace_bounds.cli import main\n"
+        "args = ['--spectrum', 'exp:0.02,40', '--d', '20', '--n', '1000']\n"
+        "assert main(['bound', 'hs', *args]) == 0\n"
+        "assert main(['bound', 'excess', *args, '--mu', 'auto']) == 0\n"
+        "optimize_delta(DenoiseModel(exp_spectrum(0.02, 60, 30), 0.1))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
