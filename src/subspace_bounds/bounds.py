@@ -238,12 +238,13 @@ def substochastic_max(prog: SubstochasticProgram) -> FlowSolution:
     flow, row_res, col_res = _first_phase(edge_caps, rows, cols, prog.row_caps, prog.col_caps)
     x = np.zeros((nr, nc))
     x[built] = flow
-    # Source -> row, built edges, column -> sink; reverse residuals sum flows in push order.
+    # Source -> row, built edges, column -> sink.  No phase reads the reverse residual
+    # of i -> s or t -> j (s is labelled first and t is never expanded): it is left 0.
     src, snk = 0, nr + nc + 1
     tails = np.concatenate([np.full(nr, src), 1 + rows, np.arange(1 + nr, snk)])
     heads = np.concatenate([np.arange(1, 1 + nr), 1 + nr + cols, np.full(nc, snk)])
     forward = np.concatenate([row_res, edge_caps - flow, col_res])
-    reverse = np.concatenate([np.add.accumulate(x, 1)[:, -1], flow, np.add.accumulate(x)[-1]])
+    reverse = np.concatenate([np.zeros(nr), flow, np.zeros(nc)])
     g = _MaxFlowGraph(snk + 1, np.column_stack([tails, heads]), np.column_stack([forward, reverse]))
     side = g.max_flow(src, snk)
     x[built] = g.res[2 * nr + 1 : 2 * (nr + len(flow)) : 2]
@@ -431,12 +432,7 @@ def hs_bound_d1(model: CovModel, delta: float = 1.0) -> float:
     if model.spectrum.d != 1:
         raise InvalidInput("closed form requires d = 1")
     _require_delta(delta)
-    lam = model.spectrum.lambdas
-    gaps = lam[0] - lam[1:]
-    with np.errstate(divide="ignore"):
-        terms = 2.0 * lam[0] * lam[1:] / (model.n * gaps**2)
-    terms[gaps == 0.0] = np.inf
-    return float(min(terms.sum(), delta) / (1.0 + 2.0 * delta))
+    return float(min(_rectangle_caps(model).sum(), delta) / (1.0 + 2.0 * delta))
 
 
 class SingletonSolution(NamedTuple):
@@ -596,17 +592,9 @@ def relrank_condition(model: CovModel) -> tuple[bool, float]:
     return bool(lhs <= model.n / 2.0), float(lhs)
 
 
-def relrank_sum(model: CovModel) -> float:
-    """sum_{i<=d} sum_{j>d} lam_i lam_j / (lam_i - lam_j), the plug-in mass."""
-    lam = model.spectrum.lambdas
-    d = model.spectrum.d
-    li = lam[:d][:, None]
-    lj = lam[d:][None, :]
-    return float(np.sum(li * lj / (li - lj)))
-
-
 def relrank_bound(model: CovModel) -> float:
-    """Plug-in excess-risk lower bound sum/(3n), valid under the condition.
+    """Plug-in excess-risk lower bound, 1/3 of the excess caps summed over
+    i <= d < j (the condition makes r = s = d), valid under the condition.
 
     When the condition holds, the saturating mass choice is feasible at the
     midpoint split level, so the optimized bound dominates this one; that
@@ -616,10 +604,10 @@ def relrank_bound(model: CovModel) -> float:
     holds, lhs = relrank_condition(model)
     if not holds:
         raise ConditionNotMet(f"condition lhs={lhs:.6g} exceeds n/2={model.n / 2:.6g}")
-    value = relrank_sum(model) / (3.0 * model.n)
     lam = model.spectrum.lambdas
     d = model.spectrum.d
     mid = 0.5 * (lam[d - 1] + lam[d])
+    value = EXCESS_PREFACTOR * float(_excess_program(model, mid, d, d).caps.sum())
     dominating = excess_lower_bound(model, mu=mid).value
     if dominating < value * (1.0 - 1e-9):
         dominating = excess_lower_bound(model, mu="auto").value
@@ -699,7 +687,9 @@ def cramer_rao_ratio(model, weights: WeightMatrix, rows, cols, z) -> float:
     if bad.size:
         i, j = rows[bad[0][0]], cols[bad[0][1]]
         raise InvalidInput(f"w_ij + w_ji must be positive at ({i}, {j})")
-    fisher_term = float(np.sum(_fisher_rectangle(model, rows, cols) * z**2 / pair_sums))
+    # An entry with z_ij = 0 adds exactly 0, even where I_ij overflows to inf.
+    fisher = np.where(z != 0.0, _fisher_rectangle(model, rows, cols), 0.0)
+    fisher_term = float(np.sum(fisher * z**2 / pair_sums))
     row_term = float(np.sum(z.sum(axis=1) ** 2 / wdiag_rows))
     col_term = float(np.sum(z.sum(axis=0) ** 2 / wdiag_cols))
     numerator = float(z.sum()) ** 2

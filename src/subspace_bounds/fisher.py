@@ -24,14 +24,11 @@ T_GRID = (1e-2, 1e-3, 1e-4)
 _TINY = np.finfo(float).tiny
 
 
-def fisher_quad(model: CovModel | DenoiseModel, xi: SkewMatrix) -> float:
-    """(1/2) sum_ij xi_ij^2 I_ij, with I_ij the model's Fisher information along
-    L(i, j).  InvalidInput if any I_ij overflows, or if some pair with
-    lam_i != lam_j has I_ij t^2 below the smallest normal float at the least t
-    of T_GRID, where its divergence would vanish instead of approaching the limit."""
-    x = (xi if isinstance(xi, SkewMatrix) else SkewMatrix(xi)).a
-    if x.shape[0] != model.p:
-        raise InvalidInput(f"direction has dim {x.shape[0]}, expected {model.p}")
+def fisher_matrix(model: CovModel | DenoiseModel) -> np.ndarray:
+    """The p x p matrix of the model's Fisher information I_ij along L(i, j).
+    InvalidInput if any I_ij overflows, or if some pair with lam_i != lam_j has
+    I_ij t^2 below the smallest normal float at the least t of T_GRID, where its
+    divergence would vanish instead of approaching the limit."""
     lam = model.spectrum.lambdas
     info = model.generator_fisher(lam[:, None], lam[None, :])
     if not np.isfinite(info).all():
@@ -40,7 +37,15 @@ def fisher_quad(model: CovModel | DenoiseModel, xi: SkewMatrix) -> float:
         raise InvalidInput(
             f"the {model.kind} Fisher information underflows the float range at t={min(T_GRID):g}"
         )
-    return float(0.5 * np.sum(x * x * info))
+    return info
+
+
+def fisher_quad(model: CovModel | DenoiseModel, xi: SkewMatrix) -> float:
+    """(1/2) sum_ij xi_ij^2 I_ij over ``fisher_matrix(model)``, whose checks it raises."""
+    x = (xi if isinstance(xi, SkewMatrix) else SkewMatrix(xi)).a
+    if x.shape[0] != model.p:
+        raise InvalidInput(f"direction has dim {x.shape[0]}, expected {model.p}")
+    return float(0.5 * np.sum(x * x * fisher_matrix(model)))
 
 
 def _chi2_one(model: CovModel | DenoiseModel, u: OrthMatrix) -> float:

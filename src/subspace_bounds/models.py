@@ -91,8 +91,9 @@ class CovModel:
         """Fisher information n (lam_i - lam_j)^2 / (lam_i lam_j) along L(i, j); broadcasts.
 
         Computed as n (gap / lam_i) (gap / lam_j), from eigenvalue ratios, so
-        it neither overflows nor underflows when the spectrum is rescaled.
-        A true value beyond the float range is inf, silently; callers reject it."""
+        it neither overflows nor underflows when the spectrum is rescaled.  A true
+        value beyond the float range is inf: ``fisher.fisher_matrix`` and the
+        excess caps reject it, and an edge cap 2/I_ij is 0."""
         gap = li - lj
         with np.errstate(over="ignore"):
             return self.n * (gap / li) * (gap / lj)
@@ -147,8 +148,9 @@ class DenoiseModel:
         """Fisher information ((lam_i - lam_j) / sigma)^2 along L(i, j); broadcasts.
 
         The gap is divided by sigma before squaring, so the value does not
-        depend on the scale of lam and sigma together.  A true value beyond
-        the float range is inf, silently; callers reject it."""
+        depend on the scale of lam and sigma together.  A true value beyond the
+        float range is inf: ``fisher.fisher_matrix`` rejects it, and an edge cap
+        2/I_ij is 0."""
         with np.errstate(over="ignore"):
             return ((li - lj) / self.sigma) ** 2
 

@@ -265,7 +265,7 @@ def overlap_clt(model: CovModel, i: int, j: int, replicates: int, rng) -> Overla
         covs = np.stack([model.observe(ident, g) for _ in range(lo, hi)])
         _, vectors = sym_eig_batch(covs)
         values[lo:hi] = model.n * vectors[:, i, j] ** 2
-    target = float(lam[i] * lam[j] / (lam[i] - lam[j]) ** 2)
+    target = float(model.n / model.generator_fisher(lam[i], lam[j]))
     mean = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(replicates))
     z = (mean - target) / se if se > 0 else float("inf")

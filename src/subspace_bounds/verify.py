@@ -19,7 +19,7 @@ from .equivariance import (
     weighted_loss,
 )
 from .errors import InvalidInput
-from .fisher import T_GRID, fisher_quad, limit_report
+from .fisher import T_GRID, fisher_matrix, limit_report
 from .linalg import SkewMatrix, skew_exp, skew_exp_batch
 
 FD_STEPS = (1e-3, 1e-4, 1e-5)
@@ -34,15 +34,15 @@ def check_record(name: str, passed: bool, detail: str) -> dict:
 def fisher_limit_checks(models) -> list[dict]:
     """One check record per model and generator L(i, j), i < j, in that order:
     D/t^2, D = log(1 + chi2), extrapolated to t = 0 against the closed-form
-    Fisher value.  Every closed-form value comes first, so an overflow raises
-    before any divergence.  One ``skew_exp_batch`` call builds the T_GRID
+    Fisher value from one ``fisher_matrix`` per model, computed first, so an overflow
+    raises before any divergence.  One ``skew_exp_batch`` call builds the T_GRID
     rotations of every generator, and each model scores them in one call."""
     p = models[0].p
     if p < 2 or any(model.p != p for model in models):
         raise InvalidInput("fisher-limit checks need models of one dimension p >= 2")
     pairs = [(i, j) for i in range(p - 1) for j in range(i + 1, p)]
     xis = np.stack([generator(p, i, j).a for i, j in pairs])
-    targets = [[fisher_quad(model, xi) for xi in xis] for model in models]
+    targets = [(0.5 * np.sum(xis * xis * fisher_matrix(m), axis=(1, 2))).tolist() for m in models]
     rotations = skew_exp_batch(xis, T_GRID).reshape(-1, p, p)
     checks = []
     for model, model_targets in zip(models, targets):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -665,6 +666,14 @@ class TestRelrank:
             auto = excess_lower_bound(model, "auto").value
             assert value <= auto * (1 + 1e-9)
 
+    def test_matches_the_exact_sum_below_the_normal_range(self):
+        # lam_i lam_j underflows for these eigenvalues (down to 12^-200), while
+        # the bound itself, about 2.7e-173, is a normal float
+        model = CovModel(poly_spectrum(200, 12, 6), 1000)
+        lam = [Fraction(float(x)) for x in model.spectrum.lambdas]
+        exact = sum(li * lj / (li - lj) for li in lam[:6] for lj in lam[6:]) / 3000
+        assert relrank_bound(model) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+
 
 class TestDenoiseLowerBound:
     def test_low_rank_slack_regime(self):
@@ -782,6 +791,14 @@ class TestCramerRaoRatio:
         ratio = cramer_rao_ratio(model, w, result.rows, result.cols, result.x)
         assert ratio >= result.value - 1e-10
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_entry_adds_nothing_where_the_information_overflows(self):
+        # I_02 = 5 (1e300 - 1e-300)^2 / 1e300 / 1e-300 is beyond the float range
+        model = CovModel(Spectrum([1e300, 1.0, 1e-300], 1), 5)
+        w = WeightMatrix.ones(3)
+        ratio = cramer_rao_ratio(model, w, [0], [1, 2], [[1.0, 0.0]])
+        assert ratio == cramer_rao_ratio(model, w, [0], [1], [[1.0]]) == 3.9999999999999994e-301
+
     def test_rejects_bad_indices(self):
         model = CovModel(spike_spectrum(2, 1, 1, 3), n=4)
         with pytest.raises(InvalidInput):
@@ -795,11 +812,11 @@ class TestCramerRaoRatio:
 
 
 def _outcome(compute):
-    """compute()'s value, or InvalidInput if it raises that."""
+    """compute()'s value, or the class of the InvalidInput or ConditionNotMet it raises."""
     try:
         return compute()
-    except InvalidInput:
-        return InvalidInput
+    except (InvalidInput, ConditionNotMet) as exc:
+        return type(exc)
 
 
 def _searched_delta_and_value(model):
@@ -824,13 +841,15 @@ def scale_cases(draw):
 
 class TestScaleInvariance:
     """Rescaling the spectrum by 10^k (and sigma with it) leaves the hs and
-    denoising bounds unchanged and scales the excess bound by 10^k, to 1e-12
-    relative, or the library rejects both problems: the bounds depend on
-    eigenvalue ratios only, and no intermediate may overflow or underflow."""
+    denoising bounds, the d = 1 closed form, the canonical value and the
+    Cramér-Rao ratio unchanged and scales the excess and plug-in bounds by
+    10^k, to 1e-12 relative, or the library rejects both problems (or finds the
+    plug-in condition unmet in both): the bounds depend on eigenvalue ratios
+    only, and no intermediate may overflow or underflow."""
 
     @staticmethod
     def _assert_same(unscaled, scaled):
-        if unscaled is InvalidInput or scaled is InvalidInput:
+        if isinstance(unscaled, type) or isinstance(scaled, type):
             assert unscaled is scaled
         else:
             assert scaled == pytest.approx(unscaled, rel=1e-12, abs=0.0)
@@ -843,14 +862,21 @@ class TestScaleInvariance:
         scale = 10.0**k
         spectra = Spectrum(lambdas, d), Spectrum([x * scale for x in lambdas], d)
         cov = [CovModel(spectrum, n) for spectrum in spectra]
+        p = len(lambdas)
         for fn in (
             lambda m: hs_lower_bound(m).value,
             _searched_delta_and_value,
+            hs_bound_d1,
+            canonical_bound,
+            lambda m: cramer_rao_ratio(
+                m, WeightMatrix.ones(p), range(d), range(d, p), np.ones((d, p - d))
+            ),
         ):
             self._assert_same(*(_outcome(lambda: fn(m)) for m in cov))
-        excess = [_outcome(lambda: excess_lower_bound(m, "auto").value) for m in cov]
-        if excess[1] is not InvalidInput:
-            excess[1] /= scale
-        self._assert_same(*excess)
+        for fn in (lambda m: excess_lower_bound(m, "auto").value, relrank_bound):
+            outcomes = [_outcome(lambda: fn(m)) for m in cov]
+            if not isinstance(outcomes[1], type):
+                outcomes[1] /= scale
+            self._assert_same(*outcomes)
         denoise = DenoiseModel(spectra[0], sigma), DenoiseModel(spectra[1], sigma * scale)
         self._assert_same(*(_outcome(lambda: denoise_lower_bound(m).value) for m in denoise))

@@ -82,6 +82,17 @@ class TestBoundCommand:
     def test_relrank_condition_not_met_is_exit_3(self):
         assert run(["bound", "relrank", "--spectrum", "spike:2,1,1,2", "--n", "4"]) == 3
 
+    def test_relrank_follows_the_scale_of_the_spectrum(self, tmp_path):
+        # lam_i lam_j overflows at scale 1e160; the plug-in value does not
+        values = []
+        for scale in ("", "e160"):
+            out = tmp_path / f"relrank{scale}.json"
+            spectrum = f'{{"lambdas": [4{scale}, 3{scale}, 1{scale}], "d": 1}}'
+            args = ["bound", "relrank", "--spectrum", spectrum, "--n", "1000", "--out", str(out)]
+            assert run(args) == 0
+            values.append(json.loads(out.read_text())["value"])
+        assert values[1] == pytest.approx(values[0] * 1e160, rel=1e-12, abs=0.0)
+
     def test_canonical_kind(self, tmp_path):
         out = tmp_path / "canon.json"
         code = run(

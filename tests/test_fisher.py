@@ -7,13 +7,18 @@ from subspace_bounds import (
     CovModel,
     DenoiseModel,
     InvalidInput,
+    RngStream,
     SkewMatrix,
     Spectrum,
+    canonical_bound,
     chi2_gauss_cov,
     chi2_gauss_meanshift,
     exp_spectrum,
     fisher_quad,
     generator,
+    hs_bound_d1,
+    overlap_clt,
+    relrank_bound,
     skew_exp,
     spike_spectrum,
     verify_fisher_limit,
@@ -321,3 +326,33 @@ class TestFisherLimitChecks:
             fisher_limit_checks(
                 [CovModel(spike_spectrum(2, 1, 1, 3), 3), DenoiseModel(spike_spectrum(2, 1, 1, 2), 1)]
             )
+
+
+class TestOneSourceOfTruth:
+    """Every closed form, plug-in value and check target reads the Fisher
+    information from ``generator_fisher``: doubling it halves each value that
+    is an inverse of it and doubles each quadratic form, bit for bit, since a
+    power-of-two factor rounds exactly."""
+
+    def test_every_consumer_follows_generator_fisher(self, monkeypatch):
+        # every edge cap lies below 1/p and delta, so no min() clips a value
+        model = CovModel(Spectrum([4.0, 2.0, 1.0], 1), 1000)
+
+        def values():
+            inverses = (
+                hs_bound_d1(model),
+                canonical_bound(model),
+                relrank_bound(model),
+                overlap_clt(model, 0, 1, 2, RngStream(1, 0)).target,
+            )
+            checks = fisher_limit_checks([model])
+            closed = (c["report"]["closed_form"] for c in checks)
+            quads = (fisher_quad(model, generator(3, 0, 2)), *closed)
+            return inverses, quads
+
+        inverses, quads = values()
+        original = CovModel.generator_fisher
+        monkeypatch.setattr(
+            CovModel, "generator_fisher", lambda self, li, lj: 2.0 * original(self, li, lj)
+        )
+        assert values() == (tuple(v / 2.0 for v in inverses), tuple(2.0 * v for v in quads))
