@@ -44,9 +44,9 @@ FEAS_TOL = 1e-9
 class SubstochasticProgram:
     """max sum x_ij  s.t.  0 <= x_ij <= caps_ij, row/col sums capped.
 
-    ``caps`` entries may be +inf (encoded internally as a bound that can
-    never bind); row and column caps must be finite and nonnegative.  A
-    zero cap simply forces the corresponding mass to zero.
+    ``caps`` entries may be +inf, which the solver keeps as inf; row and
+    column caps must be finite and nonnegative.  A zero cap simply forces
+    the corresponding mass to zero.
     """
 
     caps: np.ndarray
@@ -230,11 +230,10 @@ def substochastic_max(prog: SubstochasticProgram) -> FlowSolution:
     if nr == 0 or nc == 0:
         no_rows, no_cols, x = np.zeros(nr, dtype=bool), np.zeros(nc, dtype=bool), np.zeros((nr, nc))
         return FlowSolution(0.0, x, 0.0, no_rows, no_cols, x > 0.0, ~no_rows, no_cols)
-    big = float(prog.row_caps.sum() + prog.col_caps.sum() + 1.0)  # an edge cap that never binds
-    caps = np.where(np.isinf(prog.caps), big, prog.caps)
-    built = (caps > 0.0) & (prog.row_caps > 0.0)[:, None] & (prog.col_caps > 0.0)[None, :]
+    # An inf edge cap stays inf: pushes are bounded by source arcs, and no min cut crosses it.
+    built = (prog.caps > 0.0) & (prog.row_caps > 0.0)[:, None] & (prog.col_caps > 0.0)[None, :]
     rows, cols = np.nonzero(built)
-    edge_caps = caps[built]
+    edge_caps = prog.caps[built]
     flow, row_res, col_res = _first_phase(edge_caps, rows, cols, prog.row_caps, prog.col_caps)
     x = np.zeros((nr, nc))
     x[built] = flow
@@ -253,7 +252,7 @@ def substochastic_max(prog: SubstochasticProgram) -> FlowSolution:
     rows_in, cols_in = side[1 : 1 + nr], side[1 + nr : 1 + nr + nc]
     cut = float(
         prog.row_caps[~rows_in].sum()
-        + caps[built & rows_in[:, None] & ~cols_in[None, :]].sum()
+        + prog.caps[built & rows_in[:, None] & ~cols_in[None, :]].sum()
         + prog.col_caps[cols_in].sum()
     )
     gap = abs(cut - value)
@@ -606,7 +605,7 @@ def relrank_bound(model: CovModel) -> float:
         raise ConditionNotMet(f"condition lhs={lhs:.6g} exceeds n/2={model.n / 2:.6g}")
     lam = model.spectrum.lambdas
     d = model.spectrum.d
-    mid = 0.5 * (lam[d - 1] + lam[d])
+    mid = lam[d] + 0.5 * (lam[d - 1] - lam[d])
     value = EXCESS_PREFACTOR * float(_excess_program(model, mid, d, d).caps.sum())
     dominating = excess_lower_bound(model, mu=mid).value
     if dominating < value * (1.0 - 1e-9):

@@ -166,29 +166,23 @@ def dv_dir(p: int, i: int, j: int, xi: SkewMatrix) -> np.ndarray:
     return out
 
 
-def _weighted_loss(u: np.ndarray, diff: np.ndarray, w: np.ndarray) -> np.ndarray:
-    coords = u.swapaxes(-1, -2) @ diff @ u
-    return (w * coords * coords).sum(axis=(-2, -1))
-
-
 def weighted_loss(u: OrthMatrix, a, d: int, w: WeightMatrix) -> float:
     """Weighted squared loss sum_kl w_kl <u_k u_l^T, a - P(U)>^2.
 
     With unit weights this is the squared Hilbert-Schmidt distance between
     a and the rank-d projector of U.  Uses <u_k u_l^T, M> = (U^T M U)_kl.
+    weighted_loss_batch on a stack of one.
     """
     a = np.asarray(getattr(a, "a", a), dtype=np.float64)
-    if a.shape != (u.dim, u.dim) or w.dim != u.dim:
-        raise InvalidInput("dimension mismatch between U, a and weights")
-    _check_d(d, u.dim)
-    return float(_weighted_loss(u.a, a - projector_leq_d(u, d).a, w.w))
+    return float(weighted_loss_batch(u.a[None], a[None], d, w)[0])
 
 
 def weighted_loss_batch(u: np.ndarray, a: np.ndarray, d: int, w: WeightMatrix) -> np.ndarray:
-    """weighted_loss of each (U, a) pair of two (B, p, p) stacks, with U checked orthogonal."""
+    """weighted_loss of each (U, a) pair of two (B, p, p) stacks."""
     if a.shape != u.shape or u.ndim != 3 or w.dim != u.shape[-1]:
         raise InvalidInput("dimension mismatch between U, a and weights")
-    return _weighted_loss(u, a - projector_leq_d_batch(u, d), w.w)
+    coords = u.swapaxes(-1, -2) @ (a - projector_leq_d_batch(u, d)) @ u
+    return (w.w * coords * coords).sum(axis=(-2, -1))
 
 
 def excess_risk_weights(spectrum: Spectrum, mu: float) -> WeightMatrix:
@@ -207,33 +201,22 @@ def excess_risk_weights(spectrum: Spectrum, mu: float) -> WeightMatrix:
     return WeightMatrix(np.repeat(rows[:, None], spectrum.p, axis=1))
 
 
-def _excess_risk(spectrum: Spectrum, u: np.ndarray, p_hat: np.ndarray) -> np.ndarray:
-    sigma = (u * spectrum.lambdas) @ u.swapaxes(-1, -2)
-    inner = _trace(p_hat.swapaxes(-1, -2) @ sigma)
-    return np.sum(spectrum.lambdas[: spectrum.d]) - inner
-
-
-def _check_rank_is_d(rank, d: int) -> None:
-    if np.any(rank != d):
-        raise InvalidInput(f"projector rank {np.max(rank)} != d={d}")
-
-
 def excess_risk(spectrum: Spectrum, u: OrthMatrix, p_hat: Projector) -> float:
     """Reconstruction-error regret of p_hat against the optimal projector.
 
     Computed exactly via traces: sum of the leading d eigenvalues minus
     <p_hat, Sigma> with Sigma = U diag(lam) U^T.  Nonnegative for every
-    rank-d projector.
+    rank-d projector.  excess_risk_batch on a stack of one.
     """
-    if p_hat.dim != u.dim or u.dim != spectrum.p:
-        raise InvalidInput("dimension mismatch")
-    _check_rank_is_d(p_hat.rank, spectrum.d)
-    return float(_excess_risk(spectrum, u.a, p_hat.a))
+    return float(excess_risk_batch(spectrum, u.a[None], p_hat.a[None])[0])
 
 
 def excess_risk_batch(spectrum: Spectrum, u: np.ndarray, p_hat: np.ndarray) -> np.ndarray:
     """excess_risk of each (U, projector) pair of two (B, p, p) stacks."""
     if p_hat.shape != u.shape or u.ndim != 3 or u.shape[-1] != spectrum.p:
         raise InvalidInput("dimension mismatch")
-    _check_rank_is_d(np.rint(_trace(p_hat)), spectrum.d)
-    return _excess_risk(spectrum, u, p_hat)
+    d, rank = spectrum.d, np.rint(_trace(p_hat))
+    if (rank != d).any():
+        raise InvalidInput(f"projector rank {int(rank[rank != d][0])} != d={d}")
+    sigma = (u * spectrum.lambdas) @ u.swapaxes(-1, -2)
+    return np.sum(spectrum.lambdas[:d]) - _trace(p_hat.swapaxes(-1, -2) @ sigma)

@@ -40,12 +40,18 @@ def fisher_matrix(model: CovModel | DenoiseModel) -> np.ndarray:
     return info
 
 
+def quadratic_form(xis: np.ndarray, info: np.ndarray) -> np.ndarray:
+    """sum_ij (1/2) xi_ij^2 I_ij of each xi of a (..., p, p) array; halved before
+    the sum, so the pair of equal terms of a generator cannot overflow it."""
+    return np.sum(0.5 * xis * xis * info, axis=(-2, -1))
+
+
 def fisher_quad(model: CovModel | DenoiseModel, xi: SkewMatrix) -> float:
     """(1/2) sum_ij xi_ij^2 I_ij over ``fisher_matrix(model)``, whose checks it raises."""
     x = (xi if isinstance(xi, SkewMatrix) else SkewMatrix(xi)).a
     if x.shape[0] != model.p:
         raise InvalidInput(f"direction has dim {x.shape[0]}, expected {model.p}")
-    return float(0.5 * np.sum(x * x * fisher_matrix(model)))
+    return float(quadratic_form(x, fisher_matrix(model)))
 
 
 def _chi2_one(model: CovModel | DenoiseModel, u: OrthMatrix) -> float:

@@ -12,6 +12,7 @@ gets the bits the one-matrix functions would give it.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -22,11 +23,10 @@ from .equivariance import (
     Projector,
     WeightMatrix,
     excess_risk_batch,
-    projector_leq_d,
     projector_leq_d_batch,
     weighted_loss_batch,
 )
-from .linalg import SymMatrix, sym_eig, sym_eig_batch
+from .linalg import SymMatrix, sym_eig_batch
 from .models import (
     CovModel,
     DenoiseModel,
@@ -88,22 +88,22 @@ class RiskEstimate:
 
 
 def _degenerate(values: np.ndarray, d: int) -> np.ndarray:
-    """Whether the gap below the d-th of each row of sorted eigenvalues is under GAP_TOL."""
+    """Whether the gap below the d-th of each row of sorted eigenvalues is at most
+    GAP_TOL times the row's largest |eigenvalue| (so a zero row is degenerate)."""
     if d == values.shape[-1]:
         return np.zeros(values.shape[:-1], dtype=bool)
-    return values[..., d - 1] - values[..., d] < GAP_TOL
+    return values[..., d - 1] - values[..., d] <= GAP_TOL * np.abs(values).max(axis=-1)
 
 
 def _top_d_projector(sym: SymMatrix, d: int) -> Projector:
-    eig = sym_eig(sym)
-    p = sym.dim
-    if not 1 <= d <= p:
-        raise InvalidInput(f"d={d} out of range 1..{p}")
-    if _degenerate(eig.values, d):
+    """The chunk path of bayes_risk on a stack of one."""
+    values, vectors = sym_eig_batch(sym.a[None])
+    projector = projector_leq_d_batch(vectors, d)  # InvalidInput unless 1 <= d <= p
+    if _degenerate(values, d)[0]:
         raise DegenerateGap(
-            f"gap {eig.values[d - 1] - eig.values[d]:.3e} below {GAP_TOL:.0e}"
+            f"gap {values[0, d - 1] - values[0, d]:.3e} below {GAP_TOL:.0e} of max |eigenvalue|"
         )
-    return projector_leq_d(eig.vectors, d)
+    return Projector(projector[0])
 
 
 def pca_estimator(data, d: int) -> Projector:
@@ -136,8 +136,17 @@ def _losses(config: SimConfig, u: np.ndarray, vectors: np.ndarray) -> np.ndarray
     return excess_risk_batch(spectrum, u, p_hat)
 
 
+def _loss_scale(config: SimConfig) -> float:
+    """The power of two the losses are divided by before their squares are summed,
+    exactly: 1 for hs (at most 2d), and for excess (at most d lam_1) the one in (lam_1/2, lam_1]."""
+    if config.loss == "hs_squared":
+        return 1.0
+    return math.ldexp(1.0, math.frexp(config.model.spectrum.lambdas[0])[1] - 1)
+
+
 def _chunk_sums(config: SimConfig, start: int, stop: int) -> tuple[float, float, int]:
-    """Sum, sum of squares and resample count of the losses of replicates start..stop-1.
+    """Sum, sum of squares and resample count of the losses of replicates
+    start..stop-1, each divided by ``_loss_scale(config)``.
 
     Replicate rep is drawn from RngStream(seed, (rep, attempt)); the draws
     whose gap is degenerate are redrawn at the next attempt, up to
@@ -163,7 +172,7 @@ def _chunk_sums(config: SimConfig, start: int, stop: int) -> tuple[float, float,
             )
     total = 0.0
     total_sq = 0.0
-    for loss in losses.tolist():
+    for loss in (losses / _loss_scale(config)).tolist():
         total += loss
         total_sq += loss * loss
     return total, total_sq, int(attempts.sum())
@@ -194,10 +203,11 @@ def bayes_risk(config: SimConfig) -> RiskEstimate:
         total += t
         total_sq += tsq
         resampled += rs
-    mean = total / reps
+    scale = _loss_scale(config)
+    mean = total / reps * scale
     if reps > 1:
         var = max(0.0, (total_sq - total * total / reps) / (reps - 1))
-        se = float(np.sqrt(var / reps))
+        se = float(np.sqrt(var / reps)) * scale
     else:
         se = 0.0
     return RiskEstimate(

@@ -15,12 +15,12 @@ from .equivariance import (
     excess_risk,
     excess_risk_weights,
     generator,
-    projector_leq_d,
+    projector_leq_d_batch,
     weighted_loss,
 )
 from .errors import InvalidInput
-from .fisher import T_GRID, fisher_matrix, limit_report
-from .linalg import SkewMatrix, skew_exp, skew_exp_batch
+from .fisher import T_GRID, fisher_matrix, limit_report, quadratic_form
+from .linalg import SkewMatrix, skew_exp_batch
 
 FD_STEPS = (1e-3, 1e-4, 1e-5)
 BAND_FACTOR = 3.0
@@ -42,7 +42,7 @@ def fisher_limit_checks(models) -> list[dict]:
         raise InvalidInput("fisher-limit checks need models of one dimension p >= 2")
     pairs = [(i, j) for i in range(p - 1) for j in range(i + 1, p)]
     xis = np.stack([generator(p, i, j).a for i, j in pairs])
-    targets = [(0.5 * np.sum(xis * xis * fisher_matrix(m), axis=(1, 2))).tolist() for m in models]
+    targets = [quadratic_form(xis, fisher_matrix(m)).tolist() for m in models]
     rotations = skew_exp_batch(xis, T_GRID).reshape(-1, p, p)
     checks = []
     for model, model_targets in zip(models, targets):
@@ -67,14 +67,13 @@ def derivative_errors(xi: SkewMatrix, d: int, i: int, j: int) -> tuple[list, lis
     base_p = np.diag((np.arange(p) < d).astype(np.float64))
     base_v = np.zeros((p, p))
     base_v[i, j] = 1.0
-    errs_p, errs_v = [], []
-    for t in FD_STEPS:
-        q = skew_exp(xi, t)
-        fd_p = (projector_leq_d(q, d).a - base_p) / t
-        fd_v = (np.outer(q.a[:, i], q.a[:, j]) - base_v) / t
-        errs_p.append(float(np.max(np.abs(fd_p - closed_p))))
-        errs_v.append(float(np.max(np.abs(fd_v - closed_v))))
-    return errs_p, errs_v
+    q = skew_exp_batch(xi.a[None], FD_STEPS)[0]
+    ts = np.array(FD_STEPS)[:, None, None]
+    fd_p = (projector_leq_d_batch(q, d) - base_p) / ts
+    fd_v = (q[:, :, i, None] * q[:, None, :, j] - base_v) / ts
+    errs_p = np.abs(fd_p - closed_p).max(axis=(1, 2))
+    errs_v = np.abs(fd_v - closed_v).max(axis=(1, 2))
+    return errs_p.tolist(), errs_v.tolist()
 
 
 def decade_ratios(errs) -> list[float]:

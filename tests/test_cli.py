@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,19 @@ class TestBoundCommand:
             assert run(args) == 0
             values.append(json.loads(out.read_text())["value"])
         assert values[1] == pytest.approx(values[0] * 1e160, rel=1e-12, abs=0.0)
+
+    def test_relrank_near_the_top_of_the_float_range(self, tmp_path):
+        # lam_1 + lam_2 overflows; the split level between them does not
+        values = []
+        for scale in ("", "e308"):
+            out = tmp_path / f"relrank{scale}.json"
+            spectrum = f'{{"lambdas": [1.7{scale}, 1.6{scale}, 1{scale}], "d": 1}}'
+            args = ["bound", "relrank", "--spectrum", spectrum, "--n", "100000", "--out", str(out)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run(args) == 0
+            values.append(json.loads(out.read_text())["value"])
+        assert values[1] == pytest.approx(values[0] * 1e308, rel=1e-12, abs=0.0)
 
     def test_canonical_kind(self, tmp_path):
         out = tmp_path / "canon.json"
@@ -332,6 +346,7 @@ class TestVerifyCommand:
             ["--spectrum", "exp:0.5,8", "--d", "1", "--n", "1000"],
             ["--spectrum", "exp:0.5,8", "--d", "1", "--n", "10000000"],
             ["--spectrum", "exp:1,4", "--d", "1", "--n", "1000", "--sigma", "0.1"],
+            ["--spectrum", "spike:2,1,1,2", "--sigma", "1e-154"],  # I_01 = 1e308
         ],
     )
     def test_fisher_limit_passes_at_large_information(self, args, tmp_path, capsys):
@@ -521,6 +536,19 @@ class TestSimulateCommand:
     def test_non_finite_delta_is_named(self, delta, capsys):
         assert run(self.ARGS + ["--delta", delta]) == 3
         assert capsys.readouterr().err == "precondition failed: delta must be finite and > 0\n"
+
+    def test_excess_standard_error_follows_the_scale_of_the_spectrum(self, tmp_path):
+        # At scale 1e160 each squared loss would overflow the float range.
+        se = []
+        for scale in ("", "e160"):
+            out = tmp_path / f"sim{scale}.csv"
+            spectrum = f'{{"lambdas": [4{scale}, 3{scale}, 1{scale}], "d": 1}}'
+            args = ["simulate", "--loss", "excess", "--spectrum", spectrum, "--n", "50",
+                    "--reps", "20", "--seed", "1", "--out", str(out)]
+            assert run(args) == 0
+            se.append(float(out.read_bytes().decode("utf-8").split("\r\n")[1].split(",")[6]))
+        assert se[0] > 0.0
+        assert se[1] == pytest.approx(se[0] * 1e160, rel=1e-12, abs=0.0)
 
     def test_denoise_model_route(self, tmp_path):
         out = tmp_path / "den.csv"

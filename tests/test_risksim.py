@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subspace_bounds import (
     CovModel,
@@ -290,6 +293,44 @@ class TestGoldenBytes:
         model = CovModel(Spectrum([4.0, 2.0, 1.0], 1), n=200)
         report = overlap_clt(model, 0, 2, 700, RngStream(108, 9))
         assert json.dumps(report.to_json_dict(), sort_keys=True) == GOLDEN_OVERLAP
+
+
+def _scaled(model, k: int):
+    """The model with its spectrum, and a denoising model's sigma, times 2^k."""
+    spectrum = Spectrum([math.ldexp(lam, k) for lam in model.spectrum.lambdas], model.spectrum.d)
+    if isinstance(model, CovModel):
+        return CovModel(spectrum, model.n)
+    return DenoiseModel(spectrum, math.ldexp(model.sigma, k))
+
+
+class TestScaleFree:
+    """Scaling a criterion-6 model by 2^k leaves its hs risk and resample count
+    unchanged and scales its excess risk by 2^k, to 1e-12 relative: the gap
+    test is relative, and no sum of squared losses overflows or underflows."""
+
+    @settings(max_examples=100)
+    @given(st.sampled_from(GOLDEN_RISKS), st.integers(-1000, 1000))
+    @example(GOLDEN_RISKS[2], 1000)
+    @example(GOLDEN_RISKS[3], -1000)
+    @example(GOLDEN_RISKS[5], 1000)
+    @example(GOLDEN_RISKS[4], -1000)
+    def test_bayes_risk_follows_the_scale_of_the_model(self, case, k):
+        model, loss, _ = case
+        base, scaled = (
+            bayes_risk(SimConfig(m, loss, replicates=24, seed=9)) for m in (model, _scaled(model, k))
+        )
+        factor = 1.0 if loss == "hs_squared" else math.ldexp(1.0, k)
+        assert scaled.mean == pytest.approx(base.mean * factor, rel=1e-12, abs=0.0)
+        assert scaled.std_error == pytest.approx(base.std_error * factor, rel=1e-12, abs=0.0)
+        assert scaled.resampled == base.resampled
+
+    def test_estimators_follow_the_scale_of_the_data(self):
+        g = RngStream(100, 2).generator()
+        data, x = g.standard_normal((30, 5)), g.standard_normal((5, 5))
+        scale = 2.0**-300
+        for estimator, arg in ((pca_estimator, data), (denoise_estimator, (x + x.T) / 2)):
+            unscaled = estimator(arg, 2).a
+            np.testing.assert_allclose(estimator(arg * scale, 2).a, unscaled, rtol=0.0, atol=1e-12)
 
 
 class TestOverlap:
