@@ -6,30 +6,38 @@ A :class:`Spectrum` is an ordered eigenvalue vector together with the rank
 U^T) and ``DenoiseModel`` (a single symmetric matrix U diag(lam) U^T + sigma
 times GOE noise); each gives its Fisher information along the generator
 L(i, j), the divergence log(1 + chi-square) of its law at a stack of bases
-from the law at the identity, and draws the matrix an estimator diagonalizes.
-All randomness flows through :class:`RngStream`, a counter-based generator
-keyed by (seed, stream), so distinct streams are independent and every
-draw is reproducible.
+from the law at the identity, and draws a stack of the matrices an estimator
+diagonalizes at U = I.  The identity is the only basis a simulation needs:
+the law of the data at U is the law at I conjugated by U (Gaussian rows and
+GOE noise are orthogonally invariant), both plug-in estimators are
+equivariant, P(U X U^T) = U P(X) U^T, and both losses are unchanged by that
+conjugation, so the loss at a Haar-distributed U has the law of the loss at
+I.  All randomness flows through :class:`RngStream`, a counter-based
+generator keyed by (seed, stream), so distinct streams are independent and
+every draw is reproducible.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import OrthMatrix, SymMatrix, require_orthogonal, sym_eig_batch
+from .linalg import OrthMatrix, SymMatrix, sym_eig_batch
 
 
 def _whole(value, name: str) -> int:
     """value as an int; InvalidInput unless it is a finite whole number."""
-    number = float(value) if isinstance(value, (int, float)) else math.nan
-    if not (math.isfinite(number) and number.is_integer()):
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and float(value).is_integer()):
         raise InvalidInput(f"{name} must be a whole number, got {value!r}")
-    return int(number)
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -78,8 +86,11 @@ class CovModel:
     kind = "covariance"
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _whole(self.n, "n"))
         if self.n < 1:
             raise InvalidInput("n must be >= 1")
+        if self.n > sys.float_info.max:  # every formula multiplies a float by n
+            raise InvalidInput(f"n must be at most {sys.float_info.max:.4g}")
         if not self.spectrum.strict_positive:
             raise InvalidInput("covariance model requires strictly positive eigenvalues")
 
@@ -121,9 +132,21 @@ class CovModel:
         log_one_plus_chi1 = -0.5 * np.sum(np.log1p(-np.where(blocked[:, None], 0.0, args)), axis=-1)
         return np.where(same, 0.0, np.where(blocked, np.inf, self.n * log_one_plus_chi1))
 
-    def observe(self, u: np.ndarray, g: np.random.Generator) -> np.ndarray:
-        """Empirical covariance of ``sample_cov``'s n-by-p sample at basis array u."""
-        return _gram(_cov_rows(self, u, g))
+    def observe(self, count: int, g: np.random.Generator) -> np.ndarray:
+        """A (count, p, p) stack of empirical covariances of n rows at U = I.
+
+        Each is Lam^{1/2} R^T R Lam^{1/2} / n with R the Bartlett factor of a
+        Wishart(n, I) matrix (Bartlett 1933): min(n, p) rows, R_ii the root of a
+        chi-square with n - i degrees of freedom (0-based i), N(0, 1) entries
+        right of the diagonal and zeros left of it.  O(p^2) draws whatever n is;
+        n < p gives the rank-n scatter.
+        """
+        k = min(self.n, self.p)
+        r = np.triu(g.standard_normal((count, k, self.p)), 1)
+        diag = np.arange(k)
+        r[:, diag, diag] = np.sqrt(g.chisquare(self.n - diag.astype(np.float64), size=(count, k)))
+        y = r / math.sqrt(self.n) * np.sqrt(self.spectrum.lambdas)
+        return y.swapaxes(-1, -2) @ y
 
 
 @dataclass(frozen=True)
@@ -164,10 +187,10 @@ class DenoiseModel:
         shift = ((u * lam) @ u.swapaxes(-1, -2) - np.diag(lam)) / self.sigma
         return 0.5 * np.sum(shift * shift, axis=(-2, -1))
 
-    def observe(self, u: np.ndarray, g: np.random.Generator) -> np.ndarray:
-        """Observation of ``sample_denoise`` at basis array u, before SymMatrix symmetrizes it."""
-        signal = (u * self.spectrum.lambdas) @ u.T
-        return signal + self.sigma * _goe(self.p, g)
+    def observe(self, count: int, g: np.random.Generator) -> np.ndarray:
+        """A (count, p, p) stack of observations diag(lam) + sigma * GOE at U = I."""
+        noise = _goe(g.standard_normal((count, self.p, self.p)))
+        return np.diag(self.spectrum.lambdas) + self.sigma * noise
 
 
 @dataclass(frozen=True)
@@ -176,7 +199,7 @@ class RngStream:
 
     Backed by the counter-based Philox generator; distinct (seed, stream)
     pairs give statistically independent streams without coordination, so
-    parallel Monte Carlo workers can derive per-replicate streams locally.
+    parallel Monte Carlo workers can derive per-chunk streams locally.
     ``stream`` may be an int or a tuple of ints (a hierarchical key).
     """
 
@@ -201,14 +224,6 @@ def _as_generator(rng) -> np.random.Generator:
     raise InvalidInput(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
-def _haar_fold(z: np.ndarray) -> np.ndarray:
-    """Q of z = QR with the signs of R's diagonal folded in, for each (p, p) matrix of z."""
-    q, r = np.linalg.qr(z)
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    signs = np.where(signs == 0, 1.0, signs)
-    return q * signs[..., None, :]
-
-
 def haar_orthogonal(p: int, rng) -> OrthMatrix:
     """Draw from the Haar measure on the full orthogonal group O(p).
 
@@ -218,36 +233,14 @@ def haar_orthogonal(p: int, rng) -> OrthMatrix:
     """
     if p < 1:
         raise InvalidInput("p must be >= 1")
-    g = _as_generator(rng)
-    return OrthMatrix(_haar_fold(g.standard_normal((p, p))))
+    q, r = np.linalg.qr(_as_generator(rng).standard_normal((p, p)))
+    signs = np.sign(np.diagonal(r))
+    return OrthMatrix(q * np.where(signs == 0, 1.0, signs))
 
 
-def haar_orthogonal_batch(p: int, generators) -> np.ndarray:
-    """One Haar draw from each generator, stacked into a (B, p, p) array.
-
-    Draws the same numbers from each generator as ``haar_orthogonal`` and
-    gives the same bits; the QR factorizations run as one stacked call.
-    Every matrix is checked orthogonal, as OrthMatrix does.
-    """
-    if p < 1:
-        raise InvalidInput("p must be >= 1")
-    u = _haar_fold(np.stack([g.standard_normal((p, p)) for g in generators]))
-    require_orthogonal(u)
-    return u
-
-
-def _cov_rows(model: CovModel, u: np.ndarray, g: np.random.Generator) -> np.ndarray:
-    z = g.standard_normal((model.n, model.p))
-    return (z * np.sqrt(model.spectrum.lambdas)) @ u.T
-
-
-def _goe(p: int, g: np.random.Generator) -> np.ndarray:
-    z = g.standard_normal((p, p))
-    return (z + z.T) / np.sqrt(2.0)
-
-
-def _gram(x: np.ndarray) -> np.ndarray:
-    return x.T @ x / x.shape[0]
+def _goe(z: np.ndarray) -> np.ndarray:
+    """GOE matrices from standard normal (..., p, p) draws z."""
+    return (z + z.swapaxes(-1, -2)) / np.sqrt(2.0)
 
 
 def _check_basis(model, u: OrthMatrix) -> None:
@@ -258,20 +251,22 @@ def _check_basis(model, u: OrthMatrix) -> None:
 def sample_cov(model: CovModel, u: OrthMatrix, rng) -> np.ndarray:
     """n rows, each i.i.d. N(0, U diag(lam) U^T); generated as (z*sqrt(lam)) U^T."""
     _check_basis(model, u)
-    return _cov_rows(model, u.a, _as_generator(rng))
+    z = _as_generator(rng).standard_normal((model.n, model.p))
+    return (z * np.sqrt(model.spectrum.lambdas)) @ u.a.T
 
 
 def sample_goe(p: int, rng) -> SymMatrix:
     """GOE draw: Var W_ij = 1 off the diagonal, Var W_ii = 2, symmetric."""
     if p < 1:
         raise InvalidInput("p must be >= 1")
-    return SymMatrix(_goe(p, _as_generator(rng)))
+    return SymMatrix(_goe(_as_generator(rng).standard_normal((p, p))))
 
 
 def sample_denoise(model: DenoiseModel, u: OrthMatrix, rng) -> SymMatrix:
     """One observation U diag(lam) U^T + sigma * GOE."""
     _check_basis(model, u)
-    return SymMatrix(model.observe(u.a, _as_generator(rng)))
+    signal = (u.a * model.spectrum.lambdas) @ u.a.T
+    return SymMatrix(signal + model.sigma * sample_goe(model.p, rng).a)
 
 
 def empirical_cov(data) -> SymMatrix:
@@ -279,7 +274,7 @@ def empirical_cov(data) -> SymMatrix:
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise InvalidInput("data must be an n-by-p array with n >= 1")
-    return SymMatrix(_gram(x))
+    return SymMatrix(x.T @ x / x.shape[0])
 
 
 # --- spectrum families and the CLI shorthand ---------------------------------

@@ -1,19 +1,23 @@
 """Monte Carlo estimation of uniform-prior Bayes risks.
 
-Each replicate draws a basis U from the Haar measure, samples data from
-the model at U, applies the plug-in spectral estimator, and evaluates the
-loss through the equivariance module (the same formulas the identity
-tests cross-validate).  Replicates use per-index derived random streams,
-so the estimate is a pure function of (config, seed) no matter how work
-is scheduled across processes.  A chunk of replicates is drawn, solved by
-one stacked eigendecomposition and scored as a stack; every replicate
-gets the bits the one-matrix functions would give it.
+The Bayes risk under the Haar prior on U equals the risk at U = I.  This is
+the group-equivariance argument the lower bounds rest on: the law of the
+data at U is the law at I conjugated by U, both plug-in estimators are
+equivariant, P(U X U^T) = U P(X) U^T, and both losses are unchanged when the
+truth and the estimate are conjugated together, so the loss at a Haar draw
+of U has the law of the loss at I.  Each replicate therefore draws the
+observed matrix at U = I, applies the plug-in spectral estimator, and
+evaluates the loss against I through the equivariance module (the same
+formulas the identity tests cross-validate).  Replicates come in
+fixed-size chunks, each drawn from its own stream RngStream(seed, chunk),
+so the estimate is a pure function of (config, seed) no matter how chunks
+are scheduled across processes.  A chunk is drawn in one call, solved by
+one stacked eigendecomposition and scored as a stack.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,14 +31,7 @@ from .equivariance import (
     weighted_loss_batch,
 )
 from .linalg import SymMatrix, sym_eig_batch
-from .models import (
-    CovModel,
-    DenoiseModel,
-    RngStream,
-    _as_generator,
-    empirical_cov,
-    haar_orthogonal_batch,
-)
+from .models import CovModel, DenoiseModel, RngStream, _as_generator, _whole, empirical_cov
 
 GAP_TOL = 1e-12
 CHUNK = 512  # fixed so merge order never depends on the worker count
@@ -54,6 +51,8 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("replicates", "seed", "workers"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         if self.loss not in LOSS_TAGS:
             raise InvalidInput(f"loss must be one of {LOSS_TAGS}")
         if self.loss == "excess" and not isinstance(self.model, CovModel):
@@ -66,7 +65,7 @@ class SimConfig:
             raise InvalidInput("workers must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: a caller may keep one per run
 class RiskEstimate:
     mean: float
     std_error: float
@@ -118,22 +117,14 @@ def denoise_estimator(x, d: int) -> Projector:
     return _top_d_projector(x, d)
 
 
-def _draw(config: SimConfig, reps: np.ndarray, attempts: np.ndarray):
-    """Haar bases and observed matrices of the given (replicate, attempt) draws, stacked."""
-    p = config.model.p
-    gens = [RngStream(config.seed, (int(r), int(a))).generator() for r, a in zip(reps, attempts)]
-    u = haar_orthogonal_batch(p, gens)
-    x = np.stack([config.model.observe(u[k], g) for k, g in enumerate(gens)])
-    return u, x
-
-
-def _losses(config: SimConfig, u: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Loss of each plug-in estimate (leading eigenvectors) against its basis."""
+def _losses(config: SimConfig, vectors: np.ndarray) -> np.ndarray:
+    """Loss of each plug-in estimate (leading eigenvectors) against U = I."""
     spectrum = config.model.spectrum
     p_hat = projector_leq_d_batch(vectors, spectrum.d)
+    ident = np.broadcast_to(np.eye(spectrum.p), p_hat.shape)
     if config.loss == "hs_squared":
-        return weighted_loss_batch(u, p_hat, spectrum.d, WeightMatrix.ones(spectrum.p))
-    return excess_risk_batch(spectrum, u, p_hat)
+        return weighted_loss_batch(ident, p_hat, spectrum.d, WeightMatrix.ones(spectrum.p))
+    return excess_risk_batch(spectrum, ident, p_hat)
 
 
 def _loss_scale(config: SimConfig) -> float:
@@ -146,36 +137,45 @@ def _loss_scale(config: SimConfig) -> float:
 
 def _chunk_sums(config: SimConfig, start: int, stop: int) -> tuple[float, float, int]:
     """Sum, sum of squares and resample count of the losses of replicates
-    start..stop-1, each divided by ``_loss_scale(config)``.
+    start..stop-1 (one chunk), each divided by ``_loss_scale(config)``.
 
-    Replicate rep is drawn from RngStream(seed, (rep, attempt)); the draws
-    whose gap is degenerate are redrawn at the next attempt, up to
-    MAX_RESAMPLE attempts.  Losses are added in replicate order.
+    The chunk's stack is drawn at U = I from one generator,
+    RngStream(seed, start // CHUNK); the draws whose gap is degenerate are
+    redrawn from it, in order, up to MAX_RESAMPLE draws in all.  Losses are
+    added in replicate order.
     """
-    reps = np.arange(start, stop)
-    attempts = np.zeros(reps.size, dtype=np.int64)
-    losses = np.empty(reps.size)
-    todo = np.arange(reps.size)
-    while todo.size:
-        u, x = _draw(config, reps[todo], attempts[todo])
-        values, vectors = sym_eig_batch(x)
-        bad = _degenerate(values, config.model.spectrum.d)
-        good = ~bad
-        if good.any():
-            losses[todo[good]] = _losses(config, u[good], vectors[good])
+    g = RngStream(config.seed, start // CHUNK).generator()
+    d = config.model.spectrum.d
+    losses = np.empty(stop - start)
+    todo = np.arange(stop - start)
+    resampled = 0
+    for _ in range(MAX_RESAMPLE):
+        values, vectors = sym_eig_batch(config.model.observe(todo.size, g))
+        bad = _degenerate(values, d)
+        if not bad.all():
+            losses[todo[~bad]] = _losses(config, vectors[~bad])
         todo = todo[bad]
-        attempts[todo] += 1
-        exhausted = todo[attempts[todo] == MAX_RESAMPLE]
-        if exhausted.size:
-            raise DegenerateGap(
-                f"replicate {reps[exhausted[0]]} degenerate after {MAX_RESAMPLE} resamples"
-            )
+        if not todo.size:
+            break
+        resampled += todo.size
+    else:
+        raise DegenerateGap(
+            f"replicate {start + todo[0]} degenerate after {MAX_RESAMPLE} resamples"
+        )
     total = 0.0
     total_sq = 0.0
     for loss in (losses / _loss_scale(config)).tolist():
         total += loss
         total_sq += loss * loss
-    return total, total_sq, int(attempts.sum())
+    return total, total_sq, resampled
+
+
+def ProcessPoolExecutor(max_workers: int):  # named after the class it returns
+    """concurrent.futures' process pool, imported only when a run uses one:
+    the import (multiprocessing, subprocess) costs about 2 MB of memory."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def _chunk_worker(args) -> tuple[float, float, int]:
@@ -265,15 +265,14 @@ def overlap_clt(model: CovModel, i: int, j: int, replicates: int, rng) -> Overla
         raise InvalidInput(f"need i < d <= j (0-based); got i={i}, j={j}, d={d}")
     if lam[i] == lam[j]:
         raise InvalidInput("overlap scale is undefined for equal eigenvalues")
+    replicates = _whole(replicates, "replicates")
     if replicates < 2:
         raise InvalidInput("need at least 2 replicates")
     g = _as_generator(rng)
-    ident = np.eye(p)
     values = np.empty(replicates)
     for lo in range(0, replicates, CHUNK):
         hi = min(lo + CHUNK, replicates)
-        covs = np.stack([model.observe(ident, g) for _ in range(lo, hi)])
-        _, vectors = sym_eig_batch(covs)
+        _, vectors = sym_eig_batch(model.observe(hi - lo, g))
         values[lo:hi] = model.n * vectors[:, i, j] ** 2
     target = float(model.n / model.generator_fisher(lam[i], lam[j]))
     mean = float(values.mean())

@@ -673,6 +673,22 @@ class TestReportCommand:
         assert len(lines) == 3
         assert code in (0, 4)  # a two-point grid may not fit the decay slope
 
+    def test_large_n_simulated_sweep_dominates_bounds(self, tmp_path):
+        # n = 1e5 rows per replicate: the covariance model draws the scatter,
+        # not the rows, so this sweep takes about a second.
+        out = tmp_path / "large_n.csv"
+        code = run(
+            ["report", "--family", "exp", "--alpha", "1", "--p", "12", "--n", "100000",
+             "--d-min", "3", "--d-max", "6", "--simulate", "600", "--out", str(out)]
+        )
+        assert code == 0
+        lines = [l for l in out.read_bytes().decode("utf-8").split("\r\n") if l]
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert [int(row["d"]) for row in rows] == [3, 4, 5, 6]
+        for row in rows:
+            assert float(row["risk"]) + 3.0 * float(row["se"]) >= float(row["bound"])
+
 
 class TestDeterminism:
     def test_bound_artifact_bytes_stable(self, tmp_path):

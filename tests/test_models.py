@@ -44,6 +44,20 @@ class TestSpectrum:
             CovModel(Spectrum([1.0, 0.0], 1), 5)
         DenoiseModel(Spectrum([1.0, 0.0], 1), 1.0)  # zero tail allowed here
 
+    @pytest.mark.parametrize("n", [2.5, float("inf"), float("nan"), "50", None])
+    def test_cov_model_needs_whole_n(self, n):
+        with pytest.raises(InvalidInput, match="n must be a whole number"):
+            CovModel(Spectrum([2.0, 1.0], 1), n)
+
+    @pytest.mark.parametrize("n", [50.0, np.int64(50), np.float64(50.0)])
+    def test_cov_model_takes_whole_n_as_int(self, n):
+        model = CovModel(Spectrum([2.0, 1.0], 1), n)
+        assert model.n == 50 and type(model.n) is int
+
+    def test_cov_model_needs_n_in_the_float_range(self):
+        with pytest.raises(InvalidInput, match="n must be at most 1.798e"):
+            CovModel(Spectrum([2.0, 1.0], 1), 10**400)
+
     def test_denoise_needs_positive_sigma(self):
         with pytest.raises(InvalidInput):
             DenoiseModel(Spectrum([1.0, 0.5], 1), 0.0)
@@ -201,6 +215,57 @@ class TestSamplers:
         a = sample_denoise(model, u, RngStream(8, 3))
         b = sample_denoise(model, u, RngStream(8, 3))
         assert a.a.tobytes() == b.a.tobytes()
+
+
+def _row_scatters(model: CovModel, count: int, g) -> np.ndarray:
+    """Scatters of n Gaussian rows at U = I, drawn as the rows themselves."""
+    z = g.standard_normal((count, model.n, model.p)) * np.sqrt(model.spectrum.lambdas)
+    return z.swapaxes(-1, -2) @ z / model.n
+
+
+class TestObserve:
+    """The Bartlett draw of CovModel.observe has the law of the row draw."""
+
+    LAM = [4.0, 2.0, 1.0, 0.5]
+    COUNT = 20_000
+
+    @pytest.mark.parametrize("n", [3, 4, 60])  # n < p, n = p, n >> p
+    def test_scatter_moments_match_row_draw_and_theory(self, n):
+        model = CovModel(Spectrum(self.LAM, 2), n)
+        lam = model.spectrum.lambdas
+        mean = np.diag(lam)
+        var = (np.outer(lam, lam) + np.diag(lam**2)) / n  # Var S_ij = (lam_i lam_j + delta_ij lam_i^2) / n
+        bartlett = model.observe(self.COUNT, RngStream(11, n).generator())
+        rows = _row_scatters(model, self.COUNT, RngStream(12, n).generator())
+        moments = []
+        for draws in (bartlett, rows):
+            dev_sq = (draws - mean) ** 2
+            moments.append((draws.mean(0), draws.std(0, ddof=1) ** 2 / self.COUNT,
+                            dev_sq.mean(0), dev_sq.std(0, ddof=1) ** 2 / self.COUNT))
+            assert np.all(np.abs(draws.mean(0) - mean) <= 4.5 * np.sqrt(moments[-1][1]))
+            assert np.all(np.abs(dev_sq.mean(0) - var) <= 4.5 * np.sqrt(moments[-1][3]))
+        (m1, v1, s1, w1), (m2, v2, s2, w2) = moments
+        assert np.all(np.abs(m1 - m2) <= 4.5 * np.sqrt(v1 + v2))
+        assert np.all(np.abs(s1 - s2) <= 4.5 * np.sqrt(w1 + w2))
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 9])
+    def test_scatter_has_rank_min_n_p(self, n):
+        model = CovModel(Spectrum(self.LAM, 2), n)
+        draws = model.observe(50, RngStream(13, n).generator())
+        assert draws.shape == (50, 4, 4)
+        assert np.array_equal(draws, draws.swapaxes(-1, -2))
+        assert set(np.linalg.matrix_rank(draws).tolist()) == {min(n, 4)}
+
+    def test_denoise_observe_is_diagonal_plus_goe(self):
+        model = DenoiseModel(Spectrum([3.0, 1.0, 0.0], 1), sigma=0.5)
+        draws = model.observe(self.COUNT, RngStream(14, 0).generator())
+        assert np.array_equal(draws, draws.swapaxes(-1, -2))
+        noise = (draws - np.diag(model.spectrum.lambdas)) / model.sigma
+        var = 1.0 + np.eye(3)  # GOE: 2 on the diagonal, 1 elsewhere
+        se_mean = np.sqrt(var / self.COUNT)
+        assert np.all(np.abs(noise.mean(0)) <= 4.5 * se_mean)
+        sq = noise**2
+        assert np.all(np.abs(sq.mean(0) - var) <= 4.5 * sq.std(0, ddof=1) / np.sqrt(self.COUNT))
 
 
 class TestEmpiricalCov:

@@ -128,6 +128,24 @@ class TestBayesRisk:
         with pytest.raises(InvalidInput, match="seed must be >= 0"):
             SimConfig(self.MODEL, "hs_squared", replicates=10, seed=-1)
 
+    @pytest.mark.parametrize("field", ["replicates", "seed", "workers"])
+    @pytest.mark.parametrize("value", [2.5, float("nan"), "3", None])
+    def test_counts_must_be_whole_numbers(self, field, value):
+        args = {"replicates": 10, "seed": 0, "workers": 1, field: value}
+        with pytest.raises(InvalidInput, match=f"{field} must be a whole number"):
+            SimConfig(self.MODEL, "hs_squared", **args)
+
+    def test_counts_are_written_as_ints(self):
+        cfg = SimConfig(self.MODEL, "hs_squared", replicates=True, seed=4.0, workers=np.int64(1))
+        assert (cfg.replicates, cfg.seed, cfg.workers) == (1, 4, 1)
+        assert all(type(v) is int for v in (cfg.replicates, cfg.seed, cfg.workers))
+        payload = json.dumps(bayes_risk(cfg).to_json_dict(), sort_keys=True)
+        assert '"replicates": 1,' in payload and '"seed": 4,' in payload
+
+    def test_non_whole_n_is_invalid_before_simulating(self):
+        with pytest.raises(InvalidInput, match="n must be a whole number, got 2.5"):
+            bayes_risk(SimConfig(CovModel(self.MODEL.spectrum, 2.5), "hs_squared", 10, seed=0))
+
     def test_replicates_must_be_positive(self):
         with pytest.raises(InvalidInput):
             SimConfig(self.MODEL, "hs_squared", replicates=0, seed=0)
@@ -147,26 +165,56 @@ class TestBayesRisk:
         The estimator commutes with rotations and the loss is invariant, so
         per-replicate losses agree up to eigensolver roundoff; comparing the
         two means within Monte Carlo noise would hide a broken pipeline,
-        while this direct comparison cannot.
+        while this direct comparison cannot.  This is why bayes_risk may
+        simulate at U = I.
         """
-        model = self.MODEL
-        p, d = 4, 2
-        g = RngStream(105, 0).generator()
-        v = haar_orthogonal(p, g).a
         from subspace_bounds import OrthMatrix
 
-        w_ones = WeightMatrix.ones(p)
-        diffs = []
-        for rep in range(200):
-            rng = RngStream(106, rep).generator()
-            u = haar_orthogonal(p, rng)
-            data = sample_cov(model, u, rng)
-            plain = weighted_loss(u, pca_estimator(data, d).a, d, w_ones)
-            rotated = weighted_loss(
-                OrthMatrix(v @ u.a), pca_estimator(data @ v.T, d).a, d, w_ones
-            )
-            diffs.append(abs(plain - rotated))
-        assert max(diffs) <= 1e-8
+        denoise = DenoiseModel(Spectrum([12.0, 8.0, 0.0, 0.0], 2), 1.0)
+        for model, loss in ((self.MODEL, "hs_squared"), (self.MODEL, "excess"), (denoise, "hs_squared")):
+            p, d = model.p, model.spectrum.d
+            v = haar_orthogonal(p, RngStream(105, 0).generator()).a
+            diffs = []
+            for rep in range(200):
+                rng = RngStream(106, rep).generator()
+                u = haar_orthogonal(p, rng)
+                if isinstance(model, CovModel):
+                    data = sample_cov(model, u, rng)
+                    plain, rotated = pca_estimator(data, d), pca_estimator(data @ v.T, d)
+                else:
+                    x = sample_denoise(model, u, rng).a
+                    plain, rotated = denoise_estimator(x, d), denoise_estimator(v @ x @ v.T, d)
+                losses = [_one_matrix_loss(model, loss, basis, p_hat)
+                          for basis, p_hat in ((u, plain), (OrthMatrix(v @ u.a), rotated))]
+                diffs.append(abs(losses[0] - losses[1]))
+            assert max(diffs) <= 1e-8, (model, loss)
+
+    @pytest.mark.parametrize(
+        "model, loss",
+        [
+            (MODEL, "hs_squared"),
+            (MODEL, "excess"),
+            (DenoiseModel(Spectrum([10.0, 0.0, 0.0, 0.0], 1), 1.0), "hs_squared"),
+        ],
+    )
+    def test_risk_matches_haar_and_rows_reference(self, model, loss):
+        """bayes_risk at U = I against the reference path it replaced: a Haar
+        basis per replicate, the data drawn at it (n Gaussian rows, or the
+        rotated signal plus GOE noise), and the loss against that basis."""
+        reps = 3000
+        losses = np.empty(reps)
+        for rep in range(reps):
+            g = RngStream(110, rep).generator()
+            u = haar_orthogonal(model.p, g)
+            if isinstance(model, CovModel):
+                p_hat = pca_estimator(sample_cov(model, u, g), model.spectrum.d)
+            else:
+                p_hat = denoise_estimator(sample_denoise(model, u, g), model.spectrum.d)
+            losses[rep] = _one_matrix_loss(model, loss, u, p_hat)
+        ref_se = losses.std(ddof=1) / np.sqrt(reps)
+        est = bayes_risk(SimConfig(model, loss, replicates=reps, seed=111))
+        assert abs(est.mean - losses.mean()) <= 4.0 * np.hypot(est.std_error, ref_se)
+        assert est.std_error == pytest.approx(ref_se, rel=0.15)
 
     def test_estimate_serializes(self):
         est = RiskEstimate(0.5, 0.01, 100, 7, "hs_squared")
@@ -203,8 +251,10 @@ class TestBayesRisk:
 
     def test_batched_chunk_matches_one_matrix_pipeline(self):
         """Each replicate's loss from the stacked pipeline equals, bit for bit,
-        the loss of the one-matrix functions on the same draw."""
+        the loss of the one-matrix functions on the same draw at U = I, and the
+        chunk's sums are those of these losses, drawn from the chunk's generator."""
         import subspace_bounds.risksim as rs
+        from subspace_bounds import OrthMatrix
 
         for model, loss in (
             (self.MODEL, "hs_squared"),
@@ -212,71 +262,78 @@ class TestBayesRisk:
             (DenoiseModel(Spectrum([12.0, 8.0, 0.0, 0.0, 0.0], 2), 1.0), "hs_squared"),
         ):
             cfg = SimConfig(model, loss, replicates=40, seed=7)
-            reps = np.arange(40)
-            u, x = rs._draw(cfg, reps, np.zeros(40, dtype=int))
+            x = model.observe(40, RngStream(7, 0).generator())
             values, vectors = sym_eig_batch(x)
             assert not rs._degenerate(values, model.spectrum.d).any()
-            batched = rs._losses(cfg, u, vectors)
-            for rep in reps:
-                g = RngStream(7, (int(rep), 0)).generator()
-                basis = haar_orthogonal(model.p, g)
-                if isinstance(model, CovModel):
-                    p_hat = pca_estimator(sample_cov(model, basis, g), model.spectrum.d)
-                else:
-                    p_hat = denoise_estimator(sample_denoise(model, basis, g), model.spectrum.d)
-                if loss == "hs_squared":
-                    ref = weighted_loss(basis, p_hat.a, model.spectrum.d, WeightMatrix.ones(model.p))
-                else:
-                    ref = excess_risk(model.spectrum, basis, p_hat)
-                assert np.float64(ref).tobytes() == batched[rep].tobytes()
+            batched = rs._losses(cfg, vectors)
+            ident = OrthMatrix(np.eye(model.p))
+            # denoise_estimator is the top-d projector of any observed symmetric
+            # matrix, a scatter included.
+            refs = [
+                _one_matrix_loss(model, loss, ident, denoise_estimator(x[rep], model.spectrum.d))
+                for rep in range(40)
+            ]
+            for ref, value in zip(refs, batched):
+                assert np.float64(ref).tobytes() == value.tobytes()
+            scaled = [ref / rs._loss_scale(cfg) for ref in refs]
+            assert rs._chunk_sums(cfg, 0, 40) == (sum(scaled), sum(x * x for x in scaled), 0)
 
 
-# RiskEstimate and OverlapReport JSON computed with the one-matrix pipeline
-# (one sym_eig per replicate) before the stacked eigensolver replaced it.
+def _one_matrix_loss(model, loss, basis, p_hat) -> float:
+    """The loss of one estimate against one basis, by the one-matrix functions."""
+    if loss == "hs_squared":
+        return weighted_loss(basis, p_hat.a, model.spectrum.d, WeightMatrix.ones(model.p))
+    return excess_risk(model.spectrum, basis, p_hat)
+
+
+# RiskEstimate and OverlapReport JSON, re-saved once when the simulation moved
+# to U = I with one generator per chunk and the Bartlett scatter.  Each risk
+# mean is within 1.1 standard errors of the one the Haar-basis, row-drawing
+# pipeline saved before.
 _P4 = [4.0, 3.0, 1.0, 0.5]
 _P8 = [6.0, 5.0, 4.0, 3.0, 1.0, 0.8, 0.6, 0.4]
 GOLDEN_RISKS = [
     (
         CovModel(Spectrum(_P4, 2), 50),
         "hs_squared",
-        '{"loss": "hs_squared", "mean": 0.07579551312244642, "replicates": 600, '
-        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.0031572005536184}',
+        '{"loss": "hs_squared", "mean": 0.07145083355949487, "replicates": 600, '
+        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.002683650143305146}',
     ),
     (
         CovModel(Spectrum(_P8, 3), 60),
         "hs_squared",
-        '{"loss": "hs_squared", "mean": 0.6715373723650118, "replicates": 600, '
-        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.021700228325853565}',
+        '{"loss": "hs_squared", "mean": 0.7007475704607534, "replicates": 600, '
+        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.021870832297928394}',
     ),
     (
         CovModel(Spectrum(_P4, 2), 50),
         "excess",
-        '{"loss": "excess", "mean": 0.09413517232730265, "replicates": 600, '
-        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.003647316791874988}',
+        '{"loss": "excess", "mean": 0.0894036302643311, "replicates": 600, '
+        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.0031558490388813526}',
     ),
     (
         CovModel(Spectrum(_P8, 3), 60),
         "excess",
-        '{"loss": "excess", "mean": 0.6199757199640569, "replicates": 600, '
-        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.016584918130155175}',
+        '{"loss": "excess", "mean": 0.6341836881062469, "replicates": 600, '
+        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.016167663216872838}',
     ),
     (
         DenoiseModel(Spectrum([10.0, 0.0, 0.0, 0.0], 1), 1.0),
         "hs_squared",
-        '{"loss": "hs_squared", "mean": 0.06340572370881414, "replicates": 600, '
-        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.0020959200439608972}',
+        '{"loss": "hs_squared", "mean": 0.0635901580790914, "replicates": 600, '
+        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.0022609361008339352}',
     ),
     (
         DenoiseModel(Spectrum([12.0, 8.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], 2), 1.0),
         "hs_squared",
-        '{"loss": "hs_squared", "mean": 0.2895969407566029, "replicates": 600, '
-        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.006116083477514235}',
+        '{"loss": "hs_squared", "mean": 0.2872203209470933, "replicates": 600, '
+        '"resampled": 0, "schema": 1, "seed": 106, "std_error": 0.006342180611019954}',
     ),
 ]
 GOLDEN_OVERLAP = (
-    '{"i": 0, "j": 2, "n": 200, "replicates": 700, "sample_mean": 0.5092166067222873, '
-    '"schema": 1, "status": "PASS", "std_error": 0.02582341755186323, '
-    '"target": 0.4444444444444444, "z_score": 2.508272274487131}'
+    '{"i": 0, "j": 2, "n": 200, "replicates": 700, "sample_mean": 0.43594103961218295, '
+    '"schema": 1, "status": "PASS", "std_error": 0.02176047559184896, '
+    '"target": 0.4444444444444444, "z_score": -0.39077293124267376}'
 )
 
 
@@ -348,6 +405,11 @@ class TestOverlap:
     def test_rng_must_be_stream_or_generator(self):
         with pytest.raises(InvalidInput, match="expected RngStream or numpy Generator"):
             overlap_clt(self.MODEL, 0, 1, 4, "x")
+
+    def test_replicates_must_be_a_whole_number(self):
+        with pytest.raises(InvalidInput, match="replicates must be a whole number, got 2.5"):
+            overlap_clt(self.MODEL, 0, 1, 2.5, RngStream(107, 3))
+        assert overlap_clt(self.MODEL, 0, 1, 20.0, RngStream(107, 3)).replicates == 20
 
     def test_wrong_side_rejected(self):
         model = CovModel(Spectrum([3.0, 2.0, 1.0], 2), n=100)
