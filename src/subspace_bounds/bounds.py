@@ -19,8 +19,9 @@ phase's admissible arcs only, with the pushes of a scan of every arc.
 No scipy module is imported on this path.  Optimality is certified on
 every solve by the minimum cut that its last breadth-first search leaves,
 whose capacity must equal the flow to within 1e-9 of the flow.  The
-searches over mu and delta read each min cut as a line in the parameter
-and stop at a maximum that these lines certify.  A sparse LP oracle (scipy
+searches over mu and delta take the lower envelope of the prefix cuts'
+lines in the parameter, pick its best breakpoint, and solve one flow
+there that must equal the envelope.  A sparse LP oracle (scipy
 HiGHS) provides an independent verification path at any size and is used
 only by tests and the verify command.
 """
@@ -389,23 +390,21 @@ def _require_delta(delta: float) -> None:
         raise InvalidInput("delta must be finite and > 0")
 
 
-def _rectangle_solve(model: CovModel | DenoiseModel, delta: float):
-    """(program, flow solution, bound) at mixing level delta on the leading-by-trailing rectangle.
-
-    Edge caps 2 / I_ij, with I_ij the model's Fisher information along the
-    generator L(i, j); row and column sums capped at delta; prefactor
-    1/(1 + 2 delta).
-    """
+def _rectangle_program(model: CovModel | DenoiseModel, delta: float) -> SubstochasticProgram:
+    """The program at mixing level delta: edge caps 2 / I_ij, row and column caps delta."""
     _require_delta(delta)
     d, p = model.spectrum.d, model.p
-    prog = SubstochasticProgram(_rectangle_caps(model), np.full(d, delta), np.full(p - d, delta))
-    sol = substochastic_max(prog)
+    return SubstochasticProgram(_rectangle_caps(model), np.full(d, delta), np.full(p - d, delta))
+
+
+def _rectangle_bound(model, delta: float, prog, sol: FlowSolution) -> BoundResult:
+    """The bound at mixing level delta from its program's flow; prefactor 1/(1 + 2 delta)."""
+    d, p = model.spectrum.d, model.p
     if model.kind == "covariance":
         params = {"bound": "hs", "n": model.n, "delta": delta, "d": d, "p": p}
     else:
         params = {"bound": "denoise", "sigma": model.sigma, "delta": delta, "d": d, "p": p}
-    prefactor = 1.0 / (1.0 + 2.0 * delta)
-    return prog, sol, BoundResult.from_solution(prog, sol, prefactor, range(d), range(d, p), params)
+    return BoundResult.from_solution(prog, sol, 1 / (1 + 2 * delta), range(d), range(d, p), params)
 
 
 def hs_lower_bound(model: CovModel, delta: float = 1.0) -> BoundResult:
@@ -415,7 +414,8 @@ def hs_lower_bound(model: CovModel, delta: float = 1.0) -> BoundResult:
     leading-by-trailing index rectangle, row and column sums capped at
     delta, prefactor 1/(1 + 2 delta).
     """
-    return _rectangle_solve(model, delta)[2]
+    prog = _rectangle_program(model, delta)
+    return _rectangle_bound(model, delta, prog, substochastic_max(prog))
 
 
 def denoise_lower_bound(model: DenoiseModel, delta: float = 1.0) -> BoundResult:
@@ -423,7 +423,8 @@ def denoise_lower_bound(model: DenoiseModel, delta: float = 1.0) -> BoundResult:
 
     Same program shape with edge caps 2 / I_ij = 2 sigma^2 / (lam_i - lam_j)^2.
     """
-    return _rectangle_solve(model, delta)[2]
+    prog = _rectangle_program(model, delta)
+    return _rectangle_bound(model, delta, prog, substochastic_max(prog))
 
 
 def hs_bound_d1(model: CovModel, delta: float = 1.0) -> float:
@@ -461,50 +462,54 @@ def singleton_max(b_row) -> SingletonSolution:
     return SingletonSolution(value, z, lower)
 
 
-BREAKPOINT_RTOL = 1e-12
+def _prefix_cuts(prog: SubstochasticProgram) -> np.ndarray:
+    """Capacity of the cut with rows < a and columns < c on the source side, at [a, c];
+    edge caps are summed by cumsums, never by differences, so an inf cap stays inf."""
+    rect = np.zeros(np.add(prog.shape, 1))
+    rect[1:, :-1] = np.cumsum(np.cumsum(prog.caps, axis=0)[:, ::-1], axis=1)[:, ::-1]
+    rows_out = np.append(np.cumsum(prog.row_caps[::-1])[::-1], 0.0)
+    return rows_out[:, None] + rect + np.append(0.0, np.cumsum(prog.col_caps))
 
 
-def _cut_capacity(prog: SubstochasticProgram, sol: FlowSolution) -> float:
-    """Capacity in ``prog`` of the min cut of ``sol``, read from the full rectangle of caps."""
-    crossing = prog.caps[np.ix_(sol.rows_in, ~sol.cols_in)].sum()
-    return float(prog.row_caps[~sol.rows_in].sum() + crossing + prog.col_caps[sol.cols_in].sum())
+def _envelope_max(program, lo: float, hi: float, row_slope: int, weight):
+    """(t, program at t, its flow) for the t in [lo, hi] maximizing weight(t) * flow(t).
 
-
-def _breakpoint_max(solve, lo: float, hi: float, row_slope: int, trend) -> BoundResult:
-    """The bound maximized exactly over t in [lo, hi] from the min cuts of its solves.
-
-    ``solve(t)`` returns the program at t, its flow solution and the bound.
-    Row caps move with slope ``row_slope`` in t and column caps with slope 1,
-    so each cut's capacity is a line in t with an integer slope, and the flow
-    is their lower envelope.  ``trend(t, c, a)`` has the sign of the bound's
-    derivative on the line of slope a through (t, c).  A rising cut line L
-    lies left of the maximum, a falling one R right of it.  Where they cross,
-    a flow equal to min(L, R), or a cut with a flat bound, certifies the
-    maximum; else the cut replaces L or R (Gallo, Grigoriadis & Tarjan 1989;
-    Dinkelbach 1967).  L's slope falls and R's rises, so over nr + nc + 2 solves raise.
+    ``program(t)`` keeps its edge caps; its row caps move with slope ``row_slope``
+    in t and its column caps with slope 1.  Each prefix cut is then a line in t with
+    an integer slope, written from its capacity at lo, a sum of nonnegative caps.
+    The least line per slope gives the concave lower envelope F, and weight(t) F(t),
+    weight constant or 1/(1 + 2t), is largest at a breakpoint of F or an end of the
+    range.  Every prefix cut is a cut, so F >= flow, and a flow at t equal to F(t)
+    certifies the maximum over the range.  Edge caps rising down the rows and falling
+    along the columns, with row caps constant or falling and column caps constant or
+    rising, make a min cut a prefix cut (best responses to prefixes are prefixes);
+    else this raises.
     """
-
-    def cut_line(t):
-        prog, sol, result = solve(t)
-        slope = row_slope * int(np.sum(~sol.rows_in)) + int(np.sum(sol.cols_in))
-        return t, prog, sol, slope, result
-
-    left = t, prog, sol, a, result = cut_line(lo)
-    if not trend(t, sol.value, a) > 0:
-        return result
-    right = t, _, sol, a, result = cut_line(hi)
-    if not trend(t, sol.value, a) < 0:
-        return result
-    for _ in range(sum(prog.shape)):
-        (t_l, prog_l, cut_l, a_l, _), (t_r, _, cut_r, a_r, _) = left, right
-        gap = _cut_capacity(prog_l, cut_r) - _cut_capacity(prog_l, cut_l)
-        t = t_l if a_l == a_r else min(max(t_l + gap / (a_l - a_r), t_l), t_r)
-        new = _, prog, sol, a, result = cut_line(t)
-        lines = min(_cut_capacity(prog, cut_l), _cut_capacity(prog, cut_r))
-        if sol.value >= lines * (1.0 - BREAKPOINT_RTOL) or trend(t, sol.value, a) == 0:
-            return result
-        left, right = (new, right) if trend(t, sol.value, a) > 0 else (left, new)
-    raise RuntimeError(f"breakpoint search not certified in {sum(prog.shape) + 2} solves")
+    base = program(lo)
+    nr, nc = base.shape
+    slopes = row_slope * (nr - np.arange(nr + 1))[:, None] + np.arange(nc + 1)
+    by_slope = np.full((nr + 1, nr + nc + 1), np.inf)
+    by_slope[np.arange(nr + 1)[:, None], slopes - slopes.min()] = _prefix_cuts(base)
+    least = by_slope.min(axis=0)
+    # Keep the lines below every line of smaller slope at lo.  By falling slope, the first
+    # is F's piece at lo (never popped), and each later one crosses those before past lo.
+    kept = np.flatnonzero(least < np.append(np.inf, np.minimum.accumulate(least)[:-1]))[::-1]
+    k, m = (kept + slopes.min()).tolist(), least[kept].tolist()
+    pieces = [(k[0], m[0], 0.0)]  # F's pieces on [lo, hi]: slope, intercept, start - lo
+    for kj, mj in zip(k[1:], m[1:]):
+        while (start := (mj - pieces[-1][1]) / (pieces[-1][0] - kj)) <= pieces[-1][2] > 0.0:
+            pieces.pop()
+        if start < hi - lo:
+            pieces.append((kj, mj, start))
+    x = np.array([s for *_, s in pieces] + [hi - lo])
+    t = np.append(np.minimum(lo + x[:-1], hi), hi)
+    best = float(t[np.argmax(weight(t) * np.min(np.multiply.outer(x, k) + m, axis=1))])
+    prog = program(best)
+    sol = substochastic_max(prog)
+    envelope = float(_prefix_cuts(prog).min())
+    if not abs(sol.value - envelope) <= DUALITY_TOL * sol.value:
+        raise RuntimeError(f"search not certified at {best}: flow {sol.value}, envelope {envelope}")
+    return best, prog, sol
 
 
 def _excess_index_sets(model: CovModel) -> tuple[int, int]:
@@ -544,30 +549,26 @@ def excess_lower_bound(model: CovModel, mu="auto") -> BoundResult:
     with I_ij the Fisher information along L(i, j), row caps lam_i - mu,
     column caps mu - lam_j, prefactor 1/3.  In auto mode mu maximizes the
     bound over [lam_{d+1}, lam_d], where each cut's capacity is affine in mu.
-    Certificate: the flow at mu equals a rising and a falling min-cut line
-    that cross there, or mu's own min-cut line is flat, or mu ends the range
-    and its min-cut line does not rise into it.
+    Certificate: the one flow solve, at the searched mu, equals the lower
+    envelope of the prefix-cut lines, which bounds the flow at every mu.
     """
-    lam = model.spectrum.lambdas
-    d = model.spectrum.d
+    lam, d, p = model.spectrum.lambdas, model.spectrum.d, model.p
     r, s = _excess_index_sets(model)
     mu_lo, mu_hi = float(lam[d]), float(lam[d - 1])
-    rows, cols = range(r), range(s, model.p)
-
-    def solve(m):
-        prog = _excess_program(model, m, r, s)
-        sol = substochastic_max(prog)
-        params = {"bound": "excess", "mu": m, "n": model.n, "d": d, "p": model.p, "r": r, "s": s}
-        return prog, sol, BoundResult.from_solution(prog, sol, EXCESS_PREFACTOR, rows, cols, params)
-
     if isinstance(mu, str):
         if mu != "auto":
             raise InvalidInput(f"mu must be a number or 'auto', got {mu!r}")
-        return _breakpoint_max(solve, mu_lo, mu_hi, -1, lambda t, c, a: a)
-    mu_val = float(mu)
-    if not mu_lo <= mu_val <= mu_hi:
-        raise InvalidInput(f"mu={mu_val} outside [{mu_lo}, {mu_hi}]")
-    return solve(mu_val)[2]
+        mu_val, prog, sol = _envelope_max(
+            lambda m: _excess_program(model, m, r, s), mu_lo, mu_hi, -1, lambda t: EXCESS_PREFACTOR
+        )
+    else:
+        mu_val = float(mu)
+        if not mu_lo <= mu_val <= mu_hi:
+            raise InvalidInput(f"mu={mu_val} outside [{mu_lo}, {mu_hi}]")
+        prog = _excess_program(model, mu_val, r, s)
+        sol = substochastic_max(prog)
+    params = {"bound": "excess", "mu": mu_val, "n": model.n, "d": d, "p": p, "r": r, "s": s}
+    return BoundResult.from_solution(prog, sol, EXCESS_PREFACTOR, range(r), range(s, p), params)
 
 
 def relrank_condition(model: CovModel) -> tuple[bool, float]:
@@ -625,17 +626,16 @@ def optimize_delta(model) -> tuple[float, BoundResult]:
 
     A cut with a row/column caps and crossing edge caps b on its boundary
     bounds the value by (a delta + b)/(1 + 2 delta), which rises in delta
-    iff a > 2b.  Certificate: the flow at delta equals a rising and a falling
-    min-cut line that cross there, or delta's own min-cut term is flat, or
-    delta ends the range and its min-cut term does not rise into it.
+    iff a > 2b.  Certificate: the one flow solve, at the searched delta,
+    equals the lower envelope of the prefix-cut lines, which bounds the flow
+    at every delta.
     """
     if not isinstance(model, (CovModel, DenoiseModel)):
         raise InvalidInput(f"unsupported model type {type(model)!r}")
-    result = _breakpoint_max(
-        lambda t: _rectangle_solve(model, t), *DELTA_RANGE, 1,
-        lambda t, c, a: a * (1.0 + 2.0 * t) - 2.0 * c,
+    delta, prog, sol = _envelope_max(
+        lambda t: _rectangle_program(model, t), *DELTA_RANGE, 1, lambda t: 1.0 / (1.0 + 2.0 * t)
     )
-    return result.params["delta"], result
+    return delta, _rectangle_bound(model, delta, prog, sol)
 
 
 def canonical_bound(model: CovModel) -> float:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -101,16 +102,15 @@ def _brute_force_max(caps, row_base, row_slope, col_base, lo, hi, weight):
 
 
 def _brute_force_mu(model):
-    """Exact excess maximum over mu in [lam_{d+1}, lam_d], and the rectangle shape."""
+    """Exact excess maximum over mu in [lam_{d+1}, lam_d]."""
     lam, d = model.spectrum.lambdas, model.spectrum.d
     li, lj = lam[:d][lam[:d] > lam[d]], lam[d:][lam[d:] < lam[d - 1]]
     caps = li[:, None] * lj[None, :] / (model.n * (li[:, None] - lj[None, :]))
-    best = _brute_force_max(caps, li, -1, -lj, lam[d], lam[d - 1], lambda t: 1.0 / 3.0)
-    return best, caps.shape
+    return _brute_force_max(caps, li, -1, -lj, lam[d], lam[d - 1], lambda t: 1.0 / 3.0)
 
 
 def _brute_force_delta(model):
-    """Exact rectangle-bound maximum over delta in DELTA_RANGE, and the rectangle shape."""
+    """Exact rectangle-bound maximum over delta in DELTA_RANGE."""
     lam, d = model.spectrum.lambdas, model.spectrum.d
     gaps = (lam[:d, None] - lam[None, d:]) ** 2
     if model.kind == "covariance":
@@ -120,10 +120,9 @@ def _brute_force_delta(model):
     with np.errstate(divide="ignore"):
         caps = 2.0 / fisher
     zeros_r, zeros_c = np.zeros(caps.shape[0]), np.zeros(caps.shape[1])
-    best = _brute_force_max(
+    return _brute_force_max(
         caps, zeros_r, 1, zeros_c, *bounds.DELTA_RANGE, lambda t: 1.0 / (1.0 + 2.0 * t)
     )
-    return best, caps.shape
 
 
 # (bound, family, alpha, p, n or sigma) of the benchmark's 13 single solves.
@@ -276,9 +275,9 @@ def solve_programs():
     for bound, family, alpha, p, param in BOUND_SOLVE_INSTANCES:
         spectrum = (exp_spectrum if family == "exp" else poly_spectrum)(alpha, p, p // 2)
         if bound == "denoise":
-            prog = bounds._rectangle_solve(DenoiseModel(spectrum, param), 1.0)[0]
+            prog = bounds._rectangle_program(DenoiseModel(spectrum, param), 1.0)
         elif bound == "hs":
-            prog = bounds._rectangle_solve(CovModel(spectrum, param), 1.0)[0]
+            prog = bounds._rectangle_program(CovModel(spectrum, param), 1.0)
         else:
             model, lam = CovModel(spectrum, param), spectrum.lambdas
             mid_mu = 0.5 * (lam[p // 2 - 1] + lam[p // 2])
@@ -421,8 +420,9 @@ class TestLaterPhases:
     def test_search_solves(self, search):
         with mock.patch.object(bounds, "substochastic_max", wraps=substochastic_max) as solver:
             search()
-        counts = [assert_same_pushes(call.args[0]) for call in solver.call_args_list]
-        assert len(counts) >= 3 and any(phases > 0 for phases, _ in counts)
+        (call,) = solver.call_args_list  # one flow solve per search
+        phases, _ = assert_same_pushes(call.args[0])
+        assert phases > 0
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(
@@ -729,9 +729,102 @@ class TestOptimizeDelta:
                 bounds, "substochastic_max", wraps=bounds.substochastic_max
             ) as solver:
                 result = search()
-            best, shape = brute_force(model)
-            assert result.value == pytest.approx(best, rel=1e-12)
-            assert solver.call_count <= sum(shape) + 2
+            assert result.value == pytest.approx(brute_force(model), rel=1e-12)
+            assert solver.call_count == 1
+
+
+def _search_programs(model, u):
+    """The programs a search of ``model`` may solve: the rectangle at delta = 10^(8u - 4)
+    and, where the excess bound exists, its program at both ends of the mu range and
+    at the fraction u of it."""
+    progs = [bounds._rectangle_program(model, 10.0 ** (8.0 * u - 4.0))]
+    lam, d = model.spectrum.lambdas, model.spectrum.d
+    if model.kind == "covariance" and lam[0] > lam[d] and lam[d - 1] > lam[-1]:
+        r, s = bounds._excess_index_sets(model)
+        lo, hi = lam[d], lam[d - 1]
+        progs += [bounds._excess_program(model, mu, r, s) for mu in (lo, lo + u * (hi - lo), hi)]
+    return progs
+
+
+def assert_prefix_min_is_optimum(prog, lp=True):
+    """The least prefix cut of ``prog`` equals its max flow (and its LP optimum) to 1e-9."""
+    least = bounds._prefix_cuts(prog).min()
+    for optimum in [substochastic_max(prog).value] + ([lp_oracle(prog)] if lp else []):
+        assert abs(least - optimum) <= 1e-9 * optimum, (least, optimum)
+
+
+class TestPrefixCuts:
+    """The searches read the flow off the prefix cuts (rows < a, columns < c on the
+    source side) of programs whose edge caps rise down the rows and fall along the
+    columns; the least prefix cut is then the max flow."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(programs())
+    def test_entries_are_cut_capacities(self, prog):
+        nr, nc = prog.shape
+        expected = np.empty((nr + 1, nc + 1))
+        for a, c in itertools.product(range(nr + 1), range(nc + 1)):
+            rows_in, cols_in = np.arange(nr) < a, np.arange(nc) < c
+            crossing = prog.caps[np.ix_(rows_in, ~cols_in)].sum()
+            expected[a, c] = prog.row_caps[~rows_in].sum() + crossing + prog.col_caps[cols_in].sum()
+        cuts = bounds._prefix_cuts(prog)
+        np.testing.assert_allclose(cuts, expected, rtol=1e-12, atol=0.0)
+        assert substochastic_max(prog).value <= cuts.min() * (1.0 + 1e-12)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(search_models(), st.floats(0.0, 1.0))
+    def test_least_prefix_cut_is_the_optimum(self, model, u):
+        for prog in _search_programs(model, u):
+            assert_prefix_min_is_optimum(prog)
+
+    def test_tied_eigenvalues_give_inf_caps(self):
+        for model in (CovModel(Spectrum([2.0, 1.0, 1.0, 0.5], 2), 10),
+                      DenoiseModel(Spectrum([3.0, 2.0, 2.0, 2.0, 1.0], 2), 0.5)):
+            for u in (0.0, 0.3, 0.5, 1.0):
+                prog = bounds._rectangle_program(model, 10.0 ** (8.0 * u - 4.0))
+                assert np.isinf(prog.caps).any()
+                assert_prefix_min_is_optimum(prog)
+
+    def test_zero_caps_at_the_ends_of_the_mu_range(self):
+        model = CovModel(Spectrum([4.0, 3.0, 3.0, 1.0, 1.0, 0.5], 3), 60)
+        lo_prog, *_, hi_prog = _search_programs(model, 0.5)[1:]
+        assert np.count_nonzero(lo_prog.col_caps == 0.0) == 2
+        assert np.count_nonzero(hi_prog.row_caps == 0.0) == 2
+        for prog in (lo_prog, hi_prog):
+            assert_prefix_min_is_optimum(prog)
+
+    def test_one_point_mu_range(self):
+        # lam_d = lam_{d+1} = 2: the search range is the single mu = 2
+        model = CovModel(Spectrum([3.0, 2.0, 2.0, 2.0, 1.0, 0.5], 3), n=10)
+        r, s = bounds._excess_index_sets(model)
+        assert_prefix_min_is_optimum(bounds._excess_program(model, 2.0, r, s))
+        with mock.patch.object(bounds, "substochastic_max", wraps=substochastic_max) as solver:
+            result = excess_lower_bound(model, "auto")
+        assert solver.call_count == 1
+        assert result.params["mu"] == 2.0
+        assert result.value == excess_lower_bound(model, 2.0).value
+
+    def test_bound_solve_programs(self, solve_programs):
+        for prog in solve_programs.values():
+            assert_prefix_min_is_optimum(prog, lp=False)
+
+    def test_non_monotone_caps_fail_loudly(self):
+        # reversing the columns makes the edge caps rise along them, and the least
+        # prefix cut at the searched delta lies above the flow
+        model = CovModel(Spectrum([4.0, 3.0, 1.0, 0.5], 2), 15)
+        caps = bounds._rectangle_caps(model)[:, ::-1]
+        with mock.patch.object(bounds, "_rectangle_caps", lambda _: caps):
+            with pytest.raises(RuntimeError, match="not certified") as raised:
+                optimize_delta(model)
+        flow, envelope = (float(v) for v in re.search(r"flow (\S+), envelope (\S+)$",
+                                                      str(raised.value)).groups())
+        assert envelope > flow * (1.0 + 1e-9) > 0.0
+
+    def test_searched_parameters_are_python_floats(self):
+        model = CovModel(Spectrum([4.0, 3.0, 1.0, 0.5], 2), 15)
+        delta, result = optimize_delta(model)
+        assert type(delta) is float and type(result.params["delta"]) is float
+        assert type(excess_lower_bound(model, "auto").params["mu"]) is float
 
 
 class TestCanonicalBound:

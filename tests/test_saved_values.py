@@ -5,8 +5,9 @@ bound still wrote out its own edge-cap formula.  The caps now come from the
 models' generator Fisher information, which may move a value by a few units
 in the last place only: every value must agree to 1e-14 relative.  The two
 searched maxima (``optimize_delta`` and ``excess auto``) were saved from a
-golden-section search that stopped near the optimum; the exact breakpoint
-search may only raise them, so they are checked one-sided.  A searched
+golden-section search that stopped near the optimum; the exact search,
+one flow solve at the best breakpoint of the prefix cuts' lower envelope,
+may only raise them, so they are checked one-sided.  A searched
 argmax may move along a flat optimum, so it is checked by evaluating the
 bound there: that must give the searched value.  To rebuild the table (only
 when a value is meant to change), run this file as a script with ``src`` and
