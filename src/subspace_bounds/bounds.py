@@ -22,12 +22,14 @@ whose capacity must equal the flow to within 1e-9 of the flow.  The
 searches over mu and delta take the lower envelope of the prefix cuts'
 lines in the parameter, pick its best breakpoint, and solve one flow
 there that must equal the envelope.  A sparse LP oracle (scipy
-HiGHS) provides an independent verification path at any size and is used
-only by tests and the verify command.
+HiGHS) provides an independent verification path at any size, solving a
+sequence of programs as one block-diagonal LP, and is used only by tests
+and the verify command.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -270,35 +272,49 @@ def substochastic_max(prog: SubstochasticProgram) -> FlowSolution:
     return FlowSolution(value, x, cut, tight_rows, tight_cols, tight_edges, rows_in, cols_in)
 
 
-def lp_oracle(prog: SubstochasticProgram) -> float:
-    """Independent optimum via a sparse LP solve (scipy HiGHS); tests and verify only.
+def lp_oracle(programs: Sequence[SubstochasticProgram]) -> np.ndarray:
+    """Independent optima of a sequence of programs from one sparse LP (scipy
+    HiGHS); tests and verify only.  One program is a sequence of one.
 
     Kept deliberately separate from the flow solver so the two routes
-    cross-validate each other.  One variable per positive edge cap, an
-    infinite cap left unbounded; the constraint rows are the row sums, then
-    the column sums.  ``milp`` with no integrality is an LP solve.
+    cross-validate each other.  The LP is block diagonal: each program gets
+    one variable per positive edge cap (an infinite cap left unbounded) and
+    its own row-sum and column-sum constraint rows, and the objective is -1
+    on every variable.  No constraint couples two blocks, so the LP is
+    separable, a joint optimum is optimal in every block, and each program's
+    optimum is the sum of its block's variables.  ``milp`` with no
+    integrality is an LP solve; a failed solve raises ``RuntimeError``.
     """
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_array
 
-    nr, nc = prog.shape
-    rows, cols = np.nonzero(prog.caps > 0.0)
-    nvar = len(rows)
+    owner, rows, cols, caps, limits = [], [], [], [], []
+    offset = 0
+    for k, prog in enumerate(programs):
+        nr, nc = prog.shape
+        r, c = np.nonzero(prog.caps > 0.0)
+        owner.append(np.full(len(r), k))
+        rows.append(offset + r)
+        cols.append(offset + nr + c)
+        caps.append(prog.caps[r, c])
+        limits += [prog.row_caps, prog.col_caps]
+        offset += nr + nc
+    nvar = sum(len(o) for o in owner)
     if nvar == 0:
-        return 0.0
+        return np.zeros(len(programs))
     var = np.arange(nvar)
     a = csr_array(
-        (np.ones(2 * nvar), (np.concatenate([rows, nr + cols]), np.concatenate([var, var]))),
-        shape=(nr + nc, nvar),
+        (np.ones(2 * nvar), (np.concatenate(rows + cols), np.concatenate([var, var]))),
+        shape=(offset, nvar),
     )
     res = milp(
         -np.ones(nvar),
-        constraints=LinearConstraint(a, -np.inf, np.concatenate([prog.row_caps, prog.col_caps])),
-        bounds=Bounds(0.0, prog.caps[rows, cols]),
+        constraints=LinearConstraint(a, -np.inf, np.concatenate(limits)),
+        bounds=Bounds(0.0, np.concatenate(caps)),
     )
     if not res.success:
         raise RuntimeError(f"LP oracle failed: {res.message}")
-    return float(-res.fun)
+    return np.bincount(np.concatenate(owner), weights=res.x, minlength=len(programs))
 
 
 @dataclass(frozen=True, eq=False)

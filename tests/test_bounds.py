@@ -317,14 +317,14 @@ class TestSubstochasticMax:
             [[0.3, np.inf], [0.2, 0.1]], [1.0, 1.0], [0.25, 1.0]
         )
         sol = substochastic_max(prog)
-        assert sol.value == pytest.approx(lp_oracle(prog), abs=1e-9)
+        assert sol.value == pytest.approx(lp_oracle([prog])[0], abs=1e-9)
 
     def test_matches_oracle_and_certificate(self):
         rng = np.random.default_rng(17)
         for _ in range(120):
             prog = random_program(rng)
             sol = substochastic_max(prog)
-            assert abs(sol.value - lp_oracle(prog)) <= 1e-8
+            assert abs(sol.value - lp_oracle([prog])[0]) <= 1e-8
             assert abs(sol.value - sol.cut_value) <= 1e-9 * max(1.0, sol.value)
 
     def test_solution_is_feasible(self):
@@ -339,20 +339,23 @@ class TestSubstochasticMax:
 
     def test_matches_lp_oracle_at_bound_sizes(self, solve_programs):
         """Random rectangles of the bound assemblies' sizes, and the programs
-        of all 13 bound_solve instances at p = 100..400."""
+        of all 13 bound_solve instances at p = 100..400; each set is one LP."""
         rng = np.random.default_rng(51)
+        rectangles = []
         for _ in range(10):
             nr, nc = int(rng.integers(5, 9)), int(rng.integers(6, 13))
             caps = rng.uniform(0.0, 1.0, (nr, nc))
             caps[rng.uniform(size=(nr, nc)) < 0.1] = np.inf
-            prog = SubstochasticProgram(
+            rectangles.append(SubstochasticProgram(
                 caps, rng.uniform(0.05, 2.0, nr), rng.uniform(0.05, 2.0, nc)
-            )
-            assert abs(substochastic_max(prog).value - lp_oracle(prog)) <= 1e-8
+            ))
+        for prog, optimum in zip(rectangles, lp_oracle(rectangles), strict=True):
+            assert abs(substochastic_max(prog).value - optimum) <= 1e-8
         assert len(solve_programs) == 13
-        for key, prog in solve_programs.items():
+        optima = lp_oracle(list(solve_programs.values()))
+        for (key, prog), optimum in zip(solve_programs.items(), optima, strict=True):
             value = substochastic_max(prog).value
-            assert abs(value - lp_oracle(prog)) <= 1e-9 * value, key
+            assert abs(value - optimum) <= 1e-9 * value, key
 
     def test_monotone_in_capacities(self):
         rng = np.random.default_rng(19)
@@ -386,7 +389,7 @@ class TestSubstochasticMax:
     @given(programs(), st.integers(-990, 990))
     def test_matches_oracle_and_scales_exactly(self, prog, k):
         sol = substochastic_max(prog)
-        assert abs(sol.value - lp_oracle(prog)) <= 1e-9
+        assert abs(sol.value - lp_oracle([prog])[0]) <= 1e-9
         scaled_sol = substochastic_max(scaled(prog, k))
         assert scaled_sol.value == math.ldexp(sol.value, k)
         assert abs(scaled_sol.cut_value - scaled_sol.value) <= 1e-9 * scaled_sol.value
@@ -443,18 +446,57 @@ class TestLaterPhases:
 class TestLpOracle:
     def test_singleton(self):
         prog = SubstochasticProgram([[2.0]], [1.0], [1.0])
-        assert lp_oracle(prog) == pytest.approx(1.0, abs=1e-10)
+        assert lp_oracle([prog])[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_caps(self):
         prog = SubstochasticProgram([[0.0, 0.0]], [1.0], [1.0, 1.0])
-        assert lp_oracle(prog) == pytest.approx(0.0, abs=1e-12)
-        assert lp_oracle(SubstochasticProgram(np.zeros((0, 3)), [], np.ones(3))) == 0.0
+        assert lp_oracle([prog])[0] == pytest.approx(0.0, abs=1e-12)
+        assert lp_oracle([SubstochasticProgram(np.zeros((0, 3)), [], np.ones(3))])[0] == 0.0
+
+    def test_no_positive_cap_makes_no_solve(self):
+        no_caps = [SubstochasticProgram(np.zeros((2, 3)), np.ones(2), np.ones(3)),
+                   SubstochasticProgram(np.zeros((0, 3)), [], np.ones(3))]
+        with mock.patch("scipy.optimize.milp") as milp:
+            empty = lp_oracle([])
+            zeros = lp_oracle(no_caps)
+        assert empty.shape == (0,) and empty.dtype == np.float64
+        assert zeros.tolist() == [0.0, 0.0]
+        milp.assert_not_called()
+
+    def test_one_lp_is_each_program_alone(self):
+        """Every block of the joint LP has the optimum of its program alone, in
+        either order: random programs with inf, zero and tied caps, a 0 x 3
+        program and an all-zero one."""
+        rng = np.random.default_rng(61)
+        progs = []
+        for _ in range(40):
+            prog = random_program(rng)
+            caps = np.array(prog.caps)
+            caps[rng.uniform(size=caps.shape) < 0.15] = 0.0
+            caps[rng.uniform(size=caps.shape) < 0.2] = 0.5  # ties
+            progs.append(SubstochasticProgram(caps, prog.row_caps, prog.col_caps))
+        progs[7] = SubstochasticProgram(np.zeros((0, 3)), [], np.ones(3))
+        progs[19] = SubstochasticProgram(np.zeros((3, 2)), np.ones(3), np.ones(2))
+        joint = lp_oracle(progs)
+        assert joint.shape == (len(progs),) and joint.dtype == np.float64
+        assert joint[7] == 0.0 and joint[19] == 0.0
+        for prog, value in zip(progs, joint, strict=True):
+            assert abs(value - substochastic_max(prog).value) <= 1e-9
+            assert abs(value - lp_oracle([prog])[0]) <= 1e-12
+        assert np.all(np.abs(lp_oracle(progs[::-1])[::-1] - joint) <= 1e-12)
+
+    def test_failed_solve_raises(self):
+        prog = SubstochasticProgram([[2.0]], [1.0], [1.0])
+        failed = mock.Mock(success=False, message="mocked failure")
+        with mock.patch("scipy.optimize.milp", return_value=failed):
+            with pytest.raises(RuntimeError, match="LP oracle failed: mocked failure"):
+                lp_oracle([prog, prog])
 
     def test_agrees_at_40k_variables(self, large):
         prog = large["hs"]
         assert np.count_nonzero(prog.caps > 0.0) == 40_000
         value = substochastic_max(prog).value
-        assert abs(value - lp_oracle(prog)) <= 1e-9 * value
+        assert abs(value - lp_oracle([prog])[0]) <= 1e-9 * value
 
 
 class TestHsLowerBound:
@@ -749,7 +791,7 @@ def _search_programs(model, u):
 def assert_prefix_min_is_optimum(prog, lp=True):
     """The least prefix cut of ``prog`` equals its max flow (and its LP optimum) to 1e-9."""
     least = bounds._prefix_cuts(prog).min()
-    for optimum in [substochastic_max(prog).value] + ([lp_oracle(prog)] if lp else []):
+    for optimum in [substochastic_max(prog).value] + ([lp_oracle([prog])[0]] if lp else []):
         assert abs(least - optimum) <= 1e-9 * optimum, (least, optimum)
 
 

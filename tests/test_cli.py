@@ -19,6 +19,8 @@ from subspace_bounds.cli import main
 # information moved to ratio form; their floats moved by under 1e-11 relative.
 # They were re-saved again, with "derivatives seed 1", when the limit moved
 # to D = log(1 + chi2) and the rotations to one Hermitian eigensolve each.
+# "lp-oracle seed 1" was re-saved when the LP oracle became one block-diagonal
+# LP per block of programs: its max |flow - lp| went from 8.882e-16 to 4.441e-16.
 VERIFY_GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "data" / "verify_golden.json").read_text(encoding="utf-8")
 )
@@ -254,6 +256,10 @@ class TestVerifyCommand:
 
     def test_lp_oracle_passes(self):
         assert run(["verify", "lp-oracle", "--trials", "60", "--seed", "7"]) == 0
+
+    def test_lp_oracle_crosses_lp_blocks(self):
+        # 1201 programs are three LP solves of at most LP_BLOCK = 500 programs.
+        assert run(["verify", "lp-oracle", "--trials", "1201", "--seed", "3"]) == 0
 
     @pytest.mark.parametrize(
         "args",
