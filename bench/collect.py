@@ -12,9 +12,11 @@ checkout this script sits in), one step after another:
 - the ``report --family exp --alpha 1 --p 12 --n 100000 --d-min 3 --d-max 6
   --simulate 600`` command, timed as a whole.
 
-``commit`` is ``git describe --always --dirty`` of that checkout.  Wall times
-are single runs of one process each; compare two files only when they come
-from the same machine.
+``commit`` is ``git describe --always --dirty`` of that checkout, so ``--root``
+must be a git checkout (``git clone``, not ``git archive``).  The script stops
+with a nonzero exit, and writes no file, when ``git describe`` fails or when
+the benchmark run exits nonzero.  Wall times are single runs of one process
+each; compare two files only when they come from the same machine.
 """
 
 from __future__ import annotations
@@ -40,13 +42,25 @@ def _timed(cmd: list[str], root: str) -> dict:
     return {"exit_code": proc.returncode, "wall_s": round(wall, 3), "stdout": proc.stdout}
 
 
+def _commit(root: str) -> str:
+    """``git describe`` of the checkout at root; SystemExit if it fails."""
+    proc = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=7"], cwd=root,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    if proc.returncode != 0 or not proc.stdout.strip():
+        raise SystemExit(f"git describe failed in {root}: {proc.stderr.strip()}")
+    return proc.stdout.strip()
+
+
 def _last_line(run: dict) -> str:
     return run["stdout"].strip().splitlines()[-1]
 
 
 def collect(root: str) -> dict:
     py = sys.executable
+    commit = _commit(root)
     bench = _timed([py, "perfbench/run.py", "--workload", "all", "--seed", "1", "--seconds", "25"], root)
+    if bench["exit_code"] != 0:
+        raise SystemExit(f"perfbench/run.py --workload all exited {bench['exit_code']}")
     with open(os.path.join(root, "perfbench", "out", "mc_risk-seed1-trace0.json"), encoding="utf-8") as f:
         machine = json.load(f)["machine"]
     tier1 = _timed([py, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"], root)
@@ -55,8 +69,7 @@ def collect(root: str) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         report = _timed([py, "-m", "subspace_bounds.cli", *REPORT_ARGS, "--out", os.path.join(tmp, "r.csv")], root)
     return {
-        "commit": subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=7"], cwd=root,
-                                 stdout=subprocess.PIPE, text=True).stdout.strip(),
+        "commit": commit,
         "machine": machine,
         "perfbench_all": json.loads(_last_line(bench)),
         "tier1": {"wall_s": tier1["wall_s"], "exit_code": tier1["exit_code"], "summary": _last_line(tier1)},

@@ -14,8 +14,14 @@ max-flow problem on
 
 using Dinic's algorithm, whose first phase (the row-major greedy flow)
 runs in numpy with the bits of the Python DFS.  The later phases work on
-flat arc arrays: numpy frontier BFS levels, then a Python DFS over that
-phase's admissible arcs only, with the pushes of a scan of every arc.
+the program's own nr x nc residual matrices, with no arc list.  Rows and
+columns alternate in the BFS, so each level is one boolean row or column
+reduction of a matrix, and BFS distances do not depend on visit order, so
+the levels are those of a BFS over arcs.  A Python DFS then walks that
+phase's admissible arcs only, taken from the matrices in arc order (the
+source's rows ascending, a row's columns ascending, a column's rows
+ascending and then the sink), so it makes the pushes of a scan of every
+arc in that order.
 No scipy module is imported on this path.  Optimality is certified on
 every solve by the minimum cut that its last breadth-first search leaves,
 whose capacity must equal the flow to within 1e-9 of the flow.  The
@@ -91,74 +97,77 @@ class FlowSolution(NamedTuple):
 
 
 class _MaxFlowGraph:
-    """Residual graph solved by Dinic's algorithm (Dinic, 1970), on arrays.
+    """Dinic's algorithm (Dinic, 1970) on the residual matrices of s -> rows -> columns -> t.
 
-    Arc 2k runs ends[k, 0] -> ends[k, 1] with residual res[k, 0]; arc 2k + 1
-    is its reverse, with res[k, 1].  ``tail`` and ``res`` are flat arrays in
-    arc order, and ``res`` is updated in place.  Each phase labels the nodes
-    by BFS distance from the source over arcs with residual > 0, one numpy
-    step per level: the heads of the arcs whose tail is on the frontier,
-    those not yet labelled (distances do not depend on visit order).  The
-    BFS stops at the sink's level, so a step costs O(arcs) and a phase's BFS
-    at most O(n arcs), the bound of its blocking flow.
+    The sink t is stacked below the rows as row nr, so ``fwd[i, j]`` is the
+    residual of the arc from row i (or t) to column j and ``rev[i, j]`` that
+    of the arc back: for an edge, its cap less its flow and its flow; for t,
+    0 (never read, as t is never expanded) and column j's residual cap.
+    ``row_res`` holds the source arcs; the reverse of a source arc is never
+    read (s is labelled first).  An unbuilt edge holds 0 both ways.  All are
+    updated in place.  Each phase labels the nodes by BFS distance from s
+    over arcs with residual > 0.  Rows and t sit at odd levels and columns at
+    even ones, so each level is one boolean reduction: the columns reached
+    from the row front are ``(fwd[front] > 0).any(axis=0)``, the rows (and t)
+    reached from those new columns ``(rev[:, new] > 0).any(axis=1)``, each
+    less the labelled ones.  BFS distances do not depend on visit order, so
+    these are the levels of a BFS over arcs.  The BFS stops at t's level.
     The blocking flow saturates arcs that climb one level, with a
-    current-arc pointer per node (arcs in arc order) and dead ends pruned.
-    Its DFS walks only the phase's admissible arcs (residual > 0, head one
-    level above tail), grouped by tail in arc order, on Python lists of
-    their residuals and their reverses' that go back to ``res`` after the
-    phase.  It makes exactly the pushes of a DFS that scans every arc: a
-    push raises only reverse residuals, and a reverse arc goes one level
-    down, so no arc outside the set becomes admissible within the phase,
-    and an arc in it is skipped just when the scan would skip it (saturated,
-    or its head a dead end).  Nodes past the sink's level, unlabelled here,
-    lead to no path to the sink, so leaving them out changes no push.
+    current-arc pointer per node and dead ends pruned.  Its DFS walks only
+    the phase's admissible arcs (residual > 0, head one level above tail),
+    taken by ``np.nonzero`` and grouped by tail in arc order: s's rows
+    ascending, a row's columns ascending, a column's rows ascending and then
+    t.  It makes exactly the pushes of a DFS that scans every arc in that
+    order: a push raises only reverse residuals, and a reverse arc goes one
+    level down, so no arc outside the set becomes admissible within the
+    phase, and an arc in it is skipped just when the scan would skip it
+    (saturated, or its head a dead end).  Nodes past the sink's level,
+    unlabelled here, lead to no path to the sink, so leaving them out
+    changes no push.
     Termination needs no epsilon, even in IEEE arithmetic: an augmenting
     path's bottleneck arc is left with r - r = 0 exactly and every other
     residual on it stays > 0, so each phase saturates every shortest path,
-    the source-sink distance grows, and at most n phases run.  When the
-    BFS no longer reaches the sink, every arc leaving the labelled set has
-    residual exactly 0, so that set is the source side of a minimum cut.
-    ``phases`` counts the phases (each pushes) and ``paths`` the augmenting
-    paths.
+    the source-sink distance grows, and at most nr + nc + 1 phases run.  When
+    the BFS no longer reaches t, every arc leaving the labelled rows and
+    columns has residual exactly 0, so they are the source side of a minimum
+    cut.  ``phases`` counts the phases (each pushes) and ``paths`` the
+    augmenting paths.
     """
 
-    def __init__(self, n: int, ends: np.ndarray, res: np.ndarray):
-        self.n, self.ends = n, ends
-        self.tail, self.res = ends.ravel(), res.ravel()
-        self.phases = self.paths = 0
+    def __init__(self, caps: np.ndarray, rev: np.ndarray, row_res: np.ndarray):
+        self.fwd = np.vstack([caps - rev[:-1], np.zeros_like(caps[0])])
+        self.rev, self.row_res, self.phases, self.paths = rev, row_res, 0, 0
 
-    def _levels(self, s: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """(level, heads): BFS distances from s over arcs with residual > 0, up
-        to t's level, -1 where not reached; each arc's head, or the dummy node
-        n at level 0 for an arc without residual."""
-        n = self.n
-        heads = np.where(self.res.reshape(-1, 2) > 0.0, self.ends[:, ::-1], n).ravel()
-        level = np.full(n + 1, -1)
-        level[s] = level[n] = depth = 0
-        while level[t] < 0:
-            hit = heads[(level == depth)[self.tail]]
-            new = hit[level[hit] < 0]
-            if not new.size:
-                break
-            depth += 1
-            level[new] = depth
-        return level, heads
+    def _levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """BFS distances from s of the rows (t last) and columns up to t's level, else -1."""
+        fwd, rev, rows = self.fwd > 0.0, self.rev > 0.0, np.append(self.row_res > 0.0, False)
+        row_level, col_level, depth = np.where(rows, 1, -1), np.full(fwd.shape[1], -1), 2
+        while not rows[-1] and (cols := fwd[rows].any(axis=0) & (col_level < 0)).any():
+            col_level[cols] = depth
+            rows = rev[:, cols].any(axis=1) & (row_level < 0)
+            row_level[rows] = depth + 1
+            depth += 2
+        return row_level, col_level
 
-    def max_flow(self, s: int, t: int) -> np.ndarray:
-        """Push a maximum s-t flow; return the source side of a minimum cut."""
-        tail, res = self.tail, self.res
+    def max_flow(self) -> tuple[np.ndarray, np.ndarray]:
+        """Push a maximum s-t flow; return the rows and the columns on the
+        source side of a minimum cut."""
+        s, t = 0, len(self.row_res) + 1  # rows are nodes 1..nr, then t, then the columns
         while True:
-            level, heads = self._levels(s, t)
-            if level[t] < 0:
-                return level[:-1] >= 0
+            row_level, col_level = self._levels()
+            if row_level[-1] < 0:
+                return row_level[:-1] >= 0, col_level >= 0
             self.phases += 1
-            rise = level[tail] + 1
-            adm = np.flatnonzero((level[heads] == rise) & (rise > 0))
-            adm = adm[tail[adm].argsort(kind="stable")]  # by tail, in arc order within a tail
-            tl, hd = tail[adm], heads[adm]
-            current = np.searchsorted(tl, np.arange(self.n + 1)).tolist()
-            stops, tl, hd = current[1:], tl.tolist(), hd.tolist()
-            fwd, rev, level = res[adm].tolist(), res[adm ^ 1].tolist(), level.tolist()
+            src = np.flatnonzero(row_level == 1)
+            ri, rj = np.nonzero((self.fwd > 0.0) & (col_level == row_level[:, None] + 1))
+            cj, ci = np.nonzero(((self.rev > 0.0) & (row_level[:, None] == col_level + 1)).T)
+            tl = np.concatenate([np.zeros_like(src), 1 + ri, t + 1 + cj])  # ascending
+            hd = np.concatenate([1 + src, t + 1 + rj, 1 + ci]).tolist()
+            fwd = np.concatenate([self.row_res[src], self.fwd[ri, rj], self.rev[ci, cj]]).tolist()
+            rev = np.concatenate([np.zeros(len(src)), self.rev[ri, rj], self.fwd[ci, cj]]).tolist()
+            current = np.searchsorted(tl, np.arange(t + len(col_level) + 2)).tolist()
+            stops, tl = current[1:], tl.tolist()
+            level = [0, *row_level.tolist(), *col_level.tolist()]
             path: list[int] = []
             u = s
             while True:
@@ -185,38 +194,43 @@ class _MaxFlowGraph:
                     level[u] = -1  # dead end: no path to t through u this phase
                     u = tl[path.pop()]
                     current[u] += 1
-            res[adm], res[adm ^ 1] = fwd, rev
+            cuts = [len(src), len(src) + len(ri)]
+            self.row_res[src], self.fwd[ri, rj], self.rev[ci, cj] = np.split(np.array(fwd), cuts)
+            self.rev[ri, rj], self.fwd[ci, cj] = np.split(np.array(rev), cuts)[1:]
 
 
-def _first_phase(edge_caps, rows, cols, row_caps, col_caps):
-    """Dinic's first phase in numpy: (edge flows, row residuals, column residuals).
+def _first_phase(caps, row_caps, col_caps):
+    """Dinic's first phase in numpy: (rev, row residuals), where rev[:-1] is
+    the edge flows and rev[-1] the column residuals, as ``_MaxFlowGraph`` takes them.
 
-    Built edges (row-major) have row and column caps > 0, so the sink is at
-    level 3 and the phase saturates every path s -> i -> j -> t: the
-    row-major greedy flow (Ahuja, Magnanti & Orlin 1993).  The DFS takes the
-    rows in arc order and each row's columns in column order, and pushes the
-    least residual.  The first arc the push leaves at 0 decides where it
-    resumes: the next row (the row's arc) or the row's next column (the
-    edge's, or the column's, which is then a dead end).  With a = min(edge
-    cap, column residual), a dead column's a = 0 pushes nothing and changes
-    no residual, and row i's residuals r_0 = its cap, r_(k+1) = r_k - a_k are
-    subtracted left to right as ``res[s->i] -= push`` does.  At the first
-    r_(k+1) <= 0 the row saturates with push r_k, exactly 0 left.
+    ``caps`` are the built edges' caps, 0 elsewhere.  A built edge has row
+    and column caps > 0, so the sink is at level 3 and the phase saturates
+    every path s -> i -> j -> t: the row-major greedy flow (Ahuja, Magnanti &
+    Orlin 1993).  The DFS takes the rows in order and each row's columns in
+    order, and pushes the least residual.  The first arc the push leaves at
+    0 decides where it resumes: the next row (the row's arc) or the row's
+    next column (the edge's, or the column's, which is then a dead end).
+    With a = min(edge cap, column residual), an unbuilt edge's or a dead
+    column's a = 0 pushes nothing and changes no residual (r - 0 = r), and a
+    row's residuals r_0 = its cap, r_(k+1) = r_k - a_k are subtracted left
+    to right as ``res[s->i] -= push`` does.  At the first r_(k+1) <= 0 the
+    row saturates with push r_k, exactly 0 left.  Only rows with cap > 0
+    push, and a zero-cap column's residual is +0.
     """
-    flow, r = np.zeros(len(edge_caps)), np.empty(len(col_caps) + 1)
-    row_res, col_res = row_caps.copy(), col_caps.copy()
-    stops = np.searchsorted(rows, np.arange(len(row_caps) + 1)).tolist()
-    for i, (lo, hi) in enumerate(zip(stops[:-1], stops[1:])):
-        js, a, m = cols[lo:hi], flow[lo:hi], hi - lo
-        np.minimum(edge_caps[lo:hi], col_res[js], out=a)
-        r[0], r[1 : m + 1] = row_res[i], a
-        np.subtract.accumulate(r[: m + 1], out=r[: m + 1])
-        k = int(np.count_nonzero(r[: m + 1] > 0.0))  # r_k is the first r <= 0
-        if 0 < k <= m:
-            a[k - 1], a[k:], r[m] = r[k - 1], 0.0, 0.0
-        row_res[i] = r[m]
-        col_res[js] -= a
-    return flow, row_res, col_res
+    rev, r = np.zeros((len(row_caps) + 1, len(col_caps))), np.empty(len(col_caps) + 1)
+    row_res, col_res = row_caps.copy(), rev[-1]
+    np.copyto(col_res, col_caps, where=col_caps > 0.0)
+    for i in np.flatnonzero(row_caps > 0.0).tolist():
+        a = rev[i]
+        np.minimum(caps[i], col_res, out=a)
+        r[0], r[1:] = row_res[i], a
+        np.subtract.accumulate(r, out=r)
+        k = int(np.count_nonzero(r > 0.0))  # r_k is the first r <= 0
+        if k < len(r):
+            a[k - 1], a[k:], r[-1] = r[k - 1], 0.0, 0.0
+        row_res[i] = r[-1]
+        col_res -= a
+    return rev, row_res
 
 
 def substochastic_max(prog: SubstochasticProgram) -> FlowSolution:
@@ -224,35 +238,27 @@ def substochastic_max(prog: SubstochasticProgram) -> FlowSolution:
 
     Returns the optimal mass matrix together with the certified min-cut
     value and constraint-activity flags.  Dinic's first phase runs in numpy;
-    the later phases and the final BFS run in ``_MaxFlowGraph`` from its
-    residuals, and the flows are read back as a slice of its residual array.
-    Raises if the cut and the flow differ by more than 1e-9 of the flow
-    (which would indicate a solver bug, not a bad instance).
+    the later phases and the final BFS run in ``_MaxFlowGraph`` on the
+    residual matrices, whose reverse residuals are the flows.  Raises if the
+    cut and the flow differ by more than 1e-9 of the flow (which would
+    indicate a solver bug, not a bad instance).
     """
     nr, nc = prog.shape
     if nr == 0 or nc == 0:
         no_rows, no_cols, x = np.zeros(nr, dtype=bool), np.zeros(nc, dtype=bool), np.zeros((nr, nc))
         return FlowSolution(0.0, x, 0.0, no_rows, no_cols, x > 0.0, ~no_rows, no_cols)
     # An inf edge cap stays inf: pushes are bounded by source arcs, and no min cut crosses it.
+    # Unbuilt edges are masked by np.where, not by a product, which would give inf * 0 = nan.
     built = (prog.caps > 0.0) & (prog.row_caps > 0.0)[:, None] & (prog.col_caps > 0.0)[None, :]
-    rows, cols = np.nonzero(built)
-    edge_caps = prog.caps[built]
-    flow, row_res, col_res = _first_phase(edge_caps, rows, cols, prog.row_caps, prog.col_caps)
-    x = np.zeros((nr, nc))
-    x[built] = flow
-    # Source -> row, built edges, column -> sink.  No phase reads the reverse residual
-    # of i -> s or t -> j (s is labelled first and t is never expanded): it is left 0.
-    src, snk = 0, nr + nc + 1
-    tails = np.concatenate([np.full(nr, src), 1 + rows, np.arange(1 + nr, snk)])
-    heads = np.concatenate([np.arange(1, 1 + nr), 1 + nr + cols, np.full(nc, snk)])
-    forward = np.concatenate([row_res, edge_caps - flow, col_res])
-    reverse = np.concatenate([np.zeros(nr), flow, np.zeros(nc)])
-    g = _MaxFlowGraph(snk + 1, np.column_stack([tails, heads]), np.column_stack([forward, reverse]))
-    side = g.max_flow(src, snk)
-    x[built] = g.res[2 * nr + 1 : 2 * (nr + len(flow)) : 2]
-    value = float(x.sum())
+    caps = np.where(built, prog.caps, 0.0)
+    g = _MaxFlowGraph(caps, *_first_phase(caps, prog.row_caps, prog.col_caps))
+    rows_in, cols_in = g.max_flow()
+    return _certified(prog, built, g.rev[:-1], rows_in, cols_in)
 
-    rows_in, cols_in = side[1 : 1 + nr], side[1 + nr : 1 + nr + nc]
+
+def _certified(prog, built, x, rows_in, cols_in) -> FlowSolution:
+    """The solution with flows x, certified by the cut of rows_in and cols_in."""
+    value = float(x.sum())
     cut = float(
         prog.row_caps[~rows_in].sum()
         + prog.caps[built & rows_in[:, None] & ~cols_in[None, :]].sum()

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -203,41 +204,64 @@ class ReferenceMaxFlowGraph:
                     current[u] += 1
 
 
-def solve_on(graph, prog, first_phase=bounds._first_phase):
-    """substochastic_max(prog) with ``graph`` as the residual graph class and
-    ``first_phase`` as Dinic's first phase: (solution, (phases, paths)) of the
-    graph it built, or (solution, None) if it built none."""
-    built = []
+def solve_counted(prog):
+    """substochastic_max(prog) and the (phases, paths) of the one graph it solved."""
+    ran = []
 
-    class Counted(graph):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
+    class Counted(bounds._MaxFlowGraph):
+        def max_flow(self):
+            ran.append(self)
+            return super().max_flow()
 
-    with mock.patch.object(bounds, "_MaxFlowGraph", Counted), mock.patch.object(
-        bounds, "_first_phase", first_phase
-    ):
+    with mock.patch.object(bounds, "_MaxFlowGraph", Counted):
         sol = substochastic_max(prog)
-    return sol, (built[0].phases, built[0].paths) if built else None
+    (graph,) = ran
+    return sol, (graph.phases, graph.paths)
 
 
-def zero_flow(edge_caps, rows, cols, row_caps, col_caps):
-    return np.zeros(len(edge_caps)), row_caps, col_caps
+def reference_solve(prog, first_phase=True):
+    """substochastic_max(prog) as it ran on arc arrays, on the frozen
+    ``ReferenceMaxFlowGraph``: (solution, (phases, paths)).  The graph holds
+    the source arcs, the built edges row-major and the sink arcs, in that arc
+    order, each followed by its reverse; the reverse residuals of i -> s and
+    t -> j are left at 0.  Its residuals start from the numpy first phase's
+    flows, or from zero flow, and the flows are read back from the edges'
+    reverse residuals."""
+    nr, nc = prog.shape
+    built = (prog.caps > 0.0) & (prog.row_caps > 0.0)[:, None] & (prog.col_caps > 0.0)[None, :]
+    rows, cols = np.nonzero(built)
+    if first_phase:
+        caps = np.where(built, prog.caps, 0.0)
+        rev, row_res = bounds._first_phase(caps, prog.row_caps, prog.col_caps)
+        flow, col_res = rev[:-1][built], rev[-1]
+    else:
+        flow, row_res, col_res = np.zeros(len(rows)), prog.row_caps, prog.col_caps
+    src, snk = 0, nr + nc + 1
+    tails = np.concatenate([np.full(nr, src), 1 + rows, np.arange(1 + nr, snk)])
+    heads = np.concatenate([np.arange(1, 1 + nr), 1 + nr + cols, np.full(nc, snk)])
+    forward = np.concatenate([row_res, prog.caps[built] - flow, col_res])
+    reverse = np.concatenate([np.zeros(nr), flow, np.zeros(nc)])
+    ends, res = np.column_stack([tails, heads]), np.column_stack([forward, reverse])
+    g = ReferenceMaxFlowGraph(snk + 1, ends, res)
+    side = g.max_flow(src, snk)
+    assert side[src] and not side[snk]  # this graph ran to a minimum cut
+    x = np.zeros((nr, nc))
+    x[built] = g.res[2 * nr + 1 : 2 * (nr + len(flow)) : 2]
+    sol = bounds._certified(prog, built, x, side[1 : 1 + nr], side[1 + nr : snk])
+    return sol, (g.phases, g.paths)
 
 
 def reference_solution(prog):
-    """substochastic_max with Dinic's first phase skipped: the graph is built
-    with zero flow and the frozen ``ReferenceMaxFlowGraph`` runs every phase
-    from scratch."""
-    return solve_on(ReferenceMaxFlowGraph, prog, zero_flow)[0]
+    """The frozen Python Dinic from zero flow, every phase its own."""
+    return reference_solve(prog, first_phase=False)[0]
 
 
 def assert_same_pushes(prog):
-    """The array solver and the frozen Python Dinic, both after the numpy
+    """The matrix solver and the frozen Python Dinic, both after the numpy
     first phase, give the same bits and the same phase and path counts;
     returns those counts."""
-    sol, counts = solve_on(bounds._MaxFlowGraph, prog)
-    ref, ref_counts = solve_on(ReferenceMaxFlowGraph, prog)
+    sol, counts = solve_counted(prog)
+    ref, ref_counts = reference_solve(prog)
     assert_same_bits(sol, ref)
     assert counts == ref_counts
     return counts
@@ -264,6 +288,33 @@ def scaled(prog, k):
     return SubstochasticProgram(
         np.ldexp(prog.caps, k), np.ldexp(prog.row_caps, k), np.ldexp(prog.col_caps, k)
     )
+
+
+# Programs where the dense first phase masks unbuilt edges: an inf cap in a zero-cap
+# row, zero-cap columns (one of them -0.0), a row that saturates after an unbuilt
+# column, and single-row and single-column programs.
+MASKING_CASES = {
+    "zero_row_inf_caps": SubstochasticProgram(
+        [[np.inf, np.inf, np.inf], [0.5, 0.2, 0.9], [0.3, np.inf, 0.1]],
+        [0.0, 1.0, 0.7], [0.3, 0.4, 0.5],
+    ),
+    "zero_col": SubstochasticProgram(
+        [[0.5, np.inf, 0.2], [0.3, 0.7, np.inf], [0.9, 0.0, 0.4]], [1.0, 1.0, 0.5], [0.6, 0.0, 0.8]
+    ),
+    "negative_zero_col": SubstochasticProgram(
+        [[0.5, np.inf, 0.2], [0.3, 0.7, np.inf]], [1.0, 1.0], [0.6, -0.0, 0.8]
+    ),
+    "saturates_after_unbuilt_col": SubstochasticProgram(
+        [[0.4, np.inf, 0.9, 0.5], [0.3, 0.0, 0.3, 0.3], [0.6, 0.6, 0.0, 0.2]],
+        [1.0, 0.5, 0.8], [1.0, 0.0, 0.4, 1.0],
+    ),
+    "one_row": SubstochasticProgram(
+        [[0.2, np.inf, 0.5, 0.0, 0.3]], [1.0], [0.5, 0.3, 0.4, 1.0, 0.0]
+    ),
+    "one_col": SubstochasticProgram(
+        [[0.2], [np.inf], [0.5], [0.0], [0.3]], [0.5, 0.3, 0.4, 1.0, 0.0], [1.0]
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -400,13 +451,20 @@ class TestSubstochasticMax:
         prog = scaled(prog, k)
         assert_same_bits(substochastic_max(prog), reference_solution(prog))
 
-    @pytest.mark.parametrize("name", ["hs", "excess", "denoise"])
+    @pytest.mark.parametrize("name", ["hs", "excess", "denoise", *MASKING_CASES])
     def test_first_phase_keeps_the_python_bits_at_real_sizes(self, name, large):
-        assert_same_bits(substochastic_max(large[name]), reference_solution(large[name]))
+        """The benchmark's programs, and the masking edge cases of the dense
+        first phase, which must also raise no RuntimeWarning."""
+        prog = MASKING_CASES[name] if name in MASKING_CASES else large[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert_same_bits(substochastic_max(prog), reference_solution(prog))
+            if name in MASKING_CASES:
+                assert_same_pushes(prog)
 
 
 class TestLaterPhases:
-    """The array Dinic makes the frozen Python Dinic's pushes after the first phase."""
+    """The matrix Dinic makes the frozen Python Dinic's pushes after the first phase."""
 
     def test_bound_solve_programs(self, solve_programs):
         counts = [assert_same_pushes(prog) for prog in solve_programs.values()]
@@ -438,8 +496,7 @@ class TestLaterPhases:
         assert_same_pushes(sparse_program(nr, nc, degree, seed))
 
     def test_sparse_family_needs_several_phases(self):
-        phases = [solve_on(bounds._MaxFlowGraph, sparse_program(80, 80, 5, seed))[1][0]
-                  for seed in range(20)]
+        phases = [solve_counted(sparse_program(80, 80, 5, seed))[1][0] for seed in range(20)]
         assert max(phases) >= 4
 
 
