@@ -40,7 +40,7 @@ from .equivariance import (
     random_projector,
     weighted_loss,
 )
-from .errors import ConditionNotMet, DegenerateGap, InvalidInput, NotConverged
+from .errors import CheckFailed, ConditionNotMet, DegenerateGap, InvalidInput, NotConverged
 from .fisher import (
     FisherLimitReport,
     chi2_gauss_cov,
@@ -53,12 +53,10 @@ from .linalg import (
     OrthMatrix,
     SkewMatrix,
     SymMatrix,
-    hs_inner,
     skew_exp,
     skew_exp_batch,
     sym_eig,
     sym_eig_batch,
-    unvech,
     vech,
 )
 from .models import (

@@ -22,15 +22,16 @@ phase's admissible arcs only, taken from the matrices in arc order (the
 source's rows ascending, a row's columns ascending, a column's rows
 ascending and then the sink), so it makes the pushes of a scan of every
 arc in that order.
-No scipy module is imported on this path.  Optimality is certified on
-every solve by the minimum cut that its last breadth-first search leaves,
-whose capacity must equal the flow to within 1e-9 of the flow.  The
-searches over mu and delta take the lower envelope of the prefix cuts'
-lines in the parameter, pick its best breakpoint, and solve one flow
-there that must equal the envelope.  A sparse LP oracle (scipy
-HiGHS) provides an independent verification path at any size, solving a
-sequence of programs as one block-diagonal LP, and is used only by tests
-and the verify command.
+No scipy module is imported on this path.  Every solve is checked in one
+place, ``_certified``: the minimum cut that its last breadth-first search
+leaves must have the capacity of the flow to within 1e-9 of the flow, and
+the flows must keep every cap to within 1e-9 of max(1, flow); a failed
+check raises ``CheckFailed``.  The searches over mu and delta take the
+lower envelope of the prefix cuts' lines in the parameter, pick its best
+breakpoint, and solve one flow there that must equal the envelope.  A
+sparse LP oracle (scipy HiGHS) provides an independent verification path
+at any size, solving a sequence of programs as one block-diagonal LP, and
+is used only by tests and the verify command.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConditionNotMet, InvalidInput
+from .errors import CheckFailed, ConditionNotMet, InvalidInput
 from .equivariance import WeightMatrix
 from .models import CovModel, DenoiseModel
 
@@ -92,8 +93,6 @@ class FlowSolution(NamedTuple):
     tight_rows: np.ndarray
     tight_cols: np.ndarray
     tight_edges: np.ndarray
-    rows_in: np.ndarray  # source side of the min cut; zero-cap rows are left out
-    cols_in: np.ndarray  # and zero-cap columns put in, so no unbuilt edge crosses
 
 
 class _MaxFlowGraph:
@@ -135,7 +134,7 @@ class _MaxFlowGraph:
     """
 
     def __init__(self, caps: np.ndarray, rev: np.ndarray, row_res: np.ndarray):
-        self.fwd = np.vstack([caps - rev[:-1], np.zeros_like(caps[0])])
+        self.fwd = np.vstack([caps - rev[:-1], np.zeros(caps.shape[1])])
         self.rev, self.row_res, self.phases, self.paths = rev, row_res, 0, 0
 
     def _levels(self) -> tuple[np.ndarray, np.ndarray]:
@@ -239,14 +238,11 @@ def substochastic_max(prog: SubstochasticProgram) -> FlowSolution:
     Returns the optimal mass matrix together with the certified min-cut
     value and constraint-activity flags.  Dinic's first phase runs in numpy;
     the later phases and the final BFS run in ``_MaxFlowGraph`` on the
-    residual matrices, whose reverse residuals are the flows.  Raises if the
-    cut and the flow differ by more than 1e-9 of the flow (which would
-    indicate a solver bug, not a bad instance).
+    residual matrices, whose reverse residuals are the flows.  A program
+    with no rows or no columns takes the same path and gets flow and cut 0.
+    ``_certified`` checks the result (which would fail on a solver bug, not
+    on a bad instance).
     """
-    nr, nc = prog.shape
-    if nr == 0 or nc == 0:
-        no_rows, no_cols, x = np.zeros(nr, dtype=bool), np.zeros(nc, dtype=bool), np.zeros((nr, nc))
-        return FlowSolution(0.0, x, 0.0, no_rows, no_cols, x > 0.0, ~no_rows, no_cols)
     # An inf edge cap stays inf: pushes are bounded by source arcs, and no min cut crosses it.
     # Unbuilt edges are masked by np.where, not by a product, which would give inf * 0 = nan.
     built = (prog.caps > 0.0) & (prog.row_caps > 0.0)[:, None] & (prog.col_caps > 0.0)[None, :]
@@ -257,7 +253,12 @@ def substochastic_max(prog: SubstochasticProgram) -> FlowSolution:
 
 
 def _certified(prog, built, x, rows_in, cols_in) -> FlowSolution:
-    """The solution with flows x, certified by the cut of rows_in and cols_in."""
+    """The solution with flows x, certified by the cut of rows_in and cols_in.
+
+    The one check of a flow: raises ``CheckFailed`` if the cut and the flow
+    differ by more than 1e-9 of the flow, or if x breaks an edge, row or
+    column cap (or is negative) by more than 1e-9 of max(1, flow).
+    """
     value = float(x.sum())
     cut = float(
         prog.row_caps[~rows_in].sum()
@@ -266,16 +267,19 @@ def _certified(prog, built, x, rows_in, cols_in) -> FlowSolution:
     )
     gap = abs(cut - value)
     if not gap <= DUALITY_TOL * value:
-        raise RuntimeError(f"max-flow duality gap {gap:.3e} (flow {value}, cut {cut})")
+        raise CheckFailed(f"max-flow duality gap {gap:.3e} (flow {value}, cut {cut})")
 
     row_sums = x.sum(axis=1)
     col_sums = x.sum(axis=0)
     tol = FEAS_TOL * max(1.0, value)
+    if np.any(x < -tol) or np.any(x - prog.caps > tol):
+        raise CheckFailed("solver returned an infeasible mass matrix")
+    if np.any(row_sums - prog.row_caps > tol) or np.any(col_sums - prog.col_caps > tol):
+        raise CheckFailed("solver violated a row/column cap")
     tight_rows = row_sums >= prog.row_caps - tol
     tight_cols = col_sums >= prog.col_caps - tol
     tight_edges = np.isfinite(prog.caps) & (x >= prog.caps - tol)
-    rows_in, cols_in = rows_in & (prog.row_caps > 0.0), cols_in | (prog.col_caps == 0.0)
-    return FlowSolution(value, x, cut, tight_rows, tight_cols, tight_edges, rows_in, cols_in)
+    return FlowSolution(value, x, cut, tight_rows, tight_cols, tight_edges)
 
 
 def lp_oracle(programs: Sequence[SubstochasticProgram]) -> np.ndarray:
@@ -340,28 +344,12 @@ class BoundResult:
     params: dict
 
     @classmethod
-    def from_solution(
-        cls,
-        prog: SubstochasticProgram,
-        sol: FlowSolution,
-        prefactor: float,
-        rows,
-        cols,
-        params: dict,
-    ) -> "BoundResult":
-        x = sol.x
-        tol = FEAS_TOL * max(1.0, sol.value)
-        if np.any(x < -tol) or np.any(x - prog.caps > tol):
-            raise RuntimeError("solver returned an infeasible mass matrix")
-        if (
-            np.any(x.sum(axis=1) - prog.row_caps > tol)
-            or np.any(x.sum(axis=0) - prog.col_caps > tol)
-        ):
-            raise RuntimeError("solver violated a row/column cap")
-        value = prefactor * float(x.sum())
+    def from_solution(cls, sol: FlowSolution, prefactor: float, rows, cols, params: dict) -> "BoundResult":
+        """The bound prefactor * sol.value.  ``substochastic_max`` checked sol where
+        it solved it (``_certified``), so nothing is checked again here."""
         return cls(
-            value=value,
-            x=x,
+            value=prefactor * sol.value,
+            x=sol.x,
             prefactor=prefactor,
             rows=tuple(int(r) for r in rows),
             cols=tuple(int(c) for c in cols),
@@ -419,14 +407,14 @@ def _rectangle_program(model: CovModel | DenoiseModel, delta: float) -> Substoch
     return SubstochasticProgram(_rectangle_caps(model), np.full(d, delta), np.full(p - d, delta))
 
 
-def _rectangle_bound(model, delta: float, prog, sol: FlowSolution) -> BoundResult:
+def _rectangle_bound(model, delta: float, sol: FlowSolution) -> BoundResult:
     """The bound at mixing level delta from its program's flow; prefactor 1/(1 + 2 delta)."""
     d, p = model.spectrum.d, model.p
     if model.kind == "covariance":
         params = {"bound": "hs", "n": model.n, "delta": delta, "d": d, "p": p}
     else:
         params = {"bound": "denoise", "sigma": model.sigma, "delta": delta, "d": d, "p": p}
-    return BoundResult.from_solution(prog, sol, 1 / (1 + 2 * delta), range(d), range(d, p), params)
+    return BoundResult.from_solution(sol, 1 / (1 + 2 * delta), range(d), range(d, p), params)
 
 
 def hs_lower_bound(model: CovModel, delta: float = 1.0) -> BoundResult:
@@ -436,8 +424,7 @@ def hs_lower_bound(model: CovModel, delta: float = 1.0) -> BoundResult:
     leading-by-trailing index rectangle, row and column sums capped at
     delta, prefactor 1/(1 + 2 delta).
     """
-    prog = _rectangle_program(model, delta)
-    return _rectangle_bound(model, delta, prog, substochastic_max(prog))
+    return _rectangle_bound(model, delta, substochastic_max(_rectangle_program(model, delta)))
 
 
 def denoise_lower_bound(model: DenoiseModel, delta: float = 1.0) -> BoundResult:
@@ -445,8 +432,7 @@ def denoise_lower_bound(model: DenoiseModel, delta: float = 1.0) -> BoundResult:
 
     Same program shape with edge caps 2 / I_ij = 2 sigma^2 / (lam_i - lam_j)^2.
     """
-    prog = _rectangle_program(model, delta)
-    return _rectangle_bound(model, delta, prog, substochastic_max(prog))
+    return _rectangle_bound(model, delta, substochastic_max(_rectangle_program(model, delta)))
 
 
 def hs_bound_d1(model: CovModel, delta: float = 1.0) -> float:
@@ -480,7 +466,7 @@ def singleton_max(b_row) -> SingletonSolution:
     value = s / (1.0 + s)
     lower = 0.25 * min(float(b.sum()), 1.0)
     if value < lower - 1e-12:
-        raise RuntimeError(f"singleton optimum {value} fell below its estimate {lower}")
+        raise CheckFailed(f"singleton optimum {value} fell below its estimate {lower}")
     return SingletonSolution(value, z, lower)
 
 
@@ -494,7 +480,7 @@ def _prefix_cuts(prog: SubstochasticProgram) -> np.ndarray:
 
 
 def _envelope_max(program, lo: float, hi: float, row_slope: int, weight):
-    """(t, program at t, its flow) for the t in [lo, hi] maximizing weight(t) * flow(t).
+    """(t, flow at t) for the t in [lo, hi] maximizing weight(t) * flow(t).
 
     ``program(t)`` keeps its edge caps; its row caps move with slope ``row_slope``
     in t and its column caps with slope 1.  Each prefix cut is then a line in t with
@@ -502,10 +488,11 @@ def _envelope_max(program, lo: float, hi: float, row_slope: int, weight):
     The least line per slope gives the concave lower envelope F, and weight(t) F(t),
     weight constant or 1/(1 + 2t), is largest at a breakpoint of F or an end of the
     range.  Every prefix cut is a cut, so F >= flow, and a flow at t equal to F(t)
-    certifies the maximum over the range.  Edge caps rising down the rows and falling
-    along the columns, with row caps constant or falling and column caps constant or
-    rising, make a min cut a prefix cut (best responses to prefixes are prefixes);
-    else this raises.
+    certifies the maximum over the range.  ``substochastic_max`` has already checked
+    that flow as it checks every flow; this checks only that it meets the envelope.
+    Edge caps rising down the rows and falling along the columns, with row caps
+    constant or falling and column caps constant or rising, make a min cut a prefix
+    cut (best responses to prefixes are prefixes); else this raises ``CheckFailed``.
     """
     base = program(lo)
     nr, nc = base.shape
@@ -530,8 +517,8 @@ def _envelope_max(program, lo: float, hi: float, row_slope: int, weight):
     sol = substochastic_max(prog)
     envelope = float(_prefix_cuts(prog).min())
     if not abs(sol.value - envelope) <= DUALITY_TOL * sol.value:
-        raise RuntimeError(f"search not certified at {best}: flow {sol.value}, envelope {envelope}")
-    return best, prog, sol
+        raise CheckFailed(f"search not certified at {best}: flow {sol.value}, envelope {envelope}")
+    return best, sol
 
 
 def _excess_index_sets(model: CovModel) -> tuple[int, int]:
@@ -580,17 +567,16 @@ def excess_lower_bound(model: CovModel, mu="auto") -> BoundResult:
     if isinstance(mu, str):
         if mu != "auto":
             raise InvalidInput(f"mu must be a number or 'auto', got {mu!r}")
-        mu_val, prog, sol = _envelope_max(
+        mu_val, sol = _envelope_max(
             lambda m: _excess_program(model, m, r, s), mu_lo, mu_hi, -1, lambda t: EXCESS_PREFACTOR
         )
     else:
         mu_val = float(mu)
         if not mu_lo <= mu_val <= mu_hi:
             raise InvalidInput(f"mu={mu_val} outside [{mu_lo}, {mu_hi}]")
-        prog = _excess_program(model, mu_val, r, s)
-        sol = substochastic_max(prog)
+        sol = substochastic_max(_excess_program(model, mu_val, r, s))
     params = {"bound": "excess", "mu": mu_val, "n": model.n, "d": d, "p": p, "r": r, "s": s}
-    return BoundResult.from_solution(prog, sol, EXCESS_PREFACTOR, range(r), range(s, p), params)
+    return BoundResult.from_solution(sol, EXCESS_PREFACTOR, range(r), range(s, p), params)
 
 
 def relrank_condition(model: CovModel) -> tuple[bool, float]:
@@ -618,10 +604,13 @@ def relrank_bound(model: CovModel) -> float:
     """Plug-in excess-risk lower bound, 1/3 of the excess caps summed over
     i <= d < j (the condition makes r = s = d), valid under the condition.
 
-    When the condition holds, the saturating mass choice is feasible at the
-    midpoint split level, so the optimized bound dominates this one; that
-    domination is asserted (cheaply at the midpoint, falling back to the
-    optimized split before failing).
+    When the condition lhs <= n/2 holds, the mass that saturates every
+    edge cap is feasible at the midpoint split level: each row sum is at most
+    lam_d tail / n <= gap / 2 and each column sum at most lam_{d+1} head / n
+    <= gap / 2 (head and tail as in ``relrank_condition``, gap = lam_d -
+    lam_{d+1}).  So the flow at the midpoint alone equals the sum of the caps,
+    and the bound there dominates this one; that domination is checked at
+    the midpoint, and a failure raises ``CheckFailed``.
     """
     holds, lhs = relrank_condition(model)
     if not holds:
@@ -632,9 +621,7 @@ def relrank_bound(model: CovModel) -> float:
     value = EXCESS_PREFACTOR * float(_excess_program(model, mid, d, d).caps.sum())
     dominating = excess_lower_bound(model, mu=mid).value
     if dominating < value * (1.0 - 1e-9):
-        dominating = excess_lower_bound(model, mu="auto").value
-    if dominating < value * (1.0 - 1e-9):
-        raise RuntimeError(
+        raise CheckFailed(
             f"optimized excess bound {dominating} fell below plug-in value {value}"
         )
     return value
@@ -654,10 +641,10 @@ def optimize_delta(model) -> tuple[float, BoundResult]:
     """
     if not isinstance(model, (CovModel, DenoiseModel)):
         raise InvalidInput(f"unsupported model type {type(model)!r}")
-    delta, prog, sol = _envelope_max(
+    delta, sol = _envelope_max(
         lambda t: _rectangle_program(model, t), *DELTA_RANGE, 1, lambda t: 1.0 / (1.0 + 2.0 * t)
     )
-    return delta, _rectangle_bound(model, delta, prog, sol)
+    return delta, _rectangle_bound(model, delta, sol)
 
 
 def canonical_bound(model: CovModel) -> float:
@@ -665,12 +652,12 @@ def canonical_bound(model: CovModel) -> float:
 
     Feasible at delta = 1: each row sum is at most (p-d)/p <= 1 and each
     column sum at most d/p <= 1.  Always dominated by the optimized bound
-    at delta = 1 (asserted).
+    at delta = 1 (checked; a failure raises ``CheckFailed``).
     """
     value = float(np.minimum(_rectangle_caps(model), 1.0 / model.p).sum()) / 3.0
     optimum = hs_lower_bound(model, delta=1.0).value
     if value > optimum + 1e-12:
-        raise RuntimeError(f"canonical value {value} exceeds the optimum {optimum}")
+        raise CheckFailed(f"canonical value {value} exceeds the optimum {optimum}")
     return value
 
 

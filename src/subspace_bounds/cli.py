@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 2 usage error, 3 precondition failure (also a
 simulated replicate whose eigenvalue gap stays degenerate after every
-resample), 4 a verification or domination check failed (a sentinel for
-implementation bugs: the inequalities it guards are mathematically
-guaranteed), 5 the LAPACK eigensolver did not converge.  All
+resample), 4 a verification failed or an internal check raised
+``CheckFailed`` (a flow's duality gap or feasibility, a search
+certificate, a domination the mathematics guarantees: a sentinel for
+implementation bugs), with one ``check failed: ...`` line on stderr,
+5 the LAPACK eigensolver did not converge.  All
 artifacts are deterministic given flags and seed: JSON is dumped with
 sorted keys and CSV rows use shortest round-trip float formatting.
 """
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import bounds, risksim, verify
 from .equivariance import random_projector
-from .errors import ConditionNotMet, DegenerateGap, InvalidInput, NotConverged
+from .errors import CheckFailed, ConditionNotMet, DegenerateGap, InvalidInput, NotConverged
 from .linalg import SkewMatrix
 from .models import (
     CovModel,
@@ -532,6 +534,9 @@ def main(argv=None) -> int:
     except NotConverged as exc:
         print(f"not converged: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
+    except CheckFailed as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

@@ -15,3 +15,8 @@ class DegenerateGap(RuntimeError):
 
 class NotConverged(RuntimeError):
     """A numerical solver did not converge (LAPACK's symmetric eigensolver failed)."""
+
+
+class CheckFailed(RuntimeError):
+    """An internal check failed: a duality gap, a cap a flow breaks, a search
+    certificate or a domination the mathematics guarantees (a bug, not bad input)."""

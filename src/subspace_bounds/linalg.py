@@ -213,21 +213,6 @@ def vech(a) -> np.ndarray:
     return np.concatenate([m[j:, j] for j in range(p)])
 
 
-def unvech(v) -> SymMatrix:
-    v = np.asarray(v, dtype=np.float64)
-    # p(p+1)/2 = len(v)
-    p = int(round((np.sqrt(8 * v.size + 1) - 1) / 2))
-    if p * (p + 1) // 2 != v.size:
-        raise InvalidInput(f"length {v.size} is not a triangular number")
-    out = np.zeros((p, p))
-    pos = 0
-    for j in range(p):
-        out[j:, j] = v[pos : pos + p - j]
-        out[j, j:] = v[pos : pos + p - j]
-        pos += p - j
-    return SymMatrix(out)
-
-
 def vech_diag_mask(p: int) -> np.ndarray:
     """Boolean mask over vech positions that come from the matrix diagonal."""
     mask = np.zeros(p * (p + 1) // 2, dtype=bool)
@@ -236,12 +221,3 @@ def vech_diag_mask(p: int) -> np.ndarray:
         mask[pos] = True
         pos += p - j
     return mask
-
-
-def hs_inner(a, b) -> float:
-    """Trace inner product <a, b> = tr(a^T b)."""
-    ma = _as_array(a)
-    mb = _as_array(b)
-    if ma.shape != mb.shape:
-        raise InvalidInput(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    return float(np.trace(ma.T @ mb))

@@ -195,25 +195,19 @@ class DenoiseModel:
 
 @dataclass(frozen=True)
 class RngStream:
-    """Reproducible random stream keyed by (seed, stream).
+    """Reproducible random stream keyed by (seed, stream), both ints.
 
     Backed by the counter-based Philox generator; distinct (seed, stream)
     pairs give statistically independent streams without coordination, so
     parallel Monte Carlo workers can derive per-chunk streams locally.
-    ``stream`` may be an int or a tuple of ints (a hierarchical key).
     """
 
     seed: int
-    stream: int | tuple = 0
+    stream: int = 0
 
     def generator(self) -> np.random.Generator:
-        key = self.stream if isinstance(self.stream, tuple) else (self.stream,)
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=tuple(int(k) for k in key))
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(int(self.stream),))
         return np.random.Generator(np.random.Philox(ss))
-
-    def child(self, *key) -> "RngStream":
-        base = self.stream if isinstance(self.stream, tuple) else (self.stream,)
-        return RngStream(self.seed, base + tuple(int(k) for k in key))
 
 
 def _as_generator(rng) -> np.random.Generator:

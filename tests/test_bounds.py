@@ -8,10 +8,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subspace_bounds import (
+    CheckFailed,
     ConditionNotMet,
     CovModel,
     DenoiseModel,
@@ -356,6 +357,26 @@ class TestSubstochasticMax:
         prog = SubstochasticProgram(np.zeros((0, 3)), np.zeros(0), np.ones(3))
         assert substochastic_max(prog).value == 0.0
 
+    @pytest.mark.parametrize("edge_cap", [0.0, 1.0, np.inf])
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+    def test_empty_program_has_the_flags_of_one_zero_cap_line_more(self, shape, edge_cap):
+        """A program with no rows (columns), whose columns (rows) have zero and
+        positive caps, gives flow and cut 0.0 on the general path, and the flags
+        of the same program with one zero-cap row (column) appended."""
+        nr, nc = shape
+        row_caps, col_caps = [0.0, 1.5][:nr], [0.0, 1.0, 2.5][:nc]
+        sol = substochastic_max(SubstochasticProgram(np.zeros(shape), row_caps, col_caps))
+        assert (sol.value, sol.cut_value, sol.x.shape) == (0.0, 0.0, shape)
+        if nr == 0:
+            padded = SubstochasticProgram(np.full((1, nc), edge_cap), [0.0], col_caps)
+        else:
+            padded = SubstochasticProgram(np.full((nr, 1), edge_cap), row_caps, [0.0])
+        ref = substochastic_max(padded)
+        assert (ref.value, ref.cut_value) == (0.0, 0.0)
+        np.testing.assert_array_equal(sol.tight_rows, ref.tight_rows[:nr])
+        np.testing.assert_array_equal(sol.tight_cols, ref.tight_cols[:nc])
+        assert sol.tight_edges.shape == shape
+
     def test_infinite_caps_min_cut(self):
         prog = SubstochasticProgram(
             np.full((3, 2), np.inf), [1.0, 2.0, 0.5], [1.5, 1.0]
@@ -461,6 +482,33 @@ class TestSubstochasticMax:
             assert_same_bits(substochastic_max(prog), reference_solution(prog))
             if name in MASKING_CASES:
                 assert_same_pushes(prog)
+
+
+class TestCertified:
+    """``_certified`` is the one check of every flow: the cut's capacity must
+    equal the flow, and the flow must keep its caps."""
+
+    @staticmethod
+    def certify(prog, x):
+        """_certified on the cut with the row and both columns on the source
+        side, whose capacity is the two column caps, 2."""
+        built = np.ones(prog.shape, dtype=bool)
+        return bounds._certified(prog, built, np.array(x), np.array([True]), np.array([True, True]))
+
+    def test_edge_cap_breach_raises(self):
+        prog = SubstochasticProgram([[1.0, 1.0]], [2.0], [1.0, 1.0])
+        with pytest.raises(CheckFailed, match="solver returned an infeasible mass matrix"):
+            self.certify(prog, [[1.5, 0.5]])
+
+    def test_row_cap_breach_raises(self):
+        prog = SubstochasticProgram([[1.0, 1.0]], [1.5], [1.0, 1.0])
+        with pytest.raises(CheckFailed, match="solver violated a row/column cap"):
+            self.certify(prog, [[1.0, 1.0]])
+
+    def test_duality_gap_raises(self):
+        prog = SubstochasticProgram([[1.0, 1.0]], [2.0], [1.0, 1.0])
+        with pytest.raises(CheckFailed, match="max-flow duality gap"):
+            self.certify(prog, [[1.0, 0.5]])
 
 
 class TestLaterPhases:
@@ -714,6 +762,33 @@ class TestExcessLowerBound:
         assert result.cols == (4, 5)
 
 
+@st.composite
+def relrank_models(draw):
+    """Covariance models that meet the plug-in condition: exp, poly or random
+    spectra with p <= 8, scaled by 10^k with |k| <= 300, and n up to 10^9,
+    either drawn log-uniformly (rejected where the condition fails) or the
+    least n that meets it."""
+    p = draw(st.integers(2, 8))
+    d = draw(st.integers(1, p - 1))
+    family = draw(st.sampled_from(["exp", "poly", "random"]))
+    if family == "exp":
+        lam = exp_spectrum(draw(st.floats(0.05, 3.0)), p, d).lambdas
+    elif family == "poly":
+        lam = poly_spectrum(draw(st.floats(0.1, 3.0)), p, d).lambdas
+    else:
+        values = draw(st.lists(st.floats(0.1, 10.0), min_size=p, max_size=p, unique=True))
+        lam = np.sort(values)[::-1]
+    spectrum = Spectrum(lam * 10.0 ** draw(st.integers(-300, 300)), d)
+    _, lhs = relrank_condition(CovModel(spectrum, 1))
+    if draw(st.booleans()):
+        n = max(1, math.ceil(2.0 * lhs))
+    else:
+        n = round(10.0 ** draw(st.floats(0.0, 9.0)))
+    model = CovModel(spectrum, n)
+    assume(n <= 10**9 and relrank_condition(model)[0])
+    return model
+
+
 class TestRelrank:
     def test_two_point_lhs(self):
         model = CovModel(spike_spectrum(2, 1, 1, 2), n=12)
@@ -764,6 +839,19 @@ class TestRelrank:
             value = relrank_bound(model)
             auto = excess_lower_bound(model, "auto").value
             assert value <= auto * (1 + 1e-9)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(relrank_models())
+    def test_midpoint_flow_saturates_every_cap(self, model):
+        """Under the condition, the mass that saturates every edge cap is feasible
+        at the midpoint split level, so the flow there is the sum of the caps; this
+        is why ``relrank_bound`` needs no solve at any other level."""
+        lam, d = model.spectrum.lambdas, model.spectrum.d
+        mid = lam[d] + 0.5 * (lam[d - 1] - lam[d])
+        prog = bounds._excess_program(model, mid, d, d)
+        total = float(prog.caps.sum())
+        assert total > 0.0
+        assert substochastic_max(prog).value == pytest.approx(total, rel=1e-9, abs=0.0)
 
     def test_matches_the_exact_sum_below_the_normal_range(self):
         # lam_i lam_j underflows for these eigenvalues (down to 12^-200), while

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -6,11 +7,12 @@ import shlex
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from subspace_bounds import exp_spectrum
+from subspace_bounds import bounds, exp_spectrum
 from subspace_bounds.cli import main
 
 # Args, artifact and stdout of two `verify` commands per suite, as the CLI
@@ -172,6 +174,23 @@ class TestBoundCommand:
         assert run(args) == 3
         err = capsys.readouterr().err
         assert err.startswith("precondition failed: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "kind, dominating, n",
+        [("relrank", "excess_lower_bound", "12"), ("canonical", "hs_lower_bound", "8")],
+    )
+    def test_failed_domination_check_is_exit_4_with_one_line(self, kind, dominating, n, capsys):
+        solve = getattr(bounds, dominating)
+
+        def halved(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            return dataclasses.replace(result, value=result.value / 2.0)
+
+        with mock.patch.object(bounds, dominating, halved):
+            assert run(["bound", kind, "--spectrum", "spike:2,1,1,2", "--n", n]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("check failed: ") and err.count("\n") == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e154, 1e160, 1e-170])

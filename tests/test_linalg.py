@@ -11,12 +11,10 @@ from subspace_bounds import (
     OrthMatrix,
     SkewMatrix,
     SymMatrix,
-    hs_inner,
     skew_exp,
     skew_exp_batch,
     sym_eig,
     sym_eig_batch,
-    unvech,
     vech,
 )
 from subspace_bounds.linalg import vech_diag_mask
@@ -298,38 +296,6 @@ class TestVech:
     def test_identity_three(self):
         np.testing.assert_array_equal(vech(np.eye(3)), [1, 0, 0, 1, 0, 1])
 
-    def test_roundtrip(self, rng):
-        a = random_sym(rng, 5)
-        np.testing.assert_array_equal(unvech(vech(a)).a, a)
-
-    def test_bad_length_rejected(self):
-        with pytest.raises(InvalidInput):
-            unvech(np.arange(4.0))
-
     def test_diag_mask(self):
         mask = vech_diag_mask(3)
         np.testing.assert_array_equal(mask, [True, False, False, True, False, True])
-
-
-class TestHsInner:
-    def test_identity(self):
-        assert hs_inner(np.eye(3), np.eye(3)) == pytest.approx(3.0)
-
-    def test_rank_one(self):
-        e01 = np.zeros((2, 2))
-        e01[0, 1] = 1.0
-        assert hs_inner(e01, e01) == pytest.approx(1.0)
-
-    def test_matches_elementwise_sum(self, rng):
-        a, b = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
-        assert abs(hs_inner(a, b) - float(np.sum(a * b))) <= 1e-12
-
-    def test_dim_mismatch(self):
-        with pytest.raises(InvalidInput):
-            hs_inner(np.eye(2), np.eye(3))
-
-    def test_vech_consistency_doubles_off_diagonals(self, rng):
-        a, b = random_sym(rng, 4), random_sym(rng, 4)
-        weights = np.where(vech_diag_mask(4), 1.0, 2.0)
-        via_vech = float(np.sum(weights * vech(a) * vech(b)))
-        assert abs(hs_inner(a, b) - via_vech) <= 1e-12

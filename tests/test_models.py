@@ -96,12 +96,6 @@ class TestRngStream:
         b = RngStream(123, 5).generator().standard_normal(16)
         assert not np.array_equal(a, b)
 
-    def test_child_keys_extend(self):
-        s = RngStream(9, 1).child(2, 3)
-        assert s.stream == (1, 2, 3)
-        t = RngStream(9, (1, 2)).child(3)
-        assert t.generator().standard_normal(4).tobytes() == s.generator().standard_normal(4).tobytes()
-
 
 class TestHaar:
     def test_p1_is_fair_sign(self):
