@@ -1,4 +1,4 @@
-"""Write one BENCH_<n>.json: the benchmark, the tier-1 suite and two timed commands.
+"""Write one BENCH_<n>.json: the benchmark, tier-1, the acceptance criteria and the README commands.
 
     python3 bench/collect.py --out bench/BENCH_16.json
     python3 bench/collect.py --root <another checkout> --out BENCH_15.json
@@ -8,7 +8,13 @@ checkout this script sits in), one step after another:
 - ``perfbench/run.py --workload all --seed 1 --seconds 25``, keeping its last
   output line and the machine record of its ``mc_risk`` results file;
 - the tier-1 suite, timed as a whole;
-- acceptance criterion 6, timed as a whole;
+- each acceptance criterion, by its node id in ``tests/test_acceptance.py``
+  (``criteria``, keyed by number; ``criterion_6`` repeats criterion 6 so that
+  older BENCH files still compare);
+- each ``subspace-bounds`` command of the README's "Command line" block, its
+  ``--out`` sent to a temporary directory;
+- ``python -c "import subspace_bounds"``, the floor under every command: the
+  CLI is bound by its imports;
 - the ``report --family exp --alpha 1 --p 12 --n 100000 --d-min 3 --d-max 6
   --simulate 600`` command, timed as a whole.
 
@@ -24,6 +30,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -55,26 +63,60 @@ def _last_line(run: dict) -> str:
     return run["stdout"].strip().splitlines()[-1]
 
 
+def _read(root: str, *path: str) -> str:
+    with open(os.path.join(root, *path), encoding="utf-8") as f:
+        return f.read()
+
+
+def _criteria(root: str) -> dict[str, str]:
+    """Node id of each acceptance criterion test, keyed by the criterion's number."""
+    names = re.findall(r"^def (test_criterion_(\d+)_\w+)\(", _read(root, "tests", "test_acceptance.py"), re.M)
+    return {number: f"tests/test_acceptance.py::{name}" for name, number in names}
+
+
+def _readme_commands(root: str) -> list[list[str]]:
+    """The argv of each ``subspace-bounds`` command of the README's "Command line" block."""
+    block = re.search(r"## Command line\n\n```bash\n(.*?)```", _read(root, "README.md"), re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("subspace-bounds ")]
+
+
+def _pytest(py: str, root: str, *args: str) -> dict:
+    run = _timed([py, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args], root)
+    return {"wall_s": run["wall_s"], "exit_code": run["exit_code"], "summary": _last_line(run)}
+
+
 def collect(root: str) -> dict:
     py = sys.executable
     commit = _commit(root)
     bench = _timed([py, "perfbench/run.py", "--workload", "all", "--seed", "1", "--seconds", "25"], root)
     if bench["exit_code"] != 0:
         raise SystemExit(f"perfbench/run.py --workload all exited {bench['exit_code']}")
-    with open(os.path.join(root, "perfbench", "out", "mc_risk-seed1-trace0.json"), encoding="utf-8") as f:
-        machine = json.load(f)["machine"]
-    tier1 = _timed([py, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"], root)
-    criterion6 = _timed([py, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                         "tests/test_acceptance.py::test_criterion_6_simulated_risk_dominates_bounds"], root)
+    machine = json.loads(_read(root, "perfbench", "out", "mc_risk-seed1-trace0.json"))["machine"]
+    tier1 = _pytest(py, root, "--continue-on-collection-errors")
+    criteria = {number: {"node_id": node, **_pytest(py, root, node)} for number, node in _criteria(root).items()}
+    readme = []
     with tempfile.TemporaryDirectory() as tmp:
+        for argv in _readme_commands(root):
+            sent = list(argv)
+            if "--out" in argv:
+                at = argv.index("--out") + 1
+                sent[at] = os.path.join(tmp, argv[at])
+            run = _timed([py, "-m", "subspace_bounds.cli", *sent], root)
+            readme.append({"command": "subspace-bounds " + " ".join(argv),
+                           "wall_s": run["wall_s"], "exit_code": run["exit_code"]})
         report = _timed([py, "-m", "subspace_bounds.cli", *REPORT_ARGS, "--out", os.path.join(tmp, "r.csv")], root)
+    floor = _timed([py, "-c", "import subspace_bounds"], root)
     return {
         "commit": commit,
         "machine": machine,
         "perfbench_all": json.loads(_last_line(bench)),
-        "tier1": {"wall_s": tier1["wall_s"], "exit_code": tier1["exit_code"], "summary": _last_line(tier1)},
-        "criterion_6": {"wall_s": criterion6["wall_s"], "exit_code": criterion6["exit_code"],
-                        "summary": _last_line(criterion6)},
+        "tier1": tier1,
+        "criteria": criteria,
+        "criterion_6": criteria["6"],
+        "readme_commands": readme,
+        "import_floor": {"command": 'python -c "import subspace_bounds"',
+                         "wall_s": floor["wall_s"], "exit_code": floor["exit_code"]},
         "report_simulate_600": {"command": "subspace-bounds " + " ".join(REPORT_ARGS),
                                 "wall_s": report["wall_s"], "exit_code": report["exit_code"]},
     }

@@ -609,8 +609,9 @@ def relrank_bound(model: CovModel) -> float:
     lam_d tail / n <= gap / 2 and each column sum at most lam_{d+1} head / n
     <= gap / 2 (head and tail as in ``relrank_condition``, gap = lam_d -
     lam_{d+1}).  So the flow at the midpoint alone equals the sum of the caps,
-    and the bound there dominates this one; that domination is checked at
-    the midpoint, and a failure raises ``CheckFailed``.
+    and the bound there (``excess_lower_bound`` at mu = midpoint, from the
+    same program) dominates this one; that domination is checked with one
+    flow solve, and a failure raises ``CheckFailed``.
     """
     holds, lhs = relrank_condition(model)
     if not holds:
@@ -618,8 +619,9 @@ def relrank_bound(model: CovModel) -> float:
     lam = model.spectrum.lambdas
     d = model.spectrum.d
     mid = lam[d] + 0.5 * (lam[d - 1] - lam[d])
-    value = EXCESS_PREFACTOR * float(_excess_program(model, mid, d, d).caps.sum())
-    dominating = excess_lower_bound(model, mu=mid).value
+    prog = _excess_program(model, mid, d, d)
+    value = EXCESS_PREFACTOR * float(prog.caps.sum())
+    dominating = EXCESS_PREFACTOR * substochastic_max(prog).value
     if dominating < value * (1.0 - 1e-9):
         raise CheckFailed(
             f"optimized excess bound {dominating} fell below plug-in value {value}"

@@ -171,18 +171,12 @@ def weighted_loss(u: OrthMatrix, a, d: int, w: WeightMatrix) -> float:
 
     With unit weights this is the squared Hilbert-Schmidt distance between
     a and the rank-d projector of U.  Uses <u_k u_l^T, M> = (U^T M U)_kl.
-    weighted_loss_batch on a stack of one.
     """
     a = np.asarray(getattr(a, "a", a), dtype=np.float64)
-    return float(weighted_loss_batch(u.a[None], a[None], d, w)[0])
-
-
-def weighted_loss_batch(u: np.ndarray, a: np.ndarray, d: int, w: WeightMatrix) -> np.ndarray:
-    """weighted_loss of each (U, a) pair of two (B, p, p) stacks."""
-    if a.shape != u.shape or u.ndim != 3 or w.dim != u.shape[-1]:
+    if a.shape != u.a.shape or w.dim != u.dim:
         raise InvalidInput("dimension mismatch between U, a and weights")
-    coords = u.swapaxes(-1, -2) @ (a - projector_leq_d_batch(u, d)) @ u
-    return (w.w * coords * coords).sum(axis=(-2, -1))
+    coords = u.a.T @ (a - projector_leq_d(u, d).a) @ u.a
+    return float((w.w * coords * coords).sum())
 
 
 def excess_risk_weights(spectrum: Spectrum, mu: float) -> WeightMatrix:
@@ -206,17 +200,12 @@ def excess_risk(spectrum: Spectrum, u: OrthMatrix, p_hat: Projector) -> float:
 
     Computed exactly via traces: sum of the leading d eigenvalues minus
     <p_hat, Sigma> with Sigma = U diag(lam) U^T.  Nonnegative for every
-    rank-d projector.  excess_risk_batch on a stack of one.
+    rank-d projector.
     """
-    return float(excess_risk_batch(spectrum, u.a[None], p_hat.a[None])[0])
-
-
-def excess_risk_batch(spectrum: Spectrum, u: np.ndarray, p_hat: np.ndarray) -> np.ndarray:
-    """excess_risk of each (U, projector) pair of two (B, p, p) stacks."""
-    if p_hat.shape != u.shape or u.ndim != 3 or u.shape[-1] != spectrum.p:
+    if p_hat.a.shape != u.a.shape or u.dim != spectrum.p:
         raise InvalidInput("dimension mismatch")
-    d, rank = spectrum.d, np.rint(_trace(p_hat))
-    if (rank != d).any():
-        raise InvalidInput(f"projector rank {int(rank[rank != d][0])} != d={d}")
-    sigma = (u * spectrum.lambdas) @ u.swapaxes(-1, -2)
-    return np.sum(spectrum.lambdas[:d]) - _trace(p_hat.swapaxes(-1, -2) @ sigma)
+    d, rank = spectrum.d, p_hat.rank
+    if rank != d:
+        raise InvalidInput(f"projector rank {rank} != d={d}")
+    sigma = (u.a * spectrum.lambdas) @ u.a.T
+    return float(np.sum(spectrum.lambdas[:d]) - _trace(p_hat.a.T @ sigma))

@@ -3,10 +3,10 @@
 Symmetric eigendecomposition (LAPACK's ``eigh``, for one matrix or a
 stack, under a fixed order and sign convention), skew-symmetric matrix
 exponential (one Hermitian ``eigh`` per generator, for a stack of
-generators and a grid of times), half-vectorization and the trace inner
-product.  Everything here is deterministic: with one numpy and LAPACK
-build, identical inputs produce bit-identical outputs, and a matrix gets
-the same eigendecomposition and exponential alone as in any stack, which
+generators and a grid of times) and half-vectorization.  Everything here
+is deterministic: with one numpy and LAPACK build, identical inputs
+produce bit-identical outputs, and a matrix gets the same
+eigendecomposition and exponential alone as in any stack, which
 downstream Monte Carlo code and the Fisher-limit checks rely on.
 """
 

@@ -6,13 +6,13 @@ data at U is the law at I conjugated by U, both plug-in estimators are
 equivariant, P(U X U^T) = U P(X) U^T, and both losses are unchanged when the
 truth and the estimate are conjugated together, so the loss at a Haar draw
 of U has the law of the loss at I.  Each replicate therefore draws the
-observed matrix at U = I, applies the plug-in spectral estimator, and
-evaluates the loss against I through the equivariance module (the same
-formulas the identity tests cross-validate).  Replicates come in
-fixed-size chunks, each drawn from its own stream RngStream(seed, chunk),
-so the estimate is a pure function of (config, seed) no matter how chunks
-are scheduled across processes.  A chunk is drawn in one call, solved by
-one stacked eigendecomposition and scored as a stack.
+observed matrix at U = I and scores the plug-in estimate, the top-d
+eigenvectors V of that matrix, against I from two blocks of V (see
+_losses).  Replicates come in fixed-size chunks, each drawn from its own
+stream RngStream(seed, chunk), so the estimate is a pure function of
+(config, seed) no matter how chunks are scheduled across processes.  A
+chunk is drawn in one call, solved by one stacked eigendecomposition and
+scored as a stack.
 """
 
 from __future__ import annotations
@@ -23,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGap, InvalidInput
-from .equivariance import (
-    Projector,
-    WeightMatrix,
-    excess_risk_batch,
-    projector_leq_d_batch,
-    weighted_loss_batch,
-)
+from .equivariance import Projector, projector_leq_d_batch
 from .linalg import SymMatrix, sym_eig_batch
 from .models import CovModel, DenoiseModel, RngStream, _as_generator, _whole, empirical_cov
 
@@ -95,7 +89,8 @@ def _degenerate(values: np.ndarray, d: int) -> np.ndarray:
 
 
 def _top_d_projector(sym: SymMatrix, d: int) -> Projector:
-    """The chunk path of bayes_risk on a stack of one."""
+    """Projector onto the top-d eigenvectors of sym, from the chunk path's
+    stacked eigendecomposition and gap test on a stack of one."""
     values, vectors = sym_eig_batch(sym.a[None])
     projector = projector_leq_d_batch(vectors, d)  # InvalidInput unless 1 <= d <= p
     if _degenerate(values, d)[0]:
@@ -118,13 +113,23 @@ def denoise_estimator(x, d: int) -> Projector:
 
 
 def _losses(config: SimConfig, vectors: np.ndarray) -> np.ndarray:
-    """Loss of each plug-in estimate (leading eigenvectors) against U = I."""
+    """Loss against U = I of the projector onto the first d columns of each
+    orthogonal V in a (B, p, p) stack of eigenvectors, from two blocks of V.
+
+    With P = diag(1_{i<d}) and P^ = V[:, :d] V[:, :d]^T, the unit norms of V's
+    rows and columns give hs = ||P - P^||_F^2 = 2 ||V[d:, :d]||_F^2 and
+    excess = tr(diag(lam)(P - P^)) = sum_{i<d} lam_i ||V[i, d:]||^2
+    - sum_{j>=d} lam_j ||V[j, :d]||^2 (0-based).  The two blocks have equal
+    norms, so excess >= (lam_{d-1} - lam_d) ||V[d:, :d]||_F^2 >= 0, and no
+    terms of the size of lam cancel, at any n.
+    """
     spectrum = config.model.spectrum
-    p_hat = projector_leq_d_batch(vectors, spectrum.d)
-    ident = np.broadcast_to(np.eye(spectrum.p), p_hat.shape)
+    d = spectrum.d
+    tail = np.square(vectors[:, d:, :d]).sum(axis=-1)  # ||V[j, :d]||^2, j >= d
     if config.loss == "hs_squared":
-        return weighted_loss_batch(ident, p_hat, spectrum.d, WeightMatrix.ones(spectrum.p))
-    return excess_risk_batch(spectrum, ident, p_hat)
+        return 2.0 * tail.sum(axis=-1)
+    lead = np.square(vectors[:, :d, d:]).sum(axis=-1)  # ||V[i, d:]||^2, i < d
+    return lead @ spectrum.lambdas[:d] - tail @ spectrum.lambdas[d:]
 
 
 def _loss_scale(config: SimConfig) -> float:

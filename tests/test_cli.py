@@ -176,15 +176,20 @@ class TestBoundCommand:
         assert err.startswith("precondition failed: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "kind, dominating, n",
-        [("relrank", "excess_lower_bound", "12"), ("canonical", "hs_lower_bound", "8")],
+        "kind, dominating, replace, n",
+        [
+            ("relrank", "substochastic_max", bounds.FlowSolution._replace, "12"),
+            ("canonical", "hs_lower_bound", dataclasses.replace, "8"),
+        ],
     )
-    def test_failed_domination_check_is_exit_4_with_one_line(self, kind, dominating, n, capsys):
+    def test_failed_domination_check_is_exit_4_with_one_line(
+        self, kind, dominating, replace, n, capsys
+    ):
         solve = getattr(bounds, dominating)
 
         def halved(*args, **kwargs):
             result = solve(*args, **kwargs)
-            return dataclasses.replace(result, value=result.value / 2.0)
+            return replace(result, value=result.value / 2.0)
 
         with mock.patch.object(bounds, dominating, halved):
             assert run(["bound", kind, "--spectrum", "spike:2,1,1,2", "--n", n]) == 4
@@ -434,6 +439,18 @@ class TestSimulateCommand:
         fields = lines[1].split(",")
         assert fields[0] == "cov"
         assert float(fields[10]) >= -3.0  # margin_sigmas
+
+    def test_excess_risk_at_n_1e16_is_positive_and_passes(self, tmp_path, capsys):
+        # Here a loss taken as the difference of two O(lam) traces cancels to a negative mean.
+        out = tmp_path / "sim.csv"
+        args = ["simulate", "--loss", "excess", "--spectrum",
+                '{"lambdas":[4,3,1,0.5,0.25,0.1],"d":2}', "--n", "10000000000000000",
+                "--reps", "2048", "--seed", "1", "--out", str(out)]
+        assert run(args) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.startswith("risk ") and "VIOLATION" not in stdout
+        assert float(stdout.split()[1]) > 0.0
+        assert float(out.read_bytes().decode("utf-8").split("\r\n")[1].split(",")[5]) > 0.0
 
     def test_zero_reps_is_usage_error(self):
         assert run(
