@@ -7,10 +7,12 @@ Everything runs from the source of the checkout at ``--root`` (default: the
 checkout this script sits in), one step after another:
 - ``perfbench/run.py --workload all --seed 1 --seconds 25``, keeping its last
   output line and the machine record of its ``mc_risk`` results file;
-- the tier-1 suite, timed as a whole;
-- each acceptance criterion, by its node id in ``tests/test_acceptance.py``
-  (``criteria``, keyed by number; ``criterion_6`` repeats criterion 6 so that
-  older BENCH files still compare);
+- the tier-1 suite, timed as a whole, with ``--durations=0``: each acceptance
+  criterion's ``call`` seconds in that run, by its node id in
+  ``tests/test_acceptance.py`` (``criteria``, keyed by number; null where the
+  run did not report it);
+- criterion 6 again as its own pytest process (``criterion_6``, the wall time
+  that older BENCH files hold, so that they still compare);
 - each ``subspace-bounds`` command of the README's "Command line" block, its
   ``--out`` sent to a temporary directory;
 - ``python -c "import subspace_bounds"``, the floor under every command: the
@@ -81,9 +83,15 @@ def _readme_commands(root: str) -> list[list[str]]:
     return [shlex.split(line)[1:] for line in lines if line.startswith("subspace-bounds ")]
 
 
-def _pytest(py: str, root: str, *args: str) -> dict:
+def _pytest(py: str, root: str, *args: str) -> tuple[dict, str]:
+    """(wall time, exit code and last line, stdout) of one pytest process."""
     run = _timed([py, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args], root)
-    return {"wall_s": run["wall_s"], "exit_code": run["exit_code"], "summary": _last_line(run)}
+    return {"wall_s": run["wall_s"], "exit_code": run["exit_code"], "summary": _last_line(run)}, run["stdout"]
+
+
+def _call_seconds(stdout: str) -> dict[str, float]:
+    """Each test's ``call`` seconds from the ``--durations=0`` block of a pytest run."""
+    return {node: float(s) for s, node in re.findall(r"^([\d.]+)s call +(\S+)$", stdout, re.M)}
 
 
 def collect(root: str) -> dict:
@@ -93,8 +101,12 @@ def collect(root: str) -> dict:
     if bench["exit_code"] != 0:
         raise SystemExit(f"perfbench/run.py --workload all exited {bench['exit_code']}")
     machine = json.loads(_read(root, "perfbench", "out", "mc_risk-seed1-trace0.json"))["machine"]
-    tier1 = _pytest(py, root, "--continue-on-collection-errors")
-    criteria = {number: {"node_id": node, **_pytest(py, root, node)} for number, node in _criteria(root).items()}
+    tier1, stdout = _pytest(py, root, "--continue-on-collection-errors",
+                            "--durations=0", "--durations-min=0")
+    calls = _call_seconds(stdout)
+    nodes = _criteria(root)
+    criteria = {number: {"node_id": node, "call_s": calls.get(node)} for number, node in nodes.items()}
+    criterion_6 = {"node_id": nodes["6"], **_pytest(py, root, nodes["6"])[0]}
     readme = []
     with tempfile.TemporaryDirectory() as tmp:
         for argv in _readme_commands(root):
@@ -113,7 +125,7 @@ def collect(root: str) -> dict:
         "perfbench_all": json.loads(_last_line(bench)),
         "tier1": tier1,
         "criteria": criteria,
-        "criterion_6": criteria["6"],
+        "criterion_6": criterion_6,
         "readme_commands": readme,
         "import_floor": {"command": 'python -c "import subspace_bounds"',
                          "wall_s": floor["wall_s"], "exit_code": floor["exit_code"]},

@@ -27,8 +27,9 @@ place, ``_certified``: the minimum cut that its last breadth-first search
 leaves must have the capacity of the flow to within 1e-9 of the flow, and
 the flows must keep every cap to within 1e-9 of max(1, flow); a failed
 check raises ``CheckFailed``.  The searches over mu and delta take the
-lower envelope of the prefix cuts' lines in the parameter, pick its best
-breakpoint, and solve one flow there that must equal the envelope.  A
+lower envelope of the prefix cuts' lines in the parameter, pick the maximum
+from the signs of its pieces' rises, and solve one flow there that must
+equal the envelope.  A
 sparse LP oracle (scipy HiGHS) provides an independent verification path
 at any size, solving a sequence of programs as one block-diagonal LP, and
 is used only by tests and the verify command.
@@ -479,15 +480,18 @@ def _prefix_cuts(prog: SubstochasticProgram) -> np.ndarray:
     return rows_out[:, None] + rect + np.append(0.0, np.cumsum(prog.col_caps))
 
 
-def _envelope_max(program, lo: float, hi: float, row_slope: int, weight):
-    """(t, flow at t) for the t in [lo, hi] maximizing weight(t) * flow(t).
+def _envelope_max(program, lo: float, hi: float, row_slope: int, b: float):
+    """(t, flow at t) for the t in [lo, hi] maximizing flow(t) / (1 + b t), b >= 0.
 
     ``program(t)`` keeps its edge caps; its row caps move with slope ``row_slope``
     in t and its column caps with slope 1.  Each prefix cut is then a line in t with
     an integer slope, written from its capacity at lo, a sum of nonnegative caps.
-    The least line per slope gives the concave lower envelope F, and weight(t) F(t),
-    weight constant or 1/(1 + 2t), is largest at a breakpoint of F or an end of the
-    range.  Every prefix cut is a cut, so F >= flow, and a flow at t equal to F(t)
+    The least line per slope gives the concave lower envelope F.  On a piece
+    F = m + k (t - lo), F / (1 + b t) rises, stays flat or falls with the sign of
+    r = k (1 + b lo) - b m, and r falls strictly from piece to piece (each meets the
+    next past lo).  So the maximum is at the start of the first piece with r < 0, on
+    a piece with r = 0 (taken at its middle, away from rounding at its ends) or at
+    hi.  Every prefix cut is a cut, so F >= flow, and a flow at t equal to F(t)
     certifies the maximum over the range.  ``substochastic_max`` has already checked
     that flow as it checks every flow; this checks only that it meets the envelope.
     Edge caps rising down the rows and falling along the columns, with row caps
@@ -510,9 +514,11 @@ def _envelope_max(program, lo: float, hi: float, row_slope: int, weight):
             pieces.pop()
         if start < hi - lo:
             pieces.append((kj, mj, start))
-    x = np.array([s for *_, s in pieces] + [hi - lo])
-    t = np.append(np.minimum(lo + x[:-1], hi), hi)
-    best = float(t[np.argmax(weight(t) * np.min(np.multiply.outer(x, k) + m, axis=1))])
+    best = hi
+    for (kj, mj, start), end in zip(pieces, [s for *_, s in pieces[1:]] + [hi - lo]):
+        if (rise := kj * (1.0 + b * lo) - b * mj) <= 0.0:
+            best = min(hi, lo + (start if rise < 0.0 else (start + end) / 2))
+            break
     prog = program(best)
     sol = substochastic_max(prog)
     envelope = float(_prefix_cuts(prog).min())
@@ -557,7 +563,9 @@ def excess_lower_bound(model: CovModel, mu="auto") -> BoundResult:
     Edge caps (lam_i - lam_j) / I_ij = lam_i lam_j / (n (lam_i - lam_j)),
     with I_ij the Fisher information along L(i, j), row caps lam_i - mu,
     column caps mu - lam_j, prefactor 1/3.  In auto mode mu maximizes the
-    bound over [lam_{d+1}, lam_d], where each cut's capacity is affine in mu.
+    bound over [lam_{d+1}, lam_d], where each cut's capacity is affine in mu
+    with an integer slope; a flat maximum is taken at its middle, since at
+    large n its start lies within rounding of a binding column cap.
     Certificate: the one flow solve, at the searched mu, equals the lower
     envelope of the prefix-cut lines, which bounds the flow at every mu.
     """
@@ -568,7 +576,7 @@ def excess_lower_bound(model: CovModel, mu="auto") -> BoundResult:
         if mu != "auto":
             raise InvalidInput(f"mu must be a number or 'auto', got {mu!r}")
         mu_val, sol = _envelope_max(
-            lambda m: _excess_program(model, m, r, s), mu_lo, mu_hi, -1, lambda t: EXCESS_PREFACTOR
+            lambda m: _excess_program(model, m, r, s), mu_lo, mu_hi, -1, 0.0
         )
     else:
         mu_val = float(mu)
@@ -637,15 +645,14 @@ def optimize_delta(model) -> tuple[float, BoundResult]:
 
     A cut with a row/column caps and crossing edge caps b on its boundary
     bounds the value by (a delta + b)/(1 + 2 delta), which rises in delta
-    iff a > 2b.  Certificate: the one flow solve, at the searched delta,
-    equals the lower envelope of the prefix-cut lines, which bounds the flow
-    at every delta.
+    iff a > 2b; the search takes the start of the envelope's first piece on
+    which that no longer holds, or the top of the range.  Certificate: the
+    one flow solve, at the searched delta, equals the lower envelope of the
+    prefix-cut lines, which bounds the flow at every delta.
     """
     if not isinstance(model, (CovModel, DenoiseModel)):
         raise InvalidInput(f"unsupported model type {type(model)!r}")
-    delta, sol = _envelope_max(
-        lambda t: _rectangle_program(model, t), *DELTA_RANGE, 1, lambda t: 1.0 / (1.0 + 2.0 * t)
-    )
+    delta, sol = _envelope_max(lambda t: _rectangle_program(model, t), *DELTA_RANGE, 1, 2.0)
     return delta, _rectangle_bound(model, delta, sol)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import OrthMatrix, SkewMatrix, SymMatrix, symmetrized
+from .linalg import OrthMatrix, SkewMatrix, SymMatrix
 from .models import Spectrum, haar_orthogonal
 
 PROJECTOR_TOL = 1e-9
@@ -65,19 +65,13 @@ class WeightMatrix:
         return cls(np.ones((p, p)))
 
 
-def _trace(m: np.ndarray) -> np.ndarray:
-    return m.trace(axis1=-2, axis2=-1)
-
-
 def _require_projector(m: np.ndarray) -> None:
-    """Raise unless each matrix in a (..., p, p) array is idempotent to 1e-9
-    with an integer trace."""
+    """Raise unless m is idempotent to 1e-9 with an integer trace."""
     if np.abs(m @ m - m).max() > PROJECTOR_TOL:
         raise InvalidInput("matrix is not idempotent")
-    tr = _trace(m)
-    off = np.abs(tr - np.rint(tr)) > PROJECTOR_TOL
-    if off.any():
-        raise InvalidInput(f"trace {float(tr[off][0])} is not an integer rank")
+    tr = float(np.trace(m))
+    if abs(tr - round(tr)) > PROJECTOR_TOL:
+        raise InvalidInput(f"trace {tr} is not an integer rank")
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +96,7 @@ class Projector:
 
     @property
     def rank(self) -> int:
-        return int(round(float(_trace(self.matrix.a))))
+        return int(round(float(np.trace(self.matrix.a))))
 
 
 def _check_d(d: int, p: int) -> None:
@@ -110,23 +104,11 @@ def _check_d(d: int, p: int) -> None:
         raise InvalidInput(f"d={d} out of range 1..{p}")
 
 
-def _lead_outer(u: np.ndarray, d: int) -> np.ndarray:
-    lead = u[..., :d]
-    return lead @ lead.swapaxes(-1, -2)
-
-
 def projector_leq_d(u: OrthMatrix, d: int) -> Projector:
     """Orthogonal projection onto the span of the first d columns of U."""
     _check_d(d, u.dim)
-    return Projector(SymMatrix(_lead_outer(u.a, d)))
-
-
-def projector_leq_d_batch(u: np.ndarray, d: int) -> np.ndarray:
-    """projector_leq_d of each basis in a (B, p, p) stack, checked as Projector does."""
-    _check_d(d, u.shape[-1])
-    m = symmetrized(_lead_outer(u, d))
-    _require_projector(m)
-    return m
+    lead = u.a[:, :d]
+    return Projector(SymMatrix(lead @ lead.T))
 
 
 def random_projector(p: int, d: int, rng) -> Projector:
@@ -208,4 +190,4 @@ def excess_risk(spectrum: Spectrum, u: OrthMatrix, p_hat: Projector) -> float:
     if rank != d:
         raise InvalidInput(f"projector rank {rank} != d={d}")
     sigma = (u.a * spectrum.lambdas) @ u.a.T
-    return float(np.sum(spectrum.lambdas[:d]) - _trace(p_hat.a.T @ sigma))
+    return float(np.sum(spectrum.lambdas[:d]) - np.trace(p_hat.a.T @ sigma))

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGap, InvalidInput
-from .equivariance import Projector, projector_leq_d_batch
-from .linalg import SymMatrix, sym_eig_batch
+from .equivariance import Projector, projector_leq_d
+from .linalg import SymMatrix, sym_eig, sym_eig_batch
 from .models import CovModel, DenoiseModel, RngStream, _as_generator, _whole, empirical_cov
 
 GAP_TOL = 1e-12
@@ -89,15 +89,14 @@ def _degenerate(values: np.ndarray, d: int) -> np.ndarray:
 
 
 def _top_d_projector(sym: SymMatrix, d: int) -> Projector:
-    """Projector onto the top-d eigenvectors of sym, from the chunk path's
-    stacked eigendecomposition and gap test on a stack of one."""
-    values, vectors = sym_eig_batch(sym.a[None])
-    projector = projector_leq_d_batch(vectors, d)  # InvalidInput unless 1 <= d <= p
-    if _degenerate(values, d)[0]:
+    """Projector onto the top-d eigenvectors of sym, with the chunk path's gap test."""
+    eig = sym_eig(sym)
+    projector = projector_leq_d(eig.vectors, d)  # InvalidInput unless 1 <= d <= p
+    if _degenerate(eig.values, d):
         raise DegenerateGap(
-            f"gap {values[0, d - 1] - values[0, d]:.3e} below {GAP_TOL:.0e} of max |eigenvalue|"
+            f"gap {eig.values[d - 1] - eig.values[d]:.3e} below {GAP_TOL:.0e} of max |eigenvalue|"
         )
-    return Projector(projector[0])
+    return projector
 
 
 def pca_estimator(data, d: int) -> Projector:

@@ -16,12 +16,12 @@ from .equivariance import (
     excess_risk,
     excess_risk_weights,
     generator,
-    projector_leq_d_batch,
+    projector_leq_d,
     weighted_loss,
 )
 from .errors import InvalidInput
 from .fisher import T_GRID, fisher_matrix, limit_report, quadratic_form
-from .linalg import SkewMatrix, skew_exp_batch
+from .linalg import OrthMatrix, SkewMatrix, skew_exp_batch
 
 FD_STEPS = (1e-3, 1e-4, 1e-5)
 BAND_FACTOR = 3.0
@@ -71,7 +71,7 @@ def derivative_errors(xi: SkewMatrix, d: int, i: int, j: int) -> tuple[list, lis
     base_v[i, j] = 1.0
     q = skew_exp_batch(xi.a[None], FD_STEPS)[0]
     ts = np.array(FD_STEPS)[:, None, None]
-    fd_p = (projector_leq_d_batch(q, d) - base_p) / ts
+    fd_p = (np.stack([projector_leq_d(OrthMatrix(r), d).a for r in q]) - base_p) / ts
     fd_v = (q[:, :, i, None] * q[:, None, :, j] - base_v) / ts
     errs_p = np.abs(fd_p - closed_p).max(axis=(1, 2))
     errs_v = np.abs(fd_v - closed_v).max(axis=(1, 2))

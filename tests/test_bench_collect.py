@@ -1,6 +1,6 @@
 """``bench/collect.py`` stops before it runs anything when its root is not a git
-checkout, and its record times each acceptance criterion, each README command and
-the bare import."""
+checkout, and its record times each acceptance criterion (from the tier-1 run's
+durations), each README command and the bare import."""
 
 import importlib.util
 import json
@@ -52,12 +52,17 @@ def test_record_times_each_criterion_readme_command_and_the_import(tmp_path, mon
     shutil.copy(ROOT / "README.md", tmp_path)
     (tmp_path / "perfbench" / "out").mkdir(parents=True)
     (tmp_path / "perfbench" / "out" / "mc_risk-seed1-trace0.json").write_text('{"machine": {"cpus": 2}}')
+    nodes = collect._criteria(str(tmp_path))
+    # pytest prints the durations block before its summary line
+    durations = "".join(f"0.{k}1s call     {nodes[str(k)]}\n" for k in range(1, 10))
+    tier1_stdout = f"{durations}0.00s setup    {nodes['1']}\n547 passed in 45.00s\n"
     commands = []
 
     def timed(cmd, root):
         assert root == str(tmp_path)
         commands.append(cmd)
-        return {"exit_code": 0, "wall_s": 0.5, "stdout": '{"workloads": 4}\n'}
+        stdout = tier1_stdout if "--durations=0" in cmd else '{"workloads": 4}\n'
+        return {"exit_code": 0, "wall_s": 0.5, "stdout": stdout}
 
     monkeypatch.setattr(collect, "_commit", lambda root: "abc1234")
     monkeypatch.setattr(collect, "_timed", timed)
@@ -66,11 +71,16 @@ def test_record_times_each_criterion_readme_command_and_the_import(tmp_path, mon
     record = json.loads(out.read_text())
 
     assert sorted(record["criteria"], key=int) == [str(k) for k in range(1, 10)]
-    pytest_targets = [cmd[-1] for cmd in commands if cmd[1:3] == ["-m", "pytest"]]
     for number, entry in record["criteria"].items():
         assert entry["node_id"].startswith(f"tests/test_acceptance.py::test_criterion_{number}_")
-        assert entry["node_id"] in pytest_targets
-    assert record["criterion_6"] == record["criteria"]["6"]
+        assert entry["call_s"] == float(f"0.{number}1")
+    assert record["tier1"] == {"wall_s": 0.5, "exit_code": 0, "summary": "547 passed in 45.00s"}
+    pytest_runs = [cmd[3:] for cmd in commands if cmd[1:3] == ["-m", "pytest"]]
+    assert len(pytest_runs) == 2 and "--durations=0" in pytest_runs[0]
+    assert pytest_runs[1][-1] == nodes["6"]  # the only criterion run on its own
+    assert record["criterion_6"] == {
+        "node_id": nodes["6"], "wall_s": 0.5, "exit_code": 0, "summary": '{"workloads": 4}'
+    }
 
     readme = record["readme_commands"]
     assert len(readme) >= 10 and all(r["command"].startswith("subspace-bounds ") for r in readme)

@@ -226,6 +226,22 @@ class TestBoundCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["denoise", "--spectrum", "spike:2,1,1,2"], "--sigma is required for the denoising model"),
+            (["hs", "--spectrum", "spike:2,1,1,2", "--n", "8", "--delta", "abc"],
+             "--delta must be a number or 'auto'"),
+        ],
+    )
+    def test_missing_model_flag_or_bad_parameter_is_usage_error(
+        self, args, message, tmp_path, capsys
+    ):
+        out = tmp_path / "bound.json"
+        assert run(["bound", *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "args, default",
         [
             (["hs", "--spectrum", "spike:3,1,2,5", "--n", "20"], ["--delta", "1"]),
@@ -270,6 +286,19 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == (
             "error: --spectrum must have p >= 2 for fisher-limit, got p=1\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--n", "3"], "fisher-limit needs --spectrum"),
+            (["--spectrum", "spike:2,1,1,2"], "fisher-limit needs --n and/or --sigma"),
+        ],
+    )
+    def test_fisher_limit_missing_flags_are_usage_errors(self, args, message, tmp_path, capsys):
+        out = tmp_path / "fisher.json"
+        assert run(["verify", "fisher-limit", *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_derivatives_pass(self):
@@ -451,6 +480,31 @@ class TestSimulateCommand:
         assert stdout.startswith("risk ") and "VIOLATION" not in stdout
         assert float(stdout.split()[1]) > 0.0
         assert float(out.read_bytes().decode("utf-8").split("\r\n")[1].split(",")[5]) > 0.0
+
+    def test_mean_more_than_3_se_below_the_bound_is_a_violation(self, tmp_path, capsys):
+        solve = bounds.hs_lower_bound
+
+        def above_every_loss(model, delta):
+            # the hs loss 2 ||V[d:, :d]||_F^2 is at most 2 min(d, p - d) = 4 here
+            return dataclasses.replace(solve(model, delta), value=10.0)
+
+        out = tmp_path / "sim.csv"
+        with mock.patch.object(bounds, "hs_lower_bound", above_every_loss):
+            assert run(self.ARGS + ["--out", str(out)]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "VIOLATION: simulated risk is more than 3 SE below the lower bound"
+        ]
+        row = out.read_bytes().decode("utf-8").split("\r\n")[1].split(",")
+        assert row[0] == "cov" and float(row[9]) == 10.0
+
+    def test_full_rank_subspace_has_zero_risk_and_bound(self, capsys):
+        # d = p: no eigenvalue gap to test, nothing outside the subspace, no edge caps
+        args = ["simulate", "--loss", "hs", "--spectrum", '{"lambdas":[2,1],"d":2}', "--n", "5",
+                "--reps", "2", "--seed", "1"]
+        assert run(args) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0] == "risk 0 +- 0 (bound 0, margin inf SE)"
+        assert err == ""
 
     def test_zero_reps_is_usage_error(self):
         assert run(
