@@ -1,4 +1,4 @@
-"""Write one BENCH_<n>.json: the benchmark, tier-1, the acceptance criteria and the README commands.
+"""Write one BENCH_<n>.json: the benchmark and its own tests, tier-1, the acceptance criteria and the README commands.
 
     python3 bench/collect.py --out bench/BENCH_16.json
     python3 bench/collect.py --root <another checkout> --out BENCH_15.json
@@ -13,6 +13,8 @@ checkout this script sits in), one step after another:
   run did not report it);
 - criterion 6 again as its own pytest process (``criterion_6``, the wall time
   that older BENCH files hold, so that they still compare);
+- the benchmark harness's own tests, ``pytest perfbench/tests``
+  (``perfbench_tests``: exit code and summary line);
 - each ``subspace-bounds`` command of the README's "Command line" block, its
   ``--out`` sent to a temporary directory;
 - ``python -c "import subspace_bounds"``, the floor under every command: the
@@ -107,6 +109,7 @@ def collect(root: str) -> dict:
     nodes = _criteria(root)
     criteria = {number: {"node_id": node, "call_s": calls.get(node)} for number, node in nodes.items()}
     criterion_6 = {"node_id": nodes["6"], **_pytest(py, root, nodes["6"])[0]}
+    harness = _pytest(py, root, "perfbench/tests")[0]
     readme = []
     with tempfile.TemporaryDirectory() as tmp:
         for argv in _readme_commands(root):
@@ -126,6 +129,7 @@ def collect(root: str) -> dict:
         "tier1": tier1,
         "criteria": criteria,
         "criterion_6": criterion_6,
+        "perfbench_tests": {"exit_code": harness["exit_code"], "summary": harness["summary"]},
         "readme_commands": readme,
         "import_floor": {"command": 'python -c "import subspace_bounds"',
                          "wall_s": floor["wall_s"], "exit_code": floor["exit_code"]},

@@ -18,7 +18,7 @@ from subspace_bounds import (
     Spectrum,
     fisher_quad,
     generator,
-    skew_exp_batch,
+    skew_exp,
     verify_fisher_limit,
 )
 from subspace_bounds.verify import FD_STEPS, derivative_errors
@@ -27,7 +27,7 @@ from subspace_bounds.verify import FD_STEPS, derivative_errors
 spectrum = Spectrum([3.0, 1.5, 0.8], 1)
 xi = generator(3, 0, 2)
 ts = (1e-1, 1e-2, 1e-3)
-rotations = skew_exp_batch(xi.a[None], ts)[0]  # exp(t xi) for every t, one eigensolve
+rotations = skew_exp(xi.a[None], ts)[0]  # exp(t xi) for every t, one eigensolve
 for model in (CovModel(spectrum, n=2), DenoiseModel(spectrum, sigma=1.3)):
     print(f"{model.kind} model, direction L(0, 2):")
     for t, value in zip(ts, model.renyi2(rotations)):  # every t in one call

@@ -49,14 +49,11 @@ from .fisher import (
     verify_fisher_limit,
 )
 from .linalg import (
-    EigDecomp,
     OrthMatrix,
     SkewMatrix,
     SymMatrix,
     skew_exp,
-    skew_exp_batch,
     sym_eig,
-    sym_eig_batch,
     vech,
 )
 from .models import (

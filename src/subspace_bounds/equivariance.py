@@ -91,10 +91,6 @@ class Projector:
         return self.matrix.a
 
     @property
-    def dim(self) -> int:
-        return self.matrix.dim
-
-    @property
     def rank(self) -> int:
         return int(round(float(np.trace(self.matrix.a))))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import OrthMatrix, SkewMatrix, skew_exp_batch
+from .linalg import OrthMatrix, SkewMatrix, skew_exp
 from .models import CovModel, DenoiseModel
 
 
@@ -132,7 +132,8 @@ def limit_report(model: CovModel | DenoiseModel, target: float, renyi2) -> Fishe
 
 def verify_fisher_limit(model: CovModel | DenoiseModel, xi: SkewMatrix) -> FisherLimitReport:
     """Check that D(exp(t xi))/t^2 converges to the Fisher value, with the
-    whole t grid in one ``skew_exp_batch`` and one ``model.renyi2`` call."""
+    whole t grid in one ``skew_exp`` call on a stack of one generator and
+    one ``model.renyi2`` call."""
     xi = xi if isinstance(xi, SkewMatrix) else SkewMatrix(xi)
     target = fisher_quad(model, xi)  # an overflow raises before any divergence
-    return limit_report(model, target, model.renyi2(skew_exp_batch(xi.a[None], T_GRID)[0]))
+    return limit_report(model, target, model.renyi2(skew_exp(xi.a[None], T_GRID)[0]))

@@ -1,13 +1,14 @@
 """Dense real matrix kernel.
 
-Symmetric eigendecomposition (LAPACK's ``eigh``, for one matrix or a
-stack, under a fixed order and sign convention), skew-symmetric matrix
-exponential (one Hermitian ``eigh`` per generator, for a stack of
-generators and a grid of times) and half-vectorization.  Everything here
-is deterministic: with one numpy and LAPACK build, identical inputs
-produce bit-identical outputs, and a matrix gets the same
-eigendecomposition and exponential alone as in any stack, which
-downstream Monte Carlo code and the Fisher-limit checks rely on.
+Two kernels, each on a stack: ``sym_eig``, the symmetric eigendecomposition
+of every matrix of a (B, n, n) stack (LAPACK's ``eigh``, under a fixed
+order and sign convention), and ``skew_exp``, exp(t xi) for each generator
+xi of a stack and each t of a grid (one Hermitian ``eigh`` per generator);
+one matrix is a stack of one.  Beside them: the checked matrix types and
+half-vectorization.  Everything here is deterministic: with one numpy and
+LAPACK build, identical inputs produce bit-identical outputs, and a matrix
+gets the same eigendecomposition and exponential alone as in any stack,
+which downstream Monte Carlo code and the Fisher-limit checks rely on.
 """
 
 from __future__ import annotations
@@ -51,10 +52,6 @@ class SymMatrix:
 
     def __init__(self, entries):
         object.__setattr__(self, "a", _frozen(symmetrized(_as_array(entries))))
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,26 +104,6 @@ def _require_sorted(values: np.ndarray) -> None:
         raise InvalidInput("eigenvalues must be sorted non-increasing")
 
 
-@dataclass(frozen=True, eq=False)
-class EigDecomp:
-    """Eigenvalues in non-increasing order with orthonormal eigenvectors."""
-
-    values: np.ndarray
-    vectors: OrthMatrix
-
-    def __init__(self, values, vectors):
-        values = _frozen(np.asarray(values, dtype=np.float64))
-        _require_sorted(values)
-        if not isinstance(vectors, OrthMatrix):
-            vectors = OrthMatrix(vectors)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "vectors", vectors)
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.vectors.a
-        return (v * self.values) @ v.T
-
-
 def _sort_and_sign(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Order (B, n) eigenvalues non-increasing (stable) with their (B, n, n)
     vector columns, and make each vector's first coordinate with magnitude
@@ -141,7 +118,7 @@ def _sort_and_sign(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.n
     return vals, np.where(lead_entry[:, None, :] < 0, -vecs, vecs)
 
 
-def sym_eig_batch(stack) -> tuple[np.ndarray, np.ndarray]:
+def sym_eig(stack) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of every matrix of a (B, n, n) stack by LAPACK (``np.linalg.eigh``).
 
     Each matrix is symmetrized as SymMatrix does and gets the same bits
@@ -164,15 +141,7 @@ def sym_eig_batch(stack) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def sym_eig(a) -> EigDecomp:
-    """Eigendecomposition of a symmetric matrix: sym_eig_batch on a stack of one."""
-    if not isinstance(a, SymMatrix):
-        a = SymMatrix(a)
-    vals, vecs = sym_eig_batch(a.a[None])
-    return EigDecomp(vals[0], OrthMatrix(vecs[0]))
-
-
-def skew_exp_batch(xis, ts) -> np.ndarray:
+def skew_exp(xis, ts) -> np.ndarray:
     """exp(t xi) for each xi of a (B, n, n) stack, antisymmetrized as SkewMatrix
     does, and each t of ts: a (B, T, n, n) array of orthogonal matrices.
 
@@ -194,13 +163,6 @@ def skew_exp_batch(xis, ts) -> np.ndarray:
     result = ((v * phases[:, :, None, :]) @ v.conj().swapaxes(-1, -2)).real
     require_orthogonal(result)
     return result
-
-
-def skew_exp(xi, t: float = 1.0) -> OrthMatrix:
-    """exp(t*xi) for skew-symmetric xi: skew_exp_batch on a stack of one."""
-    if not isinstance(xi, SkewMatrix):
-        xi = SkewMatrix(xi)
-    return OrthMatrix(skew_exp_batch(xi.a[None], (t,))[0, 0])
 
 
 def vech(a) -> np.ndarray:

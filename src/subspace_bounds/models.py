@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import OrthMatrix, SymMatrix, sym_eig_batch
+from .linalg import OrthMatrix, SymMatrix, sym_eig
 
 
 def _whole(value, name: str) -> int:
@@ -127,7 +127,7 @@ class CovModel:
         sigma1 = (u * lam) @ u.swapaxes(-1, -2)
         same = np.all(sigma1 == np.diag(lam), axis=(-2, -1))
         m = scale[:, None] * sigma1 * scale[None, :]
-        args = (1.0 - sym_eig_batch(m)[0]) ** 2
+        args = (1.0 - sym_eig(m)[0]) ** 2
         blocked = np.any(args >= 1.0, axis=-1)
         log_one_plus_chi1 = -0.5 * np.sum(np.log1p(-np.where(blocked[:, None], 0.0, args)), axis=-1)
         return np.where(same, 0.0, np.where(blocked, np.inf, self.n * log_one_plus_chi1))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateGap, InvalidInput
 from .equivariance import Projector, projector_leq_d
-from .linalg import SymMatrix, sym_eig, sym_eig_batch
+from .linalg import OrthMatrix, SymMatrix, sym_eig
 from .models import CovModel, DenoiseModel, RngStream, _as_generator, _whole, empirical_cov
 
 GAP_TOL = 1e-12
@@ -89,12 +89,13 @@ def _degenerate(values: np.ndarray, d: int) -> np.ndarray:
 
 
 def _top_d_projector(sym: SymMatrix, d: int) -> Projector:
-    """Projector onto the top-d eigenvectors of sym, with the chunk path's gap test."""
-    eig = sym_eig(sym)
-    projector = projector_leq_d(eig.vectors, d)  # InvalidInput unless 1 <= d <= p
-    if _degenerate(eig.values, d):
+    """Projector onto the top-d eigenvectors of sym, from ``sym_eig`` on a stack
+    of one, with the chunk path's gap test."""
+    (values,), (vectors,) = sym_eig(sym.a[None])
+    projector = projector_leq_d(OrthMatrix(vectors), d)  # InvalidInput unless 1 <= d <= p
+    if _degenerate(values, d):
         raise DegenerateGap(
-            f"gap {eig.values[d - 1] - eig.values[d]:.3e} below {GAP_TOL:.0e} of max |eigenvalue|"
+            f"gap {values[d - 1] - values[d]:.3e} below {GAP_TOL:.0e} of max |eigenvalue|"
         )
     return projector
 
@@ -154,7 +155,7 @@ def _chunk_sums(config: SimConfig, start: int, stop: int) -> tuple[float, float,
     todo = np.arange(stop - start)
     resampled = 0
     for _ in range(MAX_RESAMPLE):
-        values, vectors = sym_eig_batch(config.model.observe(todo.size, g))
+        values, vectors = sym_eig(config.model.observe(todo.size, g))
         bad = _degenerate(values, d)
         if not bad.all():
             losses[todo[~bad]] = _losses(config, vectors[~bad])
@@ -276,7 +277,7 @@ def overlap_clt(model: CovModel, i: int, j: int, replicates: int, rng) -> Overla
     values = np.empty(replicates)
     for lo in range(0, replicates, CHUNK):
         hi = min(lo + CHUNK, replicates)
-        _, vectors = sym_eig_batch(model.observe(hi - lo, g))
+        _, vectors = sym_eig(model.observe(hi - lo, g))
         values[lo:hi] = model.n * vectors[:, i, j] ** 2
     target = float(model.n / model.generator_fisher(lam[i], lam[j]))
     mean = float(values.mean())

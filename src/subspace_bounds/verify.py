@@ -21,7 +21,7 @@ from .equivariance import (
 )
 from .errors import InvalidInput
 from .fisher import T_GRID, fisher_matrix, limit_report, quadratic_form
-from .linalg import OrthMatrix, SkewMatrix, skew_exp_batch
+from .linalg import OrthMatrix, SkewMatrix, skew_exp
 
 FD_STEPS = (1e-3, 1e-4, 1e-5)
 BAND_FACTOR = 3.0
@@ -37,15 +37,17 @@ def fisher_limit_checks(models) -> list[dict]:
     """One check record per model and generator L(i, j), i < j, in that order:
     D/t^2, D = log(1 + chi2), extrapolated to t = 0 against the closed-form
     Fisher value from one ``fisher_matrix`` per model, computed first, so an overflow
-    raises before any divergence.  One ``skew_exp_batch`` call builds the T_GRID
-    rotations of every generator, and each model scores them in one call."""
+    raises before any divergence.  One ``skew_exp`` call on the stack of every
+    generator builds their T_GRID rotations, and each model scores them in
+    one call; ``fisher.verify_fisher_limit`` is not called, since it would
+    build the rotations again for each model."""
     p = models[0].p
     if p < 2 or any(model.p != p for model in models):
         raise InvalidInput("fisher-limit checks need models of one dimension p >= 2")
     pairs = [(i, j) for i in range(p - 1) for j in range(i + 1, p)]
     xis = np.stack([generator(p, i, j).a for i, j in pairs])
     targets = [quadratic_form(xis, fisher_matrix(m)).tolist() for m in models]
-    rotations = skew_exp_batch(xis, T_GRID).reshape(-1, p, p)
+    rotations = skew_exp(xis, T_GRID).reshape(-1, p, p)
     checks = []
     for model, model_targets in zip(models, targets):
         renyi2 = model.renyi2(rotations).reshape(len(pairs), len(T_GRID))
@@ -69,7 +71,7 @@ def derivative_errors(xi: SkewMatrix, d: int, i: int, j: int) -> tuple[list, lis
     base_p = np.diag((np.arange(p) < d).astype(np.float64))
     base_v = np.zeros((p, p))
     base_v[i, j] = 1.0
-    q = skew_exp_batch(xi.a[None], FD_STEPS)[0]
+    q = skew_exp(xi.a[None], FD_STEPS)[0]
     ts = np.array(FD_STEPS)[:, None, None]
     fd_p = (np.stack([projector_leq_d(OrthMatrix(r), d).a for r in q]) - base_p) / ts
     fd_v = (q[:, :, i, None] * q[:, None, :, j] - base_v) / ts

@@ -30,7 +30,6 @@ from subspace_bounds import (
     random_projector,
     relrank_bound,
     relrank_condition,
-    skew_exp,
 )
 from subspace_bounds.cli import main as cli_main
 from subspace_bounds.verify import (
@@ -41,7 +40,7 @@ from subspace_bounds.verify import (
     ratio_band,
 )
 
-from conftest import random_skew_unit, random_spectrum
+from conftest import random_skew_unit, random_spectrum, rotation
 from test_fisher import mc_chi2_cov, mc_chi2_meanshift
 
 
@@ -120,7 +119,7 @@ def test_criterion_3_fisher_limits_and_mc_oracle():
     worst_z = 0.0
     for kind, lam, param, t, seed in MC_SPOT_INSTANCES:
         spectrum = Spectrum(np.asarray(lam), 1)
-        u = skew_exp(generator(len(lam), 0, 1), t)
+        u = rotation(generator(len(lam), 0, 1), t)
         if kind == "cov":
             model = CovModel(spectrum, int(param))
             mc, se = mc_chi2_cov(model, u, 1_000_000, seed)

@@ -1,6 +1,7 @@
 """``bench/collect.py`` stops before it runs anything when its root is not a git
 checkout, and its record times each acceptance criterion (from the tier-1 run's
-durations), each README command and the bare import."""
+durations), each README command and the bare import, and holds the result of
+the benchmark harness's own tests."""
 
 import importlib.util
 import json
@@ -61,7 +62,12 @@ def test_record_times_each_criterion_readme_command_and_the_import(tmp_path, mon
     def timed(cmd, root):
         assert root == str(tmp_path)
         commands.append(cmd)
-        stdout = tier1_stdout if "--durations=0" in cmd else '{"workloads": 4}\n'
+        if "--durations=0" in cmd:
+            stdout = tier1_stdout
+        elif "perfbench/tests" in cmd:
+            stdout = "13 passed in 3.00s\n"
+        else:
+            stdout = '{"workloads": 4}\n'
         return {"exit_code": 0, "wall_s": 0.5, "stdout": stdout}
 
     monkeypatch.setattr(collect, "_commit", lambda root: "abc1234")
@@ -76,8 +82,10 @@ def test_record_times_each_criterion_readme_command_and_the_import(tmp_path, mon
         assert entry["call_s"] == float(f"0.{number}1")
     assert record["tier1"] == {"wall_s": 0.5, "exit_code": 0, "summary": "547 passed in 45.00s"}
     pytest_runs = [cmd[3:] for cmd in commands if cmd[1:3] == ["-m", "pytest"]]
-    assert len(pytest_runs) == 2 and "--durations=0" in pytest_runs[0]
+    assert len(pytest_runs) == 3 and "--durations=0" in pytest_runs[0]
     assert pytest_runs[1][-1] == nodes["6"]  # the only criterion run on its own
+    assert pytest_runs[2][-1] == "perfbench/tests"
+    assert record["perfbench_tests"] == {"exit_code": 0, "summary": "13 passed in 3.00s"}
     assert record["criterion_6"] == {
         "node_id": nodes["6"], "wall_s": 0.5, "exit_code": 0, "summary": '{"workloads": 4}'
     }

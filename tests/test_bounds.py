@@ -447,6 +447,21 @@ class TestSubstochasticMax:
         with pytest.raises(InvalidInput):
             SubstochasticProgram([[0.1]], [np.inf], [1.0])
 
+    @pytest.mark.parametrize(
+        "caps, row_caps, col_caps, message",
+        [
+            ([0.1, 0.2], [1.0], [1.0, 1.0], "caps must be a 2-d array"),
+            ([[0.1, 0.2]], [1.0, 1.0], [1.0, 1.0], "row/col cap lengths must match"),
+            ([[0.1, 0.2]], [1.0], [1.0], "row/col cap lengths must match"),
+            ([[0.1]], [1.0], [np.inf], "col caps must be finite and nonnegative"),
+            ([[0.1]], [1.0], [-1.0], "col caps must be finite and nonnegative"),
+        ],
+        ids=["1d_caps", "row_length", "col_length", "inf_col_cap", "negative_col_cap"],
+    )
+    def test_rejects_malformed_programs(self, caps, row_caps, col_caps, message):
+        with pytest.raises(InvalidInput, match=message):
+            SubstochasticProgram(caps, row_caps, col_caps)
+
     def test_certificate_is_relative_at_tiny_scale(self):
         # caps near 2^-60 sit far below any absolute threshold; the cut must
         # still match the flow relative to the flow itself
@@ -730,6 +745,21 @@ class TestExcessLowerBound:
         model = CovModel(Spectrum([3.0, 2.0, 1.0], 2), n=10)
         with pytest.raises(InvalidInput):
             excess_lower_bound(model, mu=2.5)
+
+    @pytest.mark.parametrize(
+        "search, message",
+        [
+            (
+                lambda: excess_lower_bound(CovModel(Spectrum([3.0, 2.0, 1.0], 2), n=10), "max"),
+                "mu must be a number or 'auto', got 'max'",
+            ),
+            (lambda: optimize_delta("x"), "unsupported model type"),
+        ],
+        ids=["excess_mu_max", "optimize_delta_str"],
+    )
+    def test_search_rejects_unknown_arguments(self, search, message):
+        with pytest.raises(InvalidInput, match=message):
+            search()
 
     def test_precondition_flat_leading_block(self):
         model = CovModel(spike_spectrum(2, 2, 1, 3), n=10)

@@ -71,6 +71,7 @@ class TestBoundCommand:
             ("exp:1,4.7", ["--d", "2"]),
             ("spike:2,1,1.9,3", []),
             ('{"lambdas": [2, 1], "d": 1.5}', []),
+            ("exp:a,10", []),
         ],
     )
     def test_malformed_spectrum_is_one_line_usage_error(self, spectrum, extra, capsys):
@@ -83,6 +84,12 @@ class TestBoundCommand:
         assert (
             run(["bound", "excess", "--spectrum", "spike:2,2,1,4", "--n", "10"]) == 3
         )
+
+    def test_negative_denoise_eigenvalue_is_exit_3(self, capsys):
+        spectrum = '{"lambdas":[1,-1],"d":1}'
+        assert run(["bound", "denoise", "--spectrum", spectrum, "--sigma", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err == "precondition failed: denoising model requires nonnegative eigenvalues\n"
 
     def test_relrank_condition_not_met_is_exit_3(self):
         assert run(["bound", "relrank", "--spectrum", "spike:2,1,1,2", "--n", "4"]) == 3

@@ -16,12 +16,11 @@ from subspace_bounds import (
     haar_orthogonal,
     projector_leq_d,
     random_projector,
-    skew_exp,
     weighted_loss,
 )
 from subspace_bounds.verify import decade_ratios, derivative_errors, excess_identity_gap
 
-from conftest import random_skew_unit, random_spectrum
+from conftest import random_skew_unit, random_spectrum, rotation
 
 
 class TestGenerator:
@@ -83,7 +82,7 @@ class TestProjectorDerivative:
         xi = SkewMatrix(random_skew_unit(rng, p))
         base = np.zeros((p, p))
         base[:d, :d] = np.eye(d)
-        fd = (projector_leq_d(skew_exp(xi, t), d).a - base) / t
+        fd = (projector_leq_d(rotation(xi, t), d).a - base) / t
         assert np.max(np.abs(fd - dP_dir(p, d, xi).a)) <= 1e-5
 
     def test_error_decays_linearly(self, rng):
@@ -105,7 +104,7 @@ class TestBasisFieldDerivative:
         xi = SkewMatrix(random_skew_unit(rng, p))
         base = np.zeros((p, p))
         base[i, j] = 1.0
-        q = skew_exp(xi, t).a
+        q = rotation(xi, t).a
         fd = (np.outer(q[:, i], q[:, j]) - base) / t
         assert np.max(np.abs(fd - dv_dir(p, i, j, xi))) <= 1e-5
 

@@ -19,7 +19,6 @@ from subspace_bounds import (
     hs_bound_d1,
     overlap_clt,
     relrank_bound,
-    skew_exp,
     spike_spectrum,
     verify_fisher_limit,
 )
@@ -27,7 +26,7 @@ from subspace_bounds.fisher import T_GRID
 from subspace_bounds.linalg import OrthMatrix, vech, vech_diag_mask
 from subspace_bounds.verify import fisher_limit_checks
 
-from conftest import random_skew_unit, random_spectrum
+from conftest import random_skew_unit, random_spectrum, rotation
 
 
 def mc_chi2_cov(model, u, draws, seed):
@@ -140,13 +139,13 @@ class TestChiSquareCov:
     def test_small_rotation_matches_fisher(self):
         model = CovModel(spike_spectrum(2, 1, 1, 2), n=1)
         t = 1e-3
-        u = skew_exp(generator(2, 0, 1), t)
+        u = rotation(generator(2, 0, 1), t)
         ratio = chi2_gauss_cov(model, u) / t**2
         assert ratio == pytest.approx(0.5, rel=1e-2)
 
     def test_monotone_in_n(self):
         spectrum = spike_spectrum(2, 1, 1, 2)
-        u = skew_exp(generator(2, 0, 1), 0.4)
+        u = rotation(generator(2, 0, 1), 0.4)
         v1 = chi2_gauss_cov(CovModel(spectrum, 1), u)
         v2 = chi2_gauss_cov(CovModel(spectrum, 2), u)
         assert 0.0 < v1 <= v2
@@ -155,12 +154,12 @@ class TestChiSquareCov:
         # a quarter rotation swaps the axes; the eigenvalue ratio 50 breaks
         # the definiteness condition for a finite squared-ratio integral
         model = CovModel(Spectrum([5.0, 0.1], 1), n=1)
-        u = skew_exp(generator(2, 0, 1), np.pi / 2)
+        u = rotation(generator(2, 0, 1), np.pi / 2)
         assert chi2_gauss_cov(model, u) == np.inf
 
     def test_matches_monte_carlo(self):
         model = CovModel(Spectrum([3.0, 1.5, 0.8], 1), n=2)
-        u = skew_exp(generator(3, 0, 1), 0.25)
+        u = rotation(generator(3, 0, 1), 0.25)
         closed = chi2_gauss_cov(model, u)
         mc, se = mc_chi2_cov(model, u, 200_000, seed=42)
         assert abs(mc - closed) <= 3 * se
@@ -170,7 +169,7 @@ class TestChiSquareCov:
         rng = np.random.default_rng(50 + p)
         model = CovModel(random_spectrum(rng, p, max(1, p // 3), min_gap=0.05), n=40)
         xi = SkewMatrix(random_skew_unit(rng, p))
-        rotations = [skew_exp(xi, t) for t in T_GRID]
+        rotations = [rotation(xi, t) for t in T_GRID]
         single = np.array([model.renyi2(u.a[None])[0] for u in rotations])
         stacked = model.renyi2(np.stack([u.a for u in rotations]))
         assert stacked.tobytes() == single.tobytes()
@@ -185,8 +184,8 @@ class TestChiSquareCov:
         model = CovModel(Spectrum([6.0, 0.2], 1), n=1)
         rotations = [
             OrthMatrix(np.eye(2)),
-            skew_exp(generator(2, 0, 1), np.pi / 2),
-            skew_exp(generator(2, 0, 1), 1e-3),
+            rotation(generator(2, 0, 1), np.pi / 2),
+            rotation(generator(2, 0, 1), 1e-3),
         ]
         stacked = model.renyi2(np.stack([u.a for u in rotations]))
         assert stacked[0] == 0.0 and stacked[1] == np.inf
@@ -201,12 +200,12 @@ class TestChiSquareMeanshift:
     def test_small_rotation_matches_fisher(self):
         model = DenoiseModel(spike_spectrum(3, 1, 1, 2), sigma=1.0)
         t = 1e-3
-        u = skew_exp(generator(2, 0, 1), t)
+        u = rotation(generator(2, 0, 1), t)
         assert chi2_gauss_meanshift(model, u) / t**2 == pytest.approx(4.0, rel=1e-2)
 
     def test_matches_monte_carlo(self):
         model = DenoiseModel(Spectrum([3.0, 1.0], 1), sigma=1.0)
-        u = skew_exp(generator(2, 0, 1), 0.3)
+        u = rotation(generator(2, 0, 1), 0.3)
         closed = chi2_gauss_meanshift(model, u)
         mc, se = mc_chi2_meanshift(model, u, 200_000, seed=43)
         assert abs(mc - closed) <= 3 * se
@@ -216,7 +215,7 @@ class TestChiSquareMeanshift:
         rng = np.random.default_rng(80 + p)
         model = DenoiseModel(random_spectrum(rng, p, max(1, p // 3), min_gap=0.05), sigma=0.4)
         xi = SkewMatrix(random_skew_unit(rng, p))
-        rotations = [skew_exp(xi, t) for t in (*T_GRID, 0.3)]
+        rotations = [rotation(xi, t) for t in (*T_GRID, 0.3)]
         single = np.array([chi2_gauss_meanshift(model, u) for u in rotations])
         stacked = np.expm1(model.renyi2(np.stack([u.a for u in rotations])))
         assert stacked.tobytes() == single.tobytes()
@@ -230,14 +229,14 @@ class TestChiSquareMeanshift:
         lam = model.spectrum.lambdas
         inv_w = np.where(vech_diag_mask(p), 0.5, 1.0) / model.sigma**2
         for t in (*T_GRID, 0.3, 2.0):
-            u = skew_exp(SkewMatrix(random_skew_unit(rng, p)), t)
+            u = rotation(SkewMatrix(random_skew_unit(rng, p)), t)
             delta = vech((u.a * lam) @ u.a.T - np.diag(lam))
             quad = float(np.sum(inv_w * delta * delta))
             assert model.renyi2(u.a[None])[0] == pytest.approx(quad, rel=1e-13, abs=0.0)
 
     def test_sigma_is_divided_before_squaring(self):
         # sigma^2 leaves the float range at both scales; D does not depend on the scale.
-        u = skew_exp(generator(2, 0, 1), 0.3).a[None]
+        u = rotation(generator(2, 0, 1), 0.3).a[None]
         base = DenoiseModel(Spectrum([3.0, 1.0], 1), 1.0).renyi2(u)[0]
         for scale in (1e200, 1e-200):
             model = DenoiseModel(Spectrum([3.0 * scale, scale], 1), scale)

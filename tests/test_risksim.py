@@ -27,7 +27,7 @@ from subspace_bounds import (
     projector_leq_d,
     sample_cov,
     sample_denoise,
-    sym_eig_batch,
+    sym_eig,
     weighted_loss,
 )
 
@@ -136,6 +136,14 @@ class TestBayesRisk:
         args = {"replicates": 10, "seed": 0, "workers": 1, field: value}
         with pytest.raises(InvalidInput, match=f"{field} must be a whole number"):
             SimConfig(self.MODEL, "hs_squared", **args)
+
+    @pytest.mark.parametrize(
+        "loss, workers, message",
+        [("mse", 1, "loss must be one of"), ("hs_squared", 0, "workers must be >= 1")],
+    )
+    def test_rejects_unknown_loss_and_no_workers(self, loss, workers, message):
+        with pytest.raises(InvalidInput, match=message):
+            SimConfig(self.MODEL, loss, replicates=10, seed=0, workers=workers)
 
     def test_counts_are_written_as_ints(self):
         cfg = SimConfig(self.MODEL, "hs_squared", replicates=True, seed=4.0, workers=np.int64(1))
@@ -267,7 +275,7 @@ class TestBayesRisk:
         ):
             cfg = SimConfig(model, loss, replicates=40, seed=7)
             x = model.observe(40, RngStream(7, 0).generator())
-            values, vectors = sym_eig_batch(x)
+            values, vectors = sym_eig(x)
             assert not rs._degenerate(values, model.spectrum.d).any()
             batched = rs._losses(cfg, vectors)
             ident = OrthMatrix(np.eye(model.p))
@@ -427,7 +435,7 @@ class TestLargeN:
         import subspace_bounds.risksim as rs
 
         d, lam = model.spectrum.d, model.spectrum.lambdas
-        values, vectors = sym_eig_batch(model.observe(64, RngStream(seed, 0).generator()))
+        values, vectors = sym_eig(model.observe(64, RngStream(seed, 0).generator()))
         vectors = vectors[~rs._degenerate(values, d)]
         hs = rs._losses(SimConfig(model, "hs_squared", 1, 0), vectors)
         excess = rs._losses(SimConfig(model, "excess", 1, 0), vectors)
