@@ -28,11 +28,13 @@ spectrum = Spectrum([3.0, 1.5, 0.8], 1)
 xi = generator(3, 0, 2)
 ts = (1e-1, 1e-2, 1e-3)
 rotations = skew_exp(xi.a[None], ts)[0]  # exp(t xi) for every t, one eigensolve
-for model in (CovModel(spectrum, n=2), DenoiseModel(spectrum, sigma=1.3)):
+models = (CovModel(spectrum, n=2), DenoiseModel(spectrum, sigma=1.3))
+# one report per model and direction; here a stack of one direction
+limit_reports = verify_fisher_limit(models, xi.a[None])
+for model, [report] in zip(models, limit_reports):
     print(f"{model.kind} model, direction L(0, 2):")
     for t, value in zip(ts, model.renyi2(rotations)):  # every t in one call
         print(f"  D(t={t:g}) / t^2 = {value / t**2:.8f}")
-    report = verify_fisher_limit(model, xi)
     print(f"  extrapolated limit  = {report.extrapolated:.8f}")
     print(f"  closed-form value   = {report.closed_form:.8f}")
     print(f"  relative error      = {report.rel_error:.2e} -> {'PASS' if report.passed else 'FAIL'}")
@@ -40,7 +42,7 @@ for model in (CovModel(spectrum, n=2), DenoiseModel(spectrum, sigma=1.3)):
 
 # %% Directions inside one eigen-block carry no information ------------------
 flat = Spectrum([2.0, 2.0, 1.0], 2)
-info = fisher_quad(CovModel(flat, n=5), generator(3, 0, 1))
+info = fisher_quad(CovModel(flat, n=5), generator(3, 0, 1).a[None])[0]
 print("equal leading eigenvalues: information along L(0, 1) =", info)
 print()
 

@@ -265,15 +265,14 @@ def cmd_simulate(args) -> int:
         f"risk {estimate.mean:.6g} +- {estimate.std_error:.3g} "
         f"(bound {bound:.6g}, margin {margin:.2f} SE)"
     )
+    text = _csv_text(SIMULATE_COLUMNS, [row])
     if args.out:
-        fresh = not os.path.exists(args.out)
+        if os.path.exists(args.out):  # appending: the file has its header
+            text = text.partition("\r\n")[2]
         with open(args.out, "a", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\r\n")
-            if fresh:
-                writer.writerow(SIMULATE_COLUMNS)
-            writer.writerow([_fmt(v) for v in row])
+            handle.write(text)
     else:
-        sys.stdout.write(_csv_text(SIMULATE_COLUMNS, [row]))
+        sys.stdout.write(text)
     if estimate.mean + 3.0 * estimate.std_error < bound:
         print("VIOLATION: simulated risk is more than 3 SE below the lower bound", file=sys.stderr)
         return EXIT_VIOLATION

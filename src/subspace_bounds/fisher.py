@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import OrthMatrix, SkewMatrix, skew_exp
+from .linalg import OrthMatrix, antisymmetrized, skew_exp
 from .models import CovModel, DenoiseModel
 
 
@@ -40,18 +40,16 @@ def fisher_matrix(model: CovModel | DenoiseModel) -> np.ndarray:
     return info
 
 
-def quadratic_form(xis: np.ndarray, info: np.ndarray) -> np.ndarray:
-    """sum_ij (1/2) xi_ij^2 I_ij of each xi of a (..., p, p) array; halved before
-    the sum, so the pair of equal terms of a generator cannot overflow it."""
-    return np.sum(0.5 * xis * xis * info, axis=(-2, -1))
-
-
-def fisher_quad(model: CovModel | DenoiseModel, xi: SkewMatrix) -> float:
-    """(1/2) sum_ij xi_ij^2 I_ij over ``fisher_matrix(model)``, whose checks it raises."""
-    x = (xi if isinstance(xi, SkewMatrix) else SkewMatrix(xi)).a
-    if x.shape[0] != model.p:
-        raise InvalidInput(f"direction has dim {x.shape[0]}, expected {model.p}")
-    return float(quadratic_form(x, fisher_matrix(model)))
+def fisher_quad(model: CovModel | DenoiseModel, xis) -> np.ndarray:
+    """(1/2) sum_ij xi_ij^2 I_ij for each xi of a (B, p, p) stack of directions,
+    antisymmetrized as SkewMatrix does, over ``fisher_matrix(model)``, whose
+    checks it raises; halved before the sum, so the pair of equal terms of a
+    generator cannot overflow it."""
+    x = np.asarray(xis, dtype=np.float64)
+    if x.ndim != 3 or x.shape[1:] != (model.p, model.p):
+        raise InvalidInput(f"expected a stack of {model.p} x {model.p} directions, got shape {x.shape}")
+    x = antisymmetrized(x)
+    return np.sum(0.5 * x * x * fisher_matrix(model), axis=(-2, -1))
 
 
 def _chi2_one(model: CovModel | DenoiseModel, u: OrthMatrix) -> float:
@@ -111,11 +109,10 @@ class FisherLimitReport:
         }
 
 
-def limit_report(model: CovModel | DenoiseModel, target: float, renyi2) -> FisherLimitReport:
-    """Report on renyi2, the model's divergences D at exp(t xi), t in T_GRID:
-    D/t^2 extrapolated to t = 0 against target = fisher_quad(model, xi), PASS
-    when the relative error is at most REL_TOL (absolute ZERO_ATOL when the
-    target vanishes)."""
+def _limit_report(model: CovModel | DenoiseModel, target: float, renyi2) -> FisherLimitReport:
+    """Report on renyi2, a model's divergences D at exp(t xi), t in T_GRID: D/t^2
+    extrapolated to t = 0 against target, PASS when the relative error is at
+    most REL_TOL (absolute ZERO_ATOL when the target vanishes)."""
     ratios = tuple(float(c / (t * t)) for c, t in zip(renyi2, T_GRID))
     extrapolated = extrapolate_to_zero(T_GRID, ratios) if np.isfinite(ratios).all() else np.inf
     scale, tol = (1.0, ZERO_ATOL) if target == 0.0 else (abs(target), REL_TOL)
@@ -130,10 +127,17 @@ def limit_report(model: CovModel | DenoiseModel, target: float, renyi2) -> Fishe
     )
 
 
-def verify_fisher_limit(model: CovModel | DenoiseModel, xi: SkewMatrix) -> FisherLimitReport:
-    """Check that D(exp(t xi))/t^2 converges to the Fisher value, with the
-    whole t grid in one ``skew_exp`` call on a stack of one generator and
-    one ``model.renyi2`` call."""
-    xi = xi if isinstance(xi, SkewMatrix) else SkewMatrix(xi)
-    target = fisher_quad(model, xi)  # an overflow raises before any divergence
-    return limit_report(model, target, model.renyi2(skew_exp(xi.a[None], T_GRID)[0]))
+def verify_fisher_limit(models, xis) -> list[list[FisherLimitReport]]:
+    """Check that D(exp(t xi))/t^2 converges to ``fisher_quad(model, xi)`` for each
+    model and each xi of a (B, p, p) stack: one list per model, one report per
+    direction in stack order.  Every model's targets come first, so an overflow
+    raises before any divergence; one ``skew_exp`` call builds every T_GRID
+    rotation, and each model scores them in one ``renyi2`` call."""
+    targets = [fisher_quad(model, xis).tolist() for model in models]
+    rotations = skew_exp(xis, T_GRID)
+    rotations = rotations.reshape(-1, *rotations.shape[-2:])
+    reports = []
+    for model, model_targets in zip(models, targets):
+        renyi2 = model.renyi2(rotations).reshape(len(model_targets), len(T_GRID))
+        reports.append([_limit_report(model, t, row) for t, row in zip(model_targets, renyi2)])
+    return reports

@@ -44,6 +44,14 @@ def symmetrized(a: np.ndarray) -> np.ndarray:
     return (a + a.swapaxes(-1, -2)) / 2.0
 
 
+def antisymmetrized(a: np.ndarray) -> np.ndarray:
+    """(A - A^T)/2 of each matrix in a (..., n, n) array; entries must be finite,
+    so every diagonal entry is x - x = +0 exactly."""
+    if not np.isfinite(a).all():
+        raise InvalidInput("matrix entries must be finite")
+    return (a - a.swapaxes(-1, -2)) / 2.0
+
+
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
     """Symmetric matrix; the constructor symmetrizes via (A + A^T)/2."""
@@ -56,17 +64,13 @@ class SymMatrix:
 
 @dataclass(frozen=True, eq=False)
 class SkewMatrix:
-    """Skew-symmetric matrix; antisymmetrized exactly, zero diagonal."""
+    """Skew-symmetric matrix; the constructor antisymmetrizes via (A - A^T)/2,
+    which leaves an exact zero diagonal."""
 
     a: np.ndarray
 
     def __init__(self, entries):
-        a = _as_array(entries)
-        if not np.all(np.isfinite(a)):
-            raise InvalidInput("matrix entries must be finite")
-        s = (a - a.T) / 2.0
-        np.fill_diagonal(s, 0.0)
-        object.__setattr__(self, "a", _frozen(s))
+        object.__setattr__(self, "a", _frozen(antisymmetrized(_as_array(entries))))
 
     @property
     def dim(self) -> int:
@@ -78,7 +82,7 @@ ORTH_TOL = 1e-10
 
 def require_orthogonal(a: np.ndarray) -> None:
     """Raise unless every matrix in a (..., n, n) array has max |U^T U - I| <= 1e-10."""
-    defect = np.abs(a.swapaxes(-1, -2) @ a - np.eye(a.shape[-1])).max()
+    defect = np.abs(a.swapaxes(-1, -2) @ a - np.eye(a.shape[-1])).max(initial=0.0)
     if not defect <= ORTH_TOL:
         raise InvalidInput(f"matrix is not orthogonal (defect {defect:.3e})")
 
@@ -152,10 +156,8 @@ def skew_exp(xis, ts) -> np.ndarray:
     a = np.asarray(xis, dtype=np.float64)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise InvalidInput(f"expected a stack of square matrices, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise InvalidInput("matrix entries must be finite")
     try:
-        w, v = np.linalg.eigh(1j * ((a - a.swapaxes(-1, -2)) / 2.0))
+        w, v = np.linalg.eigh(1j * antisymmetrized(a))
     except np.linalg.LinAlgError as exc:
         raise NotConverged(f"LAPACK eigensolver failed: {exc}") from exc
     phases = np.exp(-1j * np.asarray(ts, dtype=np.float64)[:, None] * w[:, None, :])

@@ -20,7 +20,7 @@ from .equivariance import (
     weighted_loss,
 )
 from .errors import InvalidInput
-from .fisher import T_GRID, fisher_matrix, limit_report, quadratic_form
+from .fisher import verify_fisher_limit
 from .linalg import OrthMatrix, SkewMatrix, skew_exp
 
 FD_STEPS = (1e-3, 1e-4, 1e-5)
@@ -34,25 +34,16 @@ def check_record(name: str, passed: bool, detail: str) -> dict:
 
 
 def fisher_limit_checks(models) -> list[dict]:
-    """One check record per model and generator L(i, j), i < j, in that order:
-    D/t^2, D = log(1 + chi2), extrapolated to t = 0 against the closed-form
-    Fisher value from one ``fisher_matrix`` per model, computed first, so an overflow
-    raises before any divergence.  One ``skew_exp`` call on the stack of every
-    generator builds their T_GRID rotations, and each model scores them in
-    one call; ``fisher.verify_fisher_limit`` is not called, since it would
-    build the rotations again for each model."""
+    """One check record per model and generator L(i, j), i < j, in that order,
+    from one ``fisher.verify_fisher_limit`` call on the stack of every generator."""
     p = models[0].p
     if p < 2 or any(model.p != p for model in models):
         raise InvalidInput("fisher-limit checks need models of one dimension p >= 2")
     pairs = [(i, j) for i in range(p - 1) for j in range(i + 1, p)]
     xis = np.stack([generator(p, i, j).a for i, j in pairs])
-    targets = [quadratic_form(xis, fisher_matrix(m)).tolist() for m in models]
-    rotations = skew_exp(xis, T_GRID).reshape(-1, p, p)
     checks = []
-    for model, model_targets in zip(models, targets):
-        renyi2 = model.renyi2(rotations).reshape(len(pairs), len(T_GRID))
-        for (i, j), target, row in zip(pairs, model_targets, renyi2):
-            report = limit_report(model, target, row)
+    for model, reports in zip(models, verify_fisher_limit(models, xis)):
+        for (i, j), report in zip(pairs, reports):
             detail = (
                 f"limit={report.extrapolated:.9g} "
                 f"closed={report.closed_form:.9g} rel_err={report.rel_error:.3e}"

@@ -83,32 +83,32 @@ def mc_chi2_meanshift(model, u, draws, seed):
 class TestFisherForms:
     def test_cov_two_point(self):
         model = CovModel(spike_spectrum(2, 1, 1, 2), n=1)
-        assert fisher_quad(model, generator(2, 0, 1)) == pytest.approx(0.5)
+        assert fisher_quad(model, generator(2, 0, 1).a[None])[0] == pytest.approx(0.5)
 
     def test_cov_zero_gap(self):
         model = CovModel(spike_spectrum(2, 2, 1, 2), n=3)
-        assert fisher_quad(model, generator(2, 0, 1)) == 0.0
+        assert fisher_quad(model, generator(2, 0, 1).a[None])[0] == 0.0
 
     def test_cov_linear_in_n(self):
         xi = generator(3, 0, 2)
         spectrum = Spectrum([3.0, 2.0, 1.0], 1)
-        v1 = fisher_quad(CovModel(spectrum, 1), xi)
-        v10 = fisher_quad(CovModel(spectrum, 10), xi)
+        v1 = fisher_quad(CovModel(spectrum, 1), xi.a[None])[0]
+        v10 = fisher_quad(CovModel(spectrum, 10), xi.a[None])[0]
         assert v10 == pytest.approx(10 * v1, rel=1e-14)
 
     def test_denoise_two_point(self):
         model = DenoiseModel(spike_spectrum(3, 1, 1, 2), sigma=1.0)
-        assert fisher_quad(model, generator(2, 0, 1)) == pytest.approx(4.0)
+        assert fisher_quad(model, generator(2, 0, 1).a[None])[0] == pytest.approx(4.0)
 
     def test_denoise_zero_gap(self):
         model = DenoiseModel(spike_spectrum(1, 1, 1, 3), sigma=2.0)
-        assert fisher_quad(model, generator(3, 0, 2)) == 0.0
+        assert fisher_quad(model, generator(3, 0, 2).a[None])[0] == 0.0
 
     def test_denoise_sigma_scaling(self):
         xi = generator(2, 0, 1)
         spectrum = spike_spectrum(3, 1, 1, 2)
-        v1 = fisher_quad(DenoiseModel(spectrum, 1.0), xi)
-        v2 = fisher_quad(DenoiseModel(spectrum, 2.0), xi)
+        v1 = fisher_quad(DenoiseModel(spectrum, 1.0), xi.a[None])[0]
+        v2 = fisher_quad(DenoiseModel(spectrum, 2.0), xi.a[None])[0]
         assert v2 == pytest.approx(v1 / 4.0, rel=1e-14)
 
     def test_quadratic_scaling(self, rng):
@@ -117,8 +117,8 @@ class TestFisherForms:
         scaled = SkewMatrix(3.0 * xi.a)
         spectrum = random_spectrum(rng, p, 2, min_gap=0.05)
         for model in (CovModel(spectrum, 2), DenoiseModel(spectrum, 0.7)):
-            assert fisher_quad(model, scaled) == pytest.approx(
-                9.0 * fisher_quad(model, xi), rel=1e-12
+            assert fisher_quad(model, scaled.a[None])[0] == pytest.approx(
+                9.0 * fisher_quad(model, xi.a[None])[0], rel=1e-12
             )
 
     def test_generator_quad_matches_quad(self, rng):
@@ -127,8 +127,22 @@ class TestFisherForms:
         for model in (CovModel(spectrum, 4), DenoiseModel(spectrum, 1.3)):
             for i, j in ((0, 3), (1, 4), (0, 1)):
                 assert model.generator_fisher(lam[i], lam[j]) == pytest.approx(
-                    fisher_quad(model, generator(5, i, j)), rel=1e-12
+                    fisher_quad(model, generator(5, i, j).a[None])[0], rel=1e-12
                 )
+
+    def test_direction_stack_is_checked(self):
+        model = CovModel(Spectrum([3.0, 2.0, 1.0], 1), 2)
+        for bad in (generator(3, 0, 1).a, np.zeros((1, 2, 2)), np.full((1, 3, 3), np.nan)):
+            with pytest.raises(InvalidInput):
+                fisher_quad(model, bad)
+
+    def test_empty_direction_stack(self):
+        spectrum = Spectrum([2.0, 1.0], 1)
+        models = [CovModel(spectrum, 5), DenoiseModel(spectrum, 0.5)]
+        empty = np.zeros((0, 2, 2))
+        assert [model.renyi2(empty).shape for model in models] == [(0,), (0,)]
+        assert fisher_quad(models[0], empty).shape == (0,)
+        assert verify_fisher_limit(models, empty) == [[], []]
 
 
 class TestChiSquareCov:
@@ -175,7 +189,8 @@ class TestChiSquareCov:
         assert stacked.tobytes() == single.tobytes()
         chi2 = np.array([chi2_gauss_cov(model, u) for u in rotations])
         assert chi2.tobytes() == np.expm1(single).tobytes()
-        ratios = verify_fisher_limit(model, xi).ratios
+        [[report]] = verify_fisher_limit([model], xi.a[None])
+        ratios = report.ratios
         assert ratios == tuple(float(c / (t * t)) for c, t in zip(single, T_GRID))
 
     def test_zero_and_inf_are_decided_per_matrix(self):
@@ -246,25 +261,26 @@ class TestChiSquareMeanshift:
 class TestFisherLimit:
     def test_cov_example(self):
         model = CovModel(spike_spectrum(2, 1, 1, 2), n=3)
-        report = verify_fisher_limit(model, generator(2, 0, 1))
+        [[report]] = verify_fisher_limit([model], generator(2, 0, 1).a[None])
         assert report.passed
         assert report.extrapolated == pytest.approx(1.5, rel=1e-6)
 
     def test_equal_eigenvalues_limit_zero(self):
         model = CovModel(spike_spectrum(2, 2, 1, 3), n=2)
-        report = verify_fisher_limit(model, generator(3, 0, 1))
+        [[report]] = verify_fisher_limit([model], generator(3, 0, 1).a[None])
         assert report.passed
         assert report.closed_form == 0.0
 
     def test_denoise_example(self):
         model = DenoiseModel(spike_spectrum(3, 1, 1, 2), sigma=2.0)
-        report = verify_fisher_limit(model, generator(2, 0, 1))
+        [[report]] = verify_fisher_limit([model], generator(2, 0, 1).a[None])
         assert report.passed
         assert report.extrapolated == pytest.approx(1.0, rel=1e-6)
 
     def test_report_serializes(self):
         model = CovModel(spike_spectrum(2, 1, 1, 2), n=1)
-        payload = verify_fisher_limit(model, generator(2, 0, 1)).to_json_dict()
+        [[report]] = verify_fisher_limit([model], generator(2, 0, 1).a[None])
+        payload = report.to_json_dict()
         assert payload["status"] == "PASS"
         assert len(payload["ratios"]) == 3
 
@@ -285,22 +301,26 @@ class TestFisherLimit:
     def test_non_finite_fisher_value_is_invalid_input(self):
         model = DenoiseModel(spike_spectrum(1e200, 1, 1, 3), 1e-150)
         with pytest.raises(InvalidInput, match="Fisher information overflows"):
-            fisher_quad(model, generator(3, 1, 2))
+            fisher_quad(model, generator(3, 1, 2).a[None])
         with pytest.raises(InvalidInput, match="Fisher information overflows"):
-            verify_fisher_limit(model, generator(3, 0, 1))
+            verify_fisher_limit([model], generator(3, 0, 1).a[None])
 
 
 class TestFisherLimitChecks:
     @pytest.mark.parametrize("p", [2, 6, 10])
-    def test_stack_matches_one_report_per_generator(self, p):
+    def test_stack_of_one_matches_its_entry_in_the_full_stack(self, p):
         rng = np.random.default_rng(90 + p)
         spectrum = random_spectrum(rng, p, max(1, p // 2), min_gap=0.05)
         models = [CovModel(spectrum, 20), DenoiseModel(spectrum, 0.6)]
-        order = [(model, i, j) for model in models for i in range(p - 1) for j in range(i + 1, p)]
-        reports = [verify_fisher_limit(m, generator(p, i, j)).to_json_dict() for m, i, j in order]
+        pairs = [(i, j) for i in range(p - 1) for j in range(i + 1, p)]
+        xis = np.stack([generator(p, i, j).a for i, j in pairs])
+        full = [[r.to_json_dict() for r in reports] for reports in verify_fisher_limit(models, xis)]
+        for k, xi in enumerate(xis):
+            alone = verify_fisher_limit(models, xi[None])
+            assert json.dumps([r.to_json_dict() for [r] in alone]) == json.dumps([f[k] for f in full])
         checks = fisher_limit_checks(models)
-        assert [c["name"] for c in checks] == [f"{m.kind} L({i},{j})" for m, i, j in order]
-        assert json.dumps([c["report"] for c in checks]) == json.dumps(reports)
+        assert [c["name"] for c in checks] == [f"{m.kind} L({i},{j})" for m in models for i, j in pairs]
+        assert json.dumps([c["report"] for c in checks]) == json.dumps(sum(full, []))
 
     def test_non_finite_fisher_value_raises_before_any_divergence(self, monkeypatch):
         def no_divergence(self, u):
@@ -316,7 +336,7 @@ class TestFisherLimitChecks:
             with pytest.raises(InvalidInput, match="denoising Fisher information overflows"):
                 fisher_limit_checks(models)
         with pytest.raises(InvalidInput, match="denoising Fisher information overflows"):
-            verify_fisher_limit(DenoiseModel(spectrum, 1e-150), generator(3, 0, 1))
+            verify_fisher_limit([DenoiseModel(spectrum, 1e-150)], generator(3, 0, 1).a[None])
 
     def test_needs_two_dimensions_and_one_p(self):
         with pytest.raises(InvalidInput):
@@ -346,7 +366,7 @@ class TestOneSourceOfTruth:
             )
             checks = fisher_limit_checks([model])
             closed = (c["report"]["closed_form"] for c in checks)
-            quads = (fisher_quad(model, generator(3, 0, 2)), *closed)
+            quads = (fisher_quad(model, generator(3, 0, 2).a[None])[0], *closed)
             return inverses, quads
 
         inverses, quads = values()

@@ -33,7 +33,7 @@ class TestTypes:
     def test_skew_exact_antisymmetry_and_zero_diagonal(self):
         m = SkewMatrix([[5.0, 2.0], [1.0, -3.0]])
         assert np.array_equal(m.a, -m.a.T)
-        assert np.all(np.diag(m.a) == 0.0)
+        assert np.all(np.diag(m.a) == 0.0) and not np.signbit(np.diag(m.a)).any()
 
     def test_orth_rejects_non_orthogonal(self):
         with pytest.raises(InvalidInput):
@@ -286,6 +286,13 @@ class TestSkewExpBatch:
             skew_exp(np.zeros((2, 3, 4)), [1.0])
         with pytest.raises(InvalidInput, match="not orthogonal"):
             skew_exp(np.array([[[0.0, 1.0], [-1.0, 0.0]]]), [np.nan])
+
+
+def test_empty_stacks_give_empty_results():
+    vals, vecs = sym_eig(np.zeros((0, 3, 3)))
+    assert vals.shape == (0, 3) and vecs.shape == (0, 3, 3)
+    assert skew_exp(np.zeros((0, 3, 3)), [1.0]).shape == (0, 1, 3, 3)
+    assert skew_exp(np.zeros((1, 3, 3)), []).shape == (1, 0, 3, 3)
 
 
 class TestVech:

@@ -24,7 +24,6 @@ import pytest
 from subspace_bounds import (
     CovModel,
     DenoiseModel,
-    SkewMatrix,
     Spectrum,
     WeightMatrix,
     canonical_bound,
@@ -61,7 +60,7 @@ def _fisher_values(model, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     d, p = model.spectrum.d, model.p
     lam = model.spectrum.lambdas
-    out = {"quad": fisher_quad(model, SkewMatrix(random_skew_unit(rng, p)))}
+    out = {"quad": float(fisher_quad(model, random_skew_unit(rng, p)[None])[0])}
     if p <= 8:
         pairs = [(i, j) for i in range(d) for j in range(d, p)]
     else:
