@@ -20,34 +20,35 @@ from subspace_bounds import (
     hs_lower_bound,
     overlap_clt,
 )
+from subspace_bounds.verify import domination
 
 REPS = 3000  # one-second-scale demo; the acceptance suite runs 10x more
+
+
+def show(title, est, bound):
+    margin, dominates = domination(est, bound)
+    print(title)
+    print(f"  simulated risk = {est.mean:.4f} +- {est.std_error:.4f}")
+    print(f"  lower bound    = {bound:.4f}   margin = {margin:+.1f} SE -> {'PASS' if dominates else 'FAIL'}")
+    print()
+
 
 # %% Subspace-distance loss ---------------------------------------------------
 model = CovModel(Spectrum([4.0, 3.0, 1.0, 0.5], 2), n=50)
 est = bayes_risk(SimConfig(model, "hs_squared", REPS, seed=1))
 bound = hs_lower_bound(model, 1.0).value
-print("squared subspace distance, p = 4, n = 50:")
-print(f"  simulated risk = {est.mean:.4f} +- {est.std_error:.4f}")
-print(f"  lower bound    = {bound:.4f}   margin = {(est.mean - bound) / est.std_error:+.1f} SE")
-print()
+show("squared subspace distance, p = 4, n = 50:", est, bound)
 
 # %% Excess reconstruction risk ----------------------------------------------
 est = bayes_risk(SimConfig(model, "excess", REPS, seed=2))
 bound = excess_lower_bound(model, "auto").value
-print("excess reconstruction risk, same model:")
-print(f"  simulated risk = {est.mean:.4f} +- {est.std_error:.4f}")
-print(f"  lower bound    = {bound:.4f}   margin = {(est.mean - bound) / est.std_error:+.1f} SE")
-print()
+show("excess reconstruction risk, same model:", est, bound)
 
 # %% Matrix denoising ----------------------------------------------------------
 dmodel = DenoiseModel(Spectrum([10.0, 0.0, 0.0, 0.0], 1), sigma=1.0)
 est = bayes_risk(SimConfig(dmodel, "hs_squared", REPS, seed=3))
 bound = denoise_lower_bound(dmodel, 1.0).value
-print("denoising, rank-1 signal of size 10 at sigma = 1:")
-print(f"  simulated risk = {est.mean:.4f} +- {est.std_error:.4f}")
-print(f"  lower bound    = {bound:.4f}   margin = {(est.mean - bound) / est.std_error:+.1f} SE")
-print()
+show("denoising, rank-1 signal of size 10 at sigma = 1:", est, bound)
 
 # %% The overlap scale behind the pair capacities ------------------------------
 print("scaled overlap n <e_i, uhat_j>^2 vs lam_i lam_j / gap^2 (n = 1000):")

@@ -54,7 +54,6 @@ from .linalg import (
     SymMatrix,
     skew_exp,
     sym_eig,
-    vech,
 )
 from .models import (
     CovModel,

@@ -546,9 +546,13 @@ def _excess_index_sets(model: CovModel) -> tuple[int, int]:
 def _excess_program(model: CovModel, mu: float, r: int, s: int) -> SubstochasticProgram:
     lam = model.spectrum.lambdas
     gaps = lam[:r, None] - lam[None, s:]
-    caps = gaps / _fisher_rectangle(model, range(r), range(s, model.p))
+    fisher = _fisher_rectangle(model, range(r), range(s, model.p))
+    with np.errstate(over="ignore"):
+        caps = gaps / fisher
     if not np.all(np.isfinite(caps)) or np.any(caps <= 0):
-        raise InvalidInput("excess caps must be finite and positive inside the rectangle")
+        change = "underflows to 0" if np.any(caps == 0) else "overflows"
+        cause = "I_ij overflows" if np.any(np.isinf(fisher)) else f"a cap (lam_i - lam_j) / I_ij {change}"
+        raise InvalidInput(f"excess caps at n={model.n:.4g}: {cause}")
     row_caps = np.maximum(lam[:r] - mu, 0.0)
     col_caps = np.maximum(mu - lam[s:], 0.0)
     return SubstochasticProgram(caps, row_caps, col_caps)

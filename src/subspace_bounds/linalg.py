@@ -103,11 +103,6 @@ class OrthMatrix:
         return self.a.shape[0]
 
 
-def _require_sorted(values: np.ndarray) -> None:
-    if np.any(values[..., 1:] > values[..., :-1]):
-        raise InvalidInput("eigenvalues must be sorted non-increasing")
-
-
 def _sort_and_sign(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Order (B, n) eigenvalues non-increasing (stable) with their (B, n, n)
     vector columns, and make each vector's first coordinate with magnitude
@@ -140,7 +135,6 @@ def sym_eig(stack) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise NotConverged(f"LAPACK eigensolver failed: {exc}") from exc
     vals, vecs = _sort_and_sign(vals, vecs)
-    _require_sorted(vals)
     require_orthogonal(vecs)
     return vals, vecs
 
@@ -166,22 +160,3 @@ def skew_exp(xis, ts) -> np.ndarray:
     require_orthogonal(result)
     return result
 
-
-def vech(a) -> np.ndarray:
-    """Half-vectorization: stacks the lower triangle column by column.
-
-    Ordering: (a11, a21, ..., ap1, a22, a32, ..., ap2, ..., app).
-    """
-    m = _as_array(a)
-    p = m.shape[0]
-    return np.concatenate([m[j:, j] for j in range(p)])
-
-
-def vech_diag_mask(p: int) -> np.ndarray:
-    """Boolean mask over vech positions that come from the matrix diagonal."""
-    mask = np.zeros(p * (p + 1) // 2, dtype=bool)
-    pos = 0
-    for j in range(p):
-        mask[pos] = True
-        pos += p - j
-    return mask

@@ -1,8 +1,9 @@
 """Numerical checks of the formulas the bounds rest on, one instance at a time
 (the LP oracle's optima one block of programs at a time).
 
-The `verify` command and the acceptance tests both compute their checks
-here; each caller draws its own instances and keeps its own PASS thresholds.
+The `verify` and `simulate` commands, `report` and the acceptance tests take
+the verdicts they share from here: each caller draws its own instances, and
+the tolerances, margins and rate shapes below are the only copies.
 """
 
 from __future__ import annotations
@@ -24,6 +25,12 @@ from .fisher import verify_fisher_limit
 from .linalg import OrthMatrix, SkewMatrix, skew_exp
 
 FD_STEPS = (1e-3, 1e-4, 1e-5)
+FD_TOL = 1e-4  # finite-difference error at the smallest step
+DECADE_RATIO = (5.0, 20.0)  # error ratio between steps a decade apart: O(t) decay
+IDENTITY_TOL = 1e-9  # |trace-formula excess risk - weighted loss|
+LP_TOL = 1e-8  # |flow optimum - LP optimum|
+GAP_TOL = 1e-9  # |flow value - cut value|
+DOMINATION_SE = 3.0  # simulated risk + this many standard errors must reach the bound
 BAND_FACTOR = 3.0
 LP_BLOCK = 500  # programs per LP solve of lp_oracle_check: criterion 1's count
 
@@ -71,21 +78,32 @@ def derivative_errors(xi: SkewMatrix, d: int, i: int, j: int) -> tuple[list, lis
     return errs_p.tolist(), errs_v.tolist()
 
 
-def decade_ratios(errs) -> list[float]:
-    """errs[k] / errs[k + 1] (inf where the next error is 0); about 10 for an
-    O(t) error over steps a decade apart."""
-    return [a / b if b > 0 else float("inf") for a, b in zip(errs, errs[1:])]
+def derivative_checks(xi: SkewMatrix, d: int, i: int, j: int, trial: int) -> list[dict]:
+    """The projector's and v_ij's check records for one direction: each passes
+    when its error at the smallest step is below FD_TOL and every ratio of
+    errors a decade apart lies in DECADE_RATIO (about 10 for an O(t) error)."""
+    checks = []
+    for label, errs in zip(("projector", "basis-field"), derivative_errors(xi, d, i, j)):
+        ratios = [a / b if b > 0 else float("inf") for a, b in zip(errs, errs[1:])]
+        ok = errs[-1] < FD_TOL and all(DECADE_RATIO[0] <= r <= DECADE_RATIO[1] for r in ratios)
+        detail = f"errors={[f'{e:.3e}' for e in errs]}"
+        checks.append(check_record(f"{label} derivative trial {trial}", ok, detail))
+    return checks
 
 
-def excess_identity_gap(spectrum, u, p_hat, mu: float) -> float:
-    """|trace-formula excess risk - weighted loss under the gap weights at mu|."""
-    direct = excess_risk(spectrum, u, p_hat)
-    via_loss = weighted_loss(u, p_hat.a, spectrum.d, excess_risk_weights(spectrum, mu))
-    return abs(direct - via_loss)
+def loss_identity_check(name: str, instances) -> dict:
+    """One record for the identity excess risk = weighted loss under the gap
+    weights at mu, over (spectrum, u, p_hat, mu) instances drawn as iterated."""
+    worst = 0.0
+    for spectrum, u, p_hat, mu in instances:
+        via_loss = weighted_loss(u, p_hat.a, spectrum.d, excess_risk_weights(spectrum, mu))
+        worst = max(worst, abs(excess_risk(spectrum, u, p_hat) - via_loss))
+    return check_record(name, worst <= IDENTITY_TOL, f"max |direct - weighted| = {worst:.3e}")
 
 
-def lp_oracle_check(rng: np.random.Generator, trials: int) -> tuple[float, float]:
-    """(max |flow - lp|, max duality gap) over random programs drawn from rng.
+def lp_oracle_check(rng: np.random.Generator, trials: int) -> dict:
+    """One record: flow vs LP optimum within LP_TOL and every duality gap
+    within GAP_TOL, over random programs drawn from rng.
 
     Each has 1..4 rows and columns, edge caps uniform on [0, 1) with about
     15% set to inf, and row and column caps uniform on [0.05, 1.5).  The
@@ -104,7 +122,9 @@ def lp_oracle_check(rng: np.random.Generator, trials: int) -> tuple[float, float
             flows.append(sol.value)
             worst_gap = max(worst_gap, abs(sol.value - sol.cut_value))
         worst = float(np.max(np.abs(np.array(flows) - lp_oracle(progs)), initial=worst))
-    return worst, worst_gap
+    ok = worst <= LP_TOL and worst_gap <= GAP_TOL
+    detail = f"max |flow - lp| = {worst:.3e}, max duality gap = {worst_gap:.3e}"
+    return check_record(f"flow vs LP oracle ({trials} random instances)", ok, detail)
 
 
 def _random_program(rng: np.random.Generator) -> SubstochasticProgram:
@@ -122,3 +142,21 @@ def ratio_band(ratios) -> tuple[float, bool]:
     center = float(np.exp(np.mean(np.log(ratios))))
     within = max(ratios) <= BAND_FACTOR * center and min(ratios) >= center / BAND_FACTOR
     return center, within
+
+
+def domination(estimate, bound: float) -> tuple[float, bool]:
+    """(margin of the simulated risk over the bound in standard errors, whether
+    the risk plus DOMINATION_SE standard errors reaches the bound)."""
+    se = estimate.std_error
+    margin = (estimate.mean - bound) / se if se > 0 else float("inf")
+    return margin, estimate.mean + DOMINATION_SE * se >= bound
+
+
+def rate_shape(family: str, alpha: float, d: int, n: int) -> float:
+    """The rate the relative-rank bound tracks: d e^{-alpha d} / n for the
+    "exp" family, d^{2 - alpha} / n for "poly"."""
+    if family == "exp":
+        return d * np.exp(-alpha * d) / n
+    if family == "poly":
+        return d ** (2.0 - alpha) / n
+    raise InvalidInput(f"unknown spectrum family {family!r}")

@@ -31,12 +31,14 @@ from subspace_bounds import (
     relrank_bound,
     relrank_condition,
 )
+from subspace_bounds import verify
 from subspace_bounds.cli import main as cli_main
 from subspace_bounds.verify import (
-    decade_ratios,
-    derivative_errors,
-    excess_identity_gap,
+    derivative_checks,
+    domination,
     fisher_limit_checks,
+    loss_identity_check,
+    rate_shape,
     ratio_band,
 )
 
@@ -51,18 +53,19 @@ def report(criterion: int, passed: bool, elapsed: float, limit: float, detail: s
     assert elapsed < limit, f"criterion {criterion} exceeded its runtime limit"
 
 
+def test_gate_constants_are_pinned():
+    """The verdicts' tolerances and margins; loosening one is a test edit."""
+    assert (verify.LP_TOL, verify.GAP_TOL, verify.IDENTITY_TOL, verify.FD_TOL) == (1e-8, 1e-9, 1e-9, 1e-4)
+    assert verify.DECADE_RATIO == (5.0, 20.0) and verify.DOMINATION_SE == 3.0
+    assert verify.FD_STEPS == (1e-3, 1e-4, 1e-5) and verify.BAND_FACTOR == 3.0
+
+
 def test_criterion_1_flow_matches_lp_oracle():
     """Flow optimum vs LP oracle on 500 instances, with duality certificates."""
     start = time.perf_counter()
-    worst, worst_gap = lp_oracle_check(np.random.default_rng(101), 500)
+    check = lp_oracle_check(np.random.default_rng(101), 500)
     elapsed = time.perf_counter() - start
-    report(
-        1,
-        worst <= 1e-8 and worst_gap <= 1e-9,
-        elapsed,
-        10.0,
-        f"max |flow - lp| = {worst:.2e}, max duality gap = {worst_gap:.2e}",
-    )
+    report(1, check["status"] == "PASS", elapsed, 10.0, check["detail"])
 
 
 def test_criterion_2_rank_one_closed_form():
@@ -144,27 +147,16 @@ def test_criterion_4_derivative_finite_differences():
     """Closed-form derivatives match finite differences with O(t) error."""
     start = time.perf_counter()
     rng = np.random.default_rng(104)
-    worst_final = 0.0
-    ratios_seen = []
-    for _ in range(20):
+    checks = []
+    for trial in range(20):
         p = int(rng.integers(3, 7))
         d = int(rng.integers(1, p))
         xi = SkewMatrix(random_skew_unit(rng, p))
         i, j = (int(v) for v in rng.choice(p, size=2, replace=False))
-        for label, errs in zip(("projector", "basis-field"), derivative_errors(xi, d, i, j)):
-            worst_final = max(worst_final, errs[-1])
-            for ratio in decade_ratios(errs):
-                ratios_seen.append(ratio)
-                assert 5.0 <= ratio <= 20.0, f"{label} decade ratio {ratio:.2f}"
+        checks += derivative_checks(xi, d, i, j, trial)
     elapsed = time.perf_counter() - start
-    report(
-        4,
-        worst_final <= 1e-4,
-        elapsed,
-        5.0,
-        f"max error at t=1e-5: {worst_final:.2e}; decade ratios in "
-        f"[{min(ratios_seen):.1f}, {max(ratios_seen):.1f}]",
-    )
+    failed = [f"{c['name']}: {c['detail']}" for c in checks if c["status"] != "PASS"]
+    report(4, not failed, elapsed, 5.0, "; ".join(failed) or f"{len(checks)} checks pass")
 
 
 def test_criterion_5_excess_risk_identity():
@@ -172,17 +164,20 @@ def test_criterion_5_excess_risk_identity():
     start = time.perf_counter()
     rng = np.random.default_rng(105)
     g = RngStream(105, 0).generator()
-    worst = 0.0
-    for _ in range(100):
-        p = int(rng.integers(2, 11))
-        d = int(rng.integers(1, p))
-        spectrum = random_spectrum(rng, p, d, min_gap=1e-3)
-        u = haar_orthogonal(p, g)
-        p_hat = random_projector(p, d, g)
-        mu = float(rng.uniform(spectrum.lambdas[d], spectrum.lambdas[d - 1]))
-        worst = max(worst, excess_identity_gap(spectrum, u, p_hat, mu))
+
+    def instances():
+        for _ in range(100):
+            p = int(rng.integers(2, 11))
+            d = int(rng.integers(1, p))
+            spectrum = random_spectrum(rng, p, d, min_gap=1e-3)
+            u = haar_orthogonal(p, g)
+            p_hat = random_projector(p, d, g)
+            mu = float(rng.uniform(spectrum.lambdas[d], spectrum.lambdas[d - 1]))
+            yield spectrum, u, p_hat, mu
+
+    check = loss_identity_check("excess-risk identity (100 instances)", instances())
     elapsed = time.perf_counter() - start
-    report(5, worst <= 1e-9, elapsed, 5.0, f"max |trace - weighted| = {worst:.2e}")
+    report(5, check["status"] == "PASS", elapsed, 5.0, check["detail"])
 
 
 DOMINATION_CONFIGS = [
@@ -220,8 +215,8 @@ def test_criterion_6_simulated_risk_dominates_bounds():
         else:
             bound = hs_lower_bound(model, 1.0).value
         est = bayes_risk(SimConfig(model, loss, replicates=10_000, seed=106))
-        margin = (est.mean - bound) / est.std_error if est.std_error else float("inf")
-        ok = ok and (est.mean + 3 * est.std_error >= bound)
+        margin, dominates = domination(est, bound)
+        ok = ok and dominates
         details.append(f"{name}: margin {margin:+.1f} SE")
     elapsed = time.perf_counter() - start
     report(6, ok, elapsed, 300.0, "; ".join(details))
@@ -240,7 +235,7 @@ def test_criterion_7_scaling_bands():
         model = CovModel(exp_spectrum(1.0, 40, d), n)
         holds, _ = relrank_condition(model)
         assert holds, f"exponential condition failed at d={d}"
-        exp_ratios.append(relrank_bound(model) / (d * np.exp(-d) / n))
+        exp_ratios.append(relrank_bound(model) / rate_shape("exp", 1.0, d, n))
     exp_spread = max(exp_ratios) / min(exp_ratios)
 
     poly_ratios = []
@@ -248,17 +243,17 @@ def test_criterion_7_scaling_bands():
         model = CovModel(poly_spectrum(1.0, 40, d), n)
         holds, _ = relrank_condition(model)
         assert holds, f"polynomial condition failed at d={d}"
-        poly_ratios.append(relrank_bound(model) / (d ** (2.0 - 1.0) / n))
+        poly_ratios.append(relrank_bound(model) / rate_shape("poly", 1.0, d, n))
     center, poly_within = ratio_band(poly_ratios)
     poly_spread = max(poly_ratios) / min(poly_ratios)
 
     elapsed = time.perf_counter() - start
     report(
         7,
-        exp_spread <= 3.0 and poly_within,
+        exp_spread <= verify.BAND_FACTOR and poly_within,
         elapsed,
         10.0,
-        f"exp band spread x{exp_spread:.2f} (<=3); poly ratios within factor "
+        f"exp band spread x{exp_spread:.2f} (<={verify.BAND_FACTOR:g}); poly ratios within factor "
         f"{max(max(poly_ratios) / center, center / min(poly_ratios)):.2f} of center "
         f"{center:.3g} (raw spread x{poly_spread:.2f})",
     )

@@ -769,7 +769,13 @@ class TestExcessLowerBound:
     def test_overflowing_fisher_information_is_invalid_input(self):
         # n (lam_1 - lam_2)^2 / (lam_1 lam_2) overflows, so the cap gap / I is 0
         model = CovModel(spike_spectrum(1e300, 1e-300, 1, 3), n=5)
-        with pytest.raises(InvalidInput, match="excess caps must be finite and positive"):
+        with pytest.raises(InvalidInput, match=r"excess caps at n=5: I_ij overflows"):
+            excess_lower_bound(model, mu="auto")
+
+    def test_underflowing_cap_is_invalid_input(self):
+        # I_ij = n / 2 is finite, but the cap gap / I_ij = 2e-300 / n is below the float range
+        model = CovModel(Spectrum([2e-300, 1e-300], 1), n=10**300)
+        with pytest.raises(InvalidInput, match=r"excess caps at n=1e\+300: a cap .* underflows to 0"):
             excess_lower_bound(model, mu="auto")
 
     @settings(derandomize=True, deadline=None, max_examples=100)

@@ -756,6 +756,13 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: the exp slope fit needs two or more d") and err.count("\n") == 1
 
+    def test_one_valid_d_is_usage_error_for_poly(self, capsys):
+        # d = 1 meets the bound condition and d = 2..4 do not: one ratio makes no band.
+        args = ["report", "--family", "poly", "--p", "5", "--n", "10", "--d-min", "1", "--d-max", "4"]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the poly scaling band needs two or more d") and err.count("\n") == 1
+
     def test_absent_workers_reads_as_one(self, tmp_path):
         args = ["report", "--family", "exp", "--alpha", "1", "--p", "6", "--n", "200",
                 "--d-min", "2", "--d-max", "3", "--simulate", "30", "--seed", "3"]

@@ -18,7 +18,7 @@ from subspace_bounds import (
     random_projector,
     weighted_loss,
 )
-from subspace_bounds.verify import decade_ratios, derivative_errors, excess_identity_gap
+from subspace_bounds.verify import derivative_checks, loss_identity_check
 
 from conftest import random_skew_unit, random_spectrum, rotation
 
@@ -86,8 +86,8 @@ class TestProjectorDerivative:
         assert np.max(np.abs(fd - dP_dir(p, d, xi).a)) <= 1e-5
 
     def test_error_decays_linearly(self, rng):
-        errs, _ = derivative_errors(SkewMatrix(random_skew_unit(rng, 6)), 3, 0, 1)
-        assert all(5.0 <= r <= 20.0 for r in decade_ratios(errs))
+        checks = derivative_checks(SkewMatrix(random_skew_unit(rng, 6)), 3, 0, 1, 0)
+        assert all(c["status"] == "PASS" for c in checks), checks
 
 
 class TestBasisFieldDerivative:
@@ -196,13 +196,16 @@ class TestExcessRisk:
     def test_matches_weighted_loss_identity(self):
         g = RngStream(3, 3).generator()
         rng = np.random.default_rng(10)
-        worst = 0.0
-        for _ in range(100):
-            p = int(rng.integers(2, 11))
-            d = int(rng.integers(1, p))
-            spectrum = random_spectrum(rng, p, d, min_gap=1e-3)
-            u = haar_orthogonal(p, g)
-            p_hat = random_projector(p, d, g)
-            mu = rng.uniform(spectrum.lambdas[d], spectrum.lambdas[d - 1])
-            worst = max(worst, excess_identity_gap(spectrum, u, p_hat, mu))
-        assert worst <= 1e-9
+
+        def instances():
+            for _ in range(100):
+                p = int(rng.integers(2, 11))
+                d = int(rng.integers(1, p))
+                spectrum = random_spectrum(rng, p, d, min_gap=1e-3)
+                u = haar_orthogonal(p, g)
+                p_hat = random_projector(p, d, g)
+                mu = rng.uniform(spectrum.lambdas[d], spectrum.lambdas[d - 1])
+                yield spectrum, u, p_hat, mu
+
+        check = loss_identity_check("identity", instances())
+        assert check["status"] == "PASS", check["detail"]

@@ -23,10 +23,22 @@ from subspace_bounds import (
     verify_fisher_limit,
 )
 from subspace_bounds.fisher import T_GRID
-from subspace_bounds.linalg import OrthMatrix, vech, vech_diag_mask
+from subspace_bounds.linalg import OrthMatrix
 from subspace_bounds.verify import fisher_limit_checks
 
 from conftest import random_skew_unit, random_spectrum, rotation
+
+
+def vech(a) -> np.ndarray:
+    """Half-vectorization: the lower triangle column by column,
+    (a11, a21, ..., ap1, a22, a32, ..., ap2, ..., app)."""
+    m = np.asarray(a, dtype=np.float64)
+    return np.concatenate([m[j:, j] for j in range(m.shape[0])])
+
+
+def vech_diag_mask(p: int) -> np.ndarray:
+    """Boolean mask over the vech positions that come from the diagonal."""
+    return vech(np.eye(p)) == 1.0
 
 
 def mc_chi2_cov(model, u, draws, seed):

@@ -12,10 +12,7 @@ from subspace_bounds import (
     SymMatrix,
     skew_exp,
     sym_eig,
-    vech,
 )
-from subspace_bounds import linalg
-from subspace_bounds.linalg import vech_diag_mask
 
 from conftest import random_skew_unit, random_sym, rotation
 
@@ -106,11 +103,6 @@ class TestSymEig:
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInput):
             sym_eig(np.array([[[np.inf, 0.0], [0.0, 1.0]]]))
-
-    def test_order_check_compares_neighbours_without_overflow(self):
-        linalg._require_sorted(np.array([[1e308, -1e308]]))
-        with pytest.raises(InvalidInput, match="sorted non-increasing"):
-            linalg._require_sorted(np.array([[-1e308, 1e308]]))
 
 
 def _assert_same_bits(got, want):
@@ -293,15 +285,3 @@ def test_empty_stacks_give_empty_results():
     assert vals.shape == (0, 3) and vecs.shape == (0, 3, 3)
     assert skew_exp(np.zeros((0, 3, 3)), [1.0]).shape == (0, 1, 3, 3)
     assert skew_exp(np.zeros((1, 3, 3)), []).shape == (1, 0, 3, 3)
-
-
-class TestVech:
-    def test_column_major_lower_triangle_order(self):
-        np.testing.assert_array_equal(vech([[1.0, 2.0], [2.0, 3.0]]), [1.0, 2.0, 3.0])
-
-    def test_identity_three(self):
-        np.testing.assert_array_equal(vech(np.eye(3)), [1, 0, 0, 1, 0, 1])
-
-    def test_diag_mask(self):
-        mask = vech_diag_mask(3)
-        np.testing.assert_array_equal(mask, [True, False, False, True, False, True])
