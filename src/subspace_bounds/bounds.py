@@ -13,7 +13,10 @@ max-flow problem on
     col j  -> sink    (capacity col_cap_j)
 
 using Dinic's algorithm, whose first phase (the row-major greedy flow)
-runs in numpy with the bits of the Python DFS.  The later phases work on
+runs in numpy with the bits of the Python DFS.  The solver reverses the
+columns, so that phase starts each row of a bound program from its
+smallest edge cap; on every bound program tried it was already a maximum
+flow, and only general programs reach a later phase.  The later phases work on
 the program's own nr x nc residual matrices, with no arc list.  Rows and
 columns alternate in the BFS, so each level is one boolean row or column
 reduction of a matrix, and BFS distances do not depend on visit order, so
@@ -135,7 +138,8 @@ class _MaxFlowGraph:
     """
 
     def __init__(self, caps: np.ndarray, rev: np.ndarray, row_res: np.ndarray):
-        self.fwd = np.vstack([caps - rev[:-1], np.zeros(caps.shape[1])])
+        self.fwd = np.zeros(rev.shape)
+        np.subtract(caps, rev[:-1], out=self.fwd[:-1])
         self.rev, self.row_res, self.phases, self.paths = rev, row_res, 0, 0
 
     def _levels(self) -> tuple[np.ndarray, np.ndarray]:
@@ -216,28 +220,40 @@ def _first_phase(caps, row_caps, col_caps):
     to right as ``res[s->i] -= push`` does.  At the first r_(k+1) <= 0 the
     row saturates with push r_k, exactly 0 left.  Only rows with cap > 0
     push, and a zero-cap column's residual is +0.
+    Each row of ``work`` has the row's cap as its head, its residual until
+    the row is scanned, and takes the a's in its tail, so one
+    ``subtract.accumulate`` of the row gives the r's.  Every a >= 0, so the
+    r's never rise, and a last r > 0 means that no r is <= 0: only a row
+    that saturates is searched for its r_k, and the bits are those of a
+    search on every row.  ``substochastic_max`` passes the columns reversed,
+    so each row of a bound program starts from its smallest edge cap.
     """
-    rev, r = np.zeros((len(row_caps) + 1, len(col_caps))), np.empty(len(col_caps) + 1)
-    row_res, col_res = row_caps.copy(), rev[-1]
+    work, r = np.zeros((len(row_caps) + 1, len(col_caps) + 1)), np.empty(len(col_caps) + 1)
+    work[:-1, 0] = row_caps
+    row_res, col_res = row_caps.copy(), work[-1, 1:]
     np.copyto(col_res, col_caps, where=col_caps > 0.0)
     for i in np.flatnonzero(row_caps > 0.0).tolist():
-        a = rev[i]
+        a = work[i, 1:]
         np.minimum(caps[i], col_res, out=a)
-        r[0], r[1:] = row_res[i], a
-        np.subtract.accumulate(r, out=r)
-        k = int(np.count_nonzero(r > 0.0))  # r_k is the first r <= 0
-        if k < len(r):
+        np.subtract.accumulate(work[i], out=r)
+        if not r[-1] > 0.0:
+            k = int(np.count_nonzero(r > 0.0))  # r_k is the first r <= 0
             a[k - 1], a[k:], r[-1] = r[k - 1], 0.0, 0.0
         row_res[i] = r[-1]
         col_res -= a
-    return rev, row_res
+    return work[:, 1:], row_res
 
 
 def substochastic_max(prog: SubstochasticProgram) -> FlowSolution:
     """Exact optimum of the capacitated substochastic program.
 
     Returns the optimal mass matrix together with the certified min-cut
-    value and constraint-activity flags.  Dinic's first phase runs in numpy;
+    value and constraint-activity flags.  The program is solved with its
+    columns reversed, and the flows and the cut's columns are reversed
+    back.  Every bound program's edge caps fall along its columns, so the
+    first phase then starts each row from its smallest cap; on every bound
+    program tried, that greedy flow was already a maximum flow, and no later
+    phase ran.  Dinic's first phase runs in numpy;
     the later phases and the final BFS run in ``_MaxFlowGraph`` on the
     residual matrices, whose reverse residuals are the flows.  A program
     with no rows or no columns takes the same path and gets flow and cut 0.
@@ -247,10 +263,11 @@ def substochastic_max(prog: SubstochasticProgram) -> FlowSolution:
     # An inf edge cap stays inf: pushes are bounded by source arcs, and no min cut crosses it.
     # Unbuilt edges are masked by np.where, not by a product, which would give inf * 0 = nan.
     built = (prog.caps > 0.0) & (prog.row_caps > 0.0)[:, None] & (prog.col_caps > 0.0)[None, :]
-    caps = np.where(built, prog.caps, 0.0)
-    g = _MaxFlowGraph(caps, *_first_phase(caps, prog.row_caps, prog.col_caps))
+    caps = np.where(built[:, ::-1], prog.caps[:, ::-1], 0.0)
+    g = _MaxFlowGraph(caps, *_first_phase(caps, prog.row_caps, prog.col_caps[::-1]))
     rows_in, cols_in = g.max_flow()
-    return _certified(prog, built, g.rev[:-1], rows_in, cols_in)
+    x = np.ascontiguousarray(g.rev[:-1, ::-1])  # C order: its sums do not see the reversal
+    return _certified(prog, built, x, rows_in, cols_in[::-1])
 
 
 def _certified(prog, built, x, rows_in, cols_in) -> FlowSolution:

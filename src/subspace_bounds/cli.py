@@ -6,7 +6,9 @@ resample), 4 a verification failed or an internal check raised
 ``CheckFailed`` (a flow's duality gap or feasibility, a search
 certificate, a domination the mathematics guarantees: a sentinel for
 implementation bugs), with one ``check failed: ...`` line on stderr,
-5 the LAPACK eigensolver did not converge.  All
+5 the LAPACK eigensolver did not converge, 141 (128 + SIGPIPE, as a
+shell reports a tool that a closed pipe stopped) the reader closed stdout
+before the output was written, with nothing on stderr.  All
 artifacts are deterministic given flags and seed: JSON is dumped with
 sorted keys and CSV rows use shortest round-trip float formatting.
 """
@@ -14,6 +16,7 @@ sorted keys and CSV rows use shortest round-trip float formatting.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -42,6 +45,7 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_VIOLATION = 4
 EXIT_NOT_CONVERGED = 5
+EXIT_CLOSED_STDOUT = 141
 
 SEED_ENV_VAR = "SUBSPACE_BOUNDS_SEED"
 
@@ -502,10 +506,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at the exit's flush
+        return code
+    except BrokenPipeError:
+        # What is left in stdout's buffer goes to devnull, or the exit's flush
+        # would fail again; a stdout with no file descriptor has nothing to flush.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        with contextlib.suppress(OSError, ValueError):
+            os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -205,8 +206,8 @@ class ReferenceMaxFlowGraph:
                     current[u] += 1
 
 
-def solve_counted(prog):
-    """substochastic_max(prog) and the (phases, paths) of the one graph it solved."""
+def counted_solves(compute):
+    """compute() and the (phases, paths) of each graph that its flow solves ran."""
     ran = []
 
     class Counted(bounds._MaxFlowGraph):
@@ -215,40 +216,48 @@ def solve_counted(prog):
             return super().max_flow()
 
     with mock.patch.object(bounds, "_MaxFlowGraph", Counted):
-        sol = substochastic_max(prog)
-    (graph,) = ran
-    return sol, (graph.phases, graph.paths)
+        out = compute()
+    return out, [(graph.phases, graph.paths) for graph in ran]
+
+
+def solve_counted(prog):
+    """substochastic_max(prog) and the (phases, paths) of the one graph it solved."""
+    sol, (counts,) = counted_solves(lambda: substochastic_max(prog))
+    return sol, counts
 
 
 def reference_solve(prog, first_phase=True):
     """substochastic_max(prog) as it ran on arc arrays, on the frozen
-    ``ReferenceMaxFlowGraph``: (solution, (phases, paths)).  The graph holds
-    the source arcs, the built edges row-major and the sink arcs, in that arc
+    ``ReferenceMaxFlowGraph``: (solution, (phases, paths)).  Like the solver,
+    it solves the program with its columns reversed and reverses the flows
+    and the cut's columns back.  The graph holds the source arcs, the built
+    edges of the reversed program row-major and the sink arcs, in that arc
     order, each followed by its reverse; the reverse residuals of i -> s and
     t -> j are left at 0.  Its residuals start from the numpy first phase's
     flows, or from zero flow, and the flows are read back from the edges'
     reverse residuals."""
     nr, nc = prog.shape
     built = (prog.caps > 0.0) & (prog.row_caps > 0.0)[:, None] & (prog.col_caps > 0.0)[None, :]
-    rows, cols = np.nonzero(built)
+    rbuilt, rcaps, rcol_caps = built[:, ::-1], prog.caps[:, ::-1], prog.col_caps[::-1]
+    rows, cols = np.nonzero(rbuilt)
     if first_phase:
-        caps = np.where(built, prog.caps, 0.0)
-        rev, row_res = bounds._first_phase(caps, prog.row_caps, prog.col_caps)
-        flow, col_res = rev[:-1][built], rev[-1]
+        rev, row_res = bounds._first_phase(np.where(rbuilt, rcaps, 0.0), prog.row_caps, rcol_caps)
+        flow, col_res = rev[:-1][rbuilt], rev[-1]
     else:
-        flow, row_res, col_res = np.zeros(len(rows)), prog.row_caps, prog.col_caps
+        flow, row_res, col_res = np.zeros(len(rows)), prog.row_caps, rcol_caps
     src, snk = 0, nr + nc + 1
     tails = np.concatenate([np.full(nr, src), 1 + rows, np.arange(1 + nr, snk)])
     heads = np.concatenate([np.arange(1, 1 + nr), 1 + nr + cols, np.full(nc, snk)])
-    forward = np.concatenate([row_res, prog.caps[built] - flow, col_res])
+    forward = np.concatenate([row_res, rcaps[rbuilt] - flow, col_res])
     reverse = np.concatenate([np.zeros(nr), flow, np.zeros(nc)])
     ends, res = np.column_stack([tails, heads]), np.column_stack([forward, reverse])
     g = ReferenceMaxFlowGraph(snk + 1, ends, res)
     side = g.max_flow(src, snk)
     assert side[src] and not side[snk]  # this graph ran to a minimum cut
     x = np.zeros((nr, nc))
-    x[built] = g.res[2 * nr + 1 : 2 * (nr + len(flow)) : 2]
-    sol = bounds._certified(prog, built, x, side[1 : 1 + nr], side[1 + nr : snk])
+    x[rbuilt] = g.res[2 * nr + 1 : 2 * (nr + len(flow)) : 2]
+    x = np.ascontiguousarray(x[:, ::-1])
+    sol = bounds._certified(prog, built, x, side[1 : 1 + nr], side[1 + nr : snk][::-1])
     return sol, (g.phases, g.paths)
 
 
@@ -293,7 +302,10 @@ def scaled(prog, k):
 
 # Programs where the dense first phase masks unbuilt edges: an inf cap in a zero-cap
 # row, zero-cap columns (one of them -0.0), a row that saturates after an unbuilt
-# column, and single-row and single-column programs.
+# column, and single-row and single-column programs; and rows at its early test.
+# The solver scans row 0 of the last two from its last column: 0.5, then 0.6 - 0.5,
+# so its last residual is exactly 0.0; or 0.5, then 0.3, so it saturates at its
+# middle column with push 0.6 - 0.5.  Their row 1 takes what the columns have left.
 MASKING_CASES = {
     "zero_row_inf_caps": SubstochasticProgram(
         [[np.inf, np.inf, np.inf], [0.5, 0.2, 0.9], [0.3, np.inf, 0.1]],
@@ -315,7 +327,46 @@ MASKING_CASES = {
     "one_col": SubstochasticProgram(
         [[0.2], [np.inf], [0.5], [0.0], [0.3]], [0.5, 0.3, 0.4, 1.0, 0.0], [1.0]
     ),
+    "last_residual_zero": SubstochasticProgram(
+        [[0.6 - 0.5, 0.5], [np.inf, np.inf]], [0.6, 1.0], [1.0, 1.0]
+    ),
+    "saturates_mid_row": SubstochasticProgram(
+        [[0.3, 0.3, 0.5], [np.inf] * 3], [0.6, 1.0], [1.0, 1.0, 1.0]
+    ),
 }
+
+
+@st.composite
+def bound_calls(draw):
+    """A call of hs_lower_bound, denoise_lower_bound, excess_lower_bound (mu fixed or
+    "auto") or optimize_delta on an exp, poly or uniform spectrum with p <= 40,
+    scaled by 10^k with |k| <= 300 (sigma with it), at n <= 1e9 and delta across
+    DELTA_RANGE."""
+    p = draw(st.integers(2, 40))
+    d = draw(st.integers(1, p - 1))
+    family = draw(st.sampled_from(["exp", "poly", "uniform"]))
+    if family == "exp":
+        lam = exp_spectrum(draw(st.floats(0.01, 0.5)), p).lambdas
+    elif family == "poly":
+        lam = poly_spectrum(draw(st.floats(0.1, 2.0)), p).lambdas
+    else:
+        lam = np.sort(draw(st.lists(st.floats(0.1, 10.0), min_size=p, max_size=p, unique=True)))
+        lam = lam[::-1]
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    spectrum = Spectrum(lam * scale, d)
+    cov = CovModel(spectrum, draw(st.integers(1, 10**9)))
+    denoise = DenoiseModel(spectrum, draw(st.floats(1e-3, 10.0)) * scale)
+    delta = 10.0 ** draw(st.floats(*np.log10(bounds.DELTA_RANGE)))
+    mu_lo, mu_hi = spectrum.lambdas[d], spectrum.lambdas[d - 1]
+    mu = min(mu_lo + draw(st.floats(0.0, 1.0)) * (mu_hi - mu_lo), mu_hi)
+    return draw(st.sampled_from([
+        functools.partial(hs_lower_bound, cov, delta),
+        functools.partial(denoise_lower_bound, denoise, delta),
+        functools.partial(excess_lower_bound, cov, mu),
+        functools.partial(excess_lower_bound, cov, "auto"),
+        functools.partial(optimize_delta, cov),
+        functools.partial(optimize_delta, denoise),
+    ]))
 
 
 @pytest.fixture(scope="module")
@@ -340,7 +391,7 @@ def solve_programs():
 
 @pytest.fixture(scope="module")
 def large(solve_programs):
-    """hs exp:0.02,400 n=1000 (Dinic takes two phases; 200 x 200), excess
+    """hs exp:0.02,400 n=1000 (200 x 200), excess
     exp:0.02,400 n=1000 at mid mu, and denoise exp:0.02,200 sigma=0.1."""
     keys = {"hs": 400, "excess": 400, "denoise": 200}
     return {name: solve_programs[name, "exp", p] for name, p in keys.items()}
@@ -487,6 +538,17 @@ class TestSubstochasticMax:
         prog = scaled(prog, k)
         assert_same_bits(substochastic_max(prog), reference_solution(prog))
 
+    @pytest.mark.parametrize(
+        "name, flows",
+        [("last_residual_zero", [0.5, 0.6 - 0.5]), ("saturates_mid_row", [0.5, 0.6 - 0.5, 0.0])],
+    )
+    def test_first_phase_rows_at_the_early_test(self, name, flows):
+        """Row 0 of these cases, in the solver's reversed column order, ends at
+        exactly 0.0 or saturates mid-row; either way it is left with 0.0."""
+        prog = MASKING_CASES[name]
+        rev, row_res = bounds._first_phase(prog.caps[:, ::-1], prog.row_caps, prog.col_caps[::-1])
+        assert (rev[0].tolist(), row_res[0]) == (flows, 0.0)
+
     @pytest.mark.parametrize("name", ["hs", "excess", "denoise", *MASKING_CASES])
     def test_first_phase_keeps_the_python_bits_at_real_sizes(self, name, large):
         """The benchmark's programs, and the masking edge cases of the dense
@@ -527,11 +589,14 @@ class TestCertified:
 
 
 class TestLaterPhases:
-    """The matrix Dinic makes the frozen Python Dinic's pushes after the first phase."""
+    """The matrix Dinic makes the frozen Python Dinic's pushes after the first
+    phase.  On bound programs, whose columns the solver reverses, the first
+    phase is already a maximum flow; the sparse integer rectangles and the
+    masking cases still run later phases."""
 
     def test_bound_solve_programs(self, solve_programs):
         counts = [assert_same_pushes(prog) for prog in solve_programs.values()]
-        assert sum(phases > 0 for phases, _ in counts) == 5
+        assert sum(phases > 0 for phases, _ in counts) == 0
 
     @pytest.mark.parametrize(
         "search",
@@ -546,7 +611,7 @@ class TestLaterPhases:
             search()
         (call,) = solver.call_args_list  # one flow solve per search
         phases, _ = assert_same_pushes(call.args[0])
-        assert phases > 0
+        assert phases == 0
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(
@@ -557,6 +622,13 @@ class TestLaterPhases:
     )
     def test_sparse_integer_rectangles(self, nr, nc, degree, seed):
         assert_same_pushes(sparse_program(nr, nc, degree, seed))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(bound_calls())
+    def test_bound_programs_need_no_later_phase(self, call):
+        """Every flow solve of a bound or a search ends with its first phase."""
+        _, counts = counted_solves(call)
+        assert counts and all(phases == 0 for phases, _ in counts)
 
     def test_sparse_family_needs_several_phases(self):
         phases = [solve_counted(sparse_program(80, 80, 5, seed))[1][0] for seed in range(20)]

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import os
 import pathlib
@@ -23,6 +24,8 @@ from subspace_bounds.cli import main
 # to D = log(1 + chi2) and the rotations to one Hermitian eigensolve each.
 # "lp-oracle seed 1" was re-saved when the LP oracle became one block-diagonal
 # LP per block of programs: its max |flow - lp| went from 8.882e-16 to 4.441e-16.
+# It was re-saved again when the flow solver began to reverse the columns: its
+# max |flow - lp| and its max duality gap both went from 4.441e-16 to 1.110e-16.
 VERIFY_GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "data" / "verify_golden.json").read_text(encoding="utf-8")
 )
@@ -853,6 +856,38 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "spectrum, d",
+    [("exp:0.02,60", "30"), ("spike:2,1,1,2", "1")],
+    ids=["artifact_beyond_the_buffer", "artifact_in_the_buffer"],
+)
+def test_closed_stdout_is_a_quiet_exit(spectrum, d):
+    """A reader that closed the pipe (``... | head -1``) ends the command with exit
+    141 and nothing on stderr, whether the write or the last flush finds it closed."""
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+    argv = ["bound", "hs", "--spectrum", spectrum, "--d", d, "--n", "1000"]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "subspace_bounds.cli", *argv],
+            env=env, stdout=write, stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_closed_stdout_in_process(monkeypatch, capsys):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert run(["bound", "hs", "--spectrum", "spike:2,1,1,2", "--n", "8"]) == 141
+    assert capsys.readouterr().err == ""
 
 
 def test_flow_solves_load_no_scipy():
