@@ -22,11 +22,13 @@ checkout this script sits in), one step after another:
 - the ``report --family exp --alpha 1 --p 12 --n 100000 --d-min 3 --d-max 6
   --simulate 600`` command, timed as a whole.
 
-``commit`` is ``git describe --always --dirty`` of that checkout, so ``--root``
-must be a git checkout (``git clone``, not ``git archive``).  The script stops
-with a nonzero exit, and writes no file, when ``git describe`` fails or when
-the benchmark run exits nonzero.  Wall times are single runs of one process
-each; compare two files only when they come from the same machine.
+``commit`` is ``git describe --always`` of that checkout, with ``-dirty`` added
+when ``git status --porcelain`` lists anything, untracked files included, since
+tier-1 runs every file under ``tests/``.  So ``--root`` must be a git checkout
+(``git clone``, not ``git archive``).  The script stops with a nonzero exit, and
+writes no file, when ``git describe`` fails or when the benchmark run exits
+nonzero.  Wall times are single runs of one process each; compare two files
+only when they come from the same machine.
 """
 
 from __future__ import annotations
@@ -54,13 +56,21 @@ def _timed(cmd: list[str], root: str) -> dict:
     return {"exit_code": proc.returncode, "wall_s": round(wall, 3), "stdout": proc.stdout}
 
 
-def _commit(root: str) -> str:
-    """``git describe`` of the checkout at root; SystemExit if it fails."""
-    proc = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=7"], cwd=root,
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    if proc.returncode != 0 or not proc.stdout.strip():
-        raise SystemExit(f"git describe failed in {root}: {proc.stderr.strip()}")
+def _git(root: str, *args: str) -> str:
+    """The stripped output of ``git <args>`` in root; SystemExit if it fails."""
+    proc = subprocess.run(["git", *args], cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"git {args[0]} failed in {root}: {proc.stderr.strip()}")
     return proc.stdout.strip()
+
+
+def _commit(root: str) -> str:
+    """``git describe`` of the checkout at root, with ``-dirty`` when ``git status``
+    lists any change, untracked files included (tier-1 runs them too)."""
+    commit = _git(root, "describe", "--always", "--abbrev=7")
+    if not commit:
+        raise SystemExit(f"git describe failed in {root}: no output")
+    return commit + "-dirty" if _git(root, "status", "--porcelain") else commit
 
 
 def _last_line(run: dict) -> str:

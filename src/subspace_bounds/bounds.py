@@ -13,10 +13,15 @@ max-flow problem on
     col j  -> sink    (capacity col_cap_j)
 
 using Dinic's algorithm, whose first phase (the row-major greedy flow)
-runs in numpy with the bits of the Python DFS.  The solver reverses the
-columns, so that phase starts each row of a bound program from its
-smallest edge cap; on every bound program tried it was already a maximum
-flow, and only general programs reach a later phase.  The later phases work on
+runs in numpy with the bits of the Python DFS: the leading rows that cannot
+saturate as one vectorized block, the rest a row at a time.  The solver
+reverses the columns, so that phase starts each row of a bound program from
+its smallest edge cap; on every bound program tried it was already a maximum
+flow, and only general programs reach a later phase.  A solve reads and
+writes its nr x nc data through a fixed set of buffers: the reversed caps of
+the built edges, which become the forward residuals in place, the first
+phase's work matrix, which holds the flows, the flows in column order, and
+one scratch matrix for the check.  The later phases work on
 the program's own nr x nc residual matrices, with no arc list.  Rows and
 columns alternate in the BFS, so each level is one boolean row or column
 reduction of a matrix, and BFS distances do not depend on visit order, so
@@ -75,7 +80,7 @@ class SubstochasticProgram:
             raise InvalidInput("caps must be a 2-d array")
         if row_caps.shape != (caps.shape[0],) or col_caps.shape != (caps.shape[1],):
             raise InvalidInput("row/col cap lengths must match the caps array")
-        if np.any(np.isnan(caps)) or np.any(caps < 0):
+        if not (caps >= 0.0).all():  # NaN fails too
             raise InvalidInput("edge caps must be nonnegative (inf allowed)")
         if not np.all(np.isfinite(row_caps)) or np.any(row_caps < 0):
             raise InvalidInput("row caps must be finite and nonnegative")
@@ -103,7 +108,8 @@ class _MaxFlowGraph:
     """Dinic's algorithm (Dinic, 1970) on the residual matrices of s -> rows -> columns -> t.
 
     The sink t is stacked below the rows as row nr, so ``fwd[i, j]`` is the
-    residual of the arc from row i (or t) to column j and ``rev[i, j]`` that
+    residual of the arc from row i (or t) to column j (taken in place from the
+    buffer of edge caps that the first phase read) and ``rev[i, j]`` that
     of the arc back: for an edge, its cap less its flow and its flow; for t,
     0 (never read, as t is never expanded) and column j's residual cap.
     ``row_res`` holds the source arcs; the reverse of a source arc is never
@@ -137,10 +143,11 @@ class _MaxFlowGraph:
     augmenting paths.
     """
 
-    def __init__(self, caps: np.ndarray, rev: np.ndarray, row_res: np.ndarray):
-        self.fwd = np.zeros(rev.shape)
-        np.subtract(caps, rev[:-1], out=self.fwd[:-1])
-        self.rev, self.row_res, self.phases, self.paths = rev, row_res, 0, 0
+    def __init__(self, fwd: np.ndarray, rev: np.ndarray, row_res: np.ndarray):
+        """``fwd`` holds the edge caps above a zero row for t; the flows in ``rev``
+        are subtracted from it in place."""
+        np.subtract(fwd[:-1], rev[:-1], out=fwd[:-1])
+        self.fwd, self.rev, self.row_res, self.phases, self.paths = fwd, rev, row_res, 0, 0
 
     def _levels(self) -> tuple[np.ndarray, np.ndarray]:
         """BFS distances from s of the rows (t last) and columns up to t's level, else -1."""
@@ -227,12 +234,49 @@ def _first_phase(caps, row_caps, col_caps):
     that saturates is searched for its r_k, and the bits are those of a
     search on every row.  ``substochastic_max`` passes the columns reversed,
     so each row of a bound program starts from its smallest edge cap.
+
+    The leading rows that cannot saturate go first, as one block.  A row's
+    a's are at most its caps clipped at the column caps, so a row whose
+    clipped caps sum below its cap never saturates; in a bound program these
+    rows are a prefix (caps rise down the rows, row caps do not).  Up to the
+    first row that fails that test, row i of ``work`` first takes the column
+    residuals before row i, from one ``subtract.accumulate`` down the caps
+    that starts from the column caps.  A row that does not saturate pushes
+    min(cap, residual): the cap while the residual exceeds it, leaving
+    c - cap, and else all of c, leaving c - c = +0.0, after which the column
+    stays at +0.0.  The accumulated c - cap first falls to <= 0 at that row,
+    and stays <= 0 below it, so each value <= 0 is set to +0.0 (by
+    ``copyto``: ``maximum`` could keep a -0.0).  Then a = min(cap, residual)
+    in place, and a row's last r is one ``subtract.reduce`` along its work
+    row, the loop's subtractions in the loop's order.  The clipped sum and
+    the r's round differently, so if some row's last r is not > 0, the block
+    is cut at that row and taken again on the rows before it, whose r's are
+    then all > 0.  The loop would not saturate any row of the block either,
+    so it would make the same pushes from the same residuals: the block has
+    the loop's bits, and the loop runs on from the row where it stops.
     """
-    work, r = np.zeros((len(row_caps) + 1, len(col_caps) + 1)), np.empty(len(col_caps) + 1)
+    nr, nc = len(row_caps), len(col_caps)
+    work, r = np.zeros((nr + 1, nc + 1)), np.empty(nc + 1)
     work[:-1, 0] = row_caps
     row_res, col_res = row_caps.copy(), work[-1, 1:]
-    np.copyto(col_res, col_caps, where=col_caps > 0.0)
-    for i in np.flatnonzero(row_caps > 0.0).tolist():
+    fits = np.minimum(caps, col_caps, out=work[:-1, 1:]).sum(axis=1) < row_caps
+    t = nr if fits.all() else int(fits.argmin())
+    while True:  # the block of rows before t; at most twice
+        c = work[: t + 1, 1:]  # row i: the column residuals before row i, then its a's
+        c[0] = 0.0
+        np.copyto(c[0], col_caps, where=col_caps > 0.0)
+        c[1:] = caps[:t]
+        np.subtract.accumulate(c, axis=0, out=c)
+        np.copyto(c, 0.0, where=c <= 0.0)
+        np.minimum(caps[:t], c[:-1], out=c[:-1])
+        last = np.subtract.reduce(work[:t], axis=1)
+        if (last > 0.0).all():
+            break
+        t = int((last > 0.0).argmin())
+    row_res[:t] = last
+    col_res[...] = c[-1]
+    work[t:-1, 1:] = 0.0
+    for i in (t + np.flatnonzero(row_caps[t:] > 0.0)).tolist():
         a = work[i, 1:]
         np.minimum(caps[i], col_res, out=a)
         np.subtract.accumulate(work[i], out=r)
@@ -255,18 +299,24 @@ def substochastic_max(prog: SubstochasticProgram) -> FlowSolution:
     program tried, that greedy flow was already a maximum flow, and no later
     phase ran.  Dinic's first phase runs in numpy;
     the later phases and the final BFS run in ``_MaxFlowGraph`` on the
-    residual matrices, whose reverse residuals are the flows.  A program
+    residual matrices, whose reverse residuals are the flows.  The reversed
+    caps of the built edges are written once into a buffer with a zero row
+    below, which the first phase reads and which then becomes the forward
+    residuals; the residual matrices are dropped before the check.  A program
     with no rows or no columns takes the same path and gets flow and cut 0.
     ``_certified`` checks the result (which would fail on a solver bug, not
     on a bad instance).
     """
     # An inf edge cap stays inf: pushes are bounded by source arcs, and no min cut crosses it.
-    # Unbuilt edges are masked by np.where, not by a product, which would give inf * 0 = nan.
+    # Unbuilt edges are masked by copyto, not by a product, which would give inf * 0 = nan.
+    nr, nc = prog.shape
     built = (prog.caps > 0.0) & (prog.row_caps > 0.0)[:, None] & (prog.col_caps > 0.0)[None, :]
-    caps = np.where(built[:, ::-1], prog.caps[:, ::-1], 0.0)
-    g = _MaxFlowGraph(caps, *_first_phase(caps, prog.row_caps, prog.col_caps[::-1]))
+    fwd = np.zeros((nr + 1, nc))
+    np.copyto(fwd[:-1], prog.caps[:, ::-1], where=built[:, ::-1])
+    g = _MaxFlowGraph(fwd, *_first_phase(fwd[:-1], prog.row_caps, prog.col_caps[::-1]))
     rows_in, cols_in = g.max_flow()
     x = np.ascontiguousarray(g.rev[:-1, ::-1])  # C order: its sums do not see the reversal
+    del g, fwd  # the residual matrices, before _certified takes its scratch
     return _certified(prog, built, x, rows_in, cols_in[::-1])
 
 
@@ -290,13 +340,14 @@ def _certified(prog, built, x, rows_in, cols_in) -> FlowSolution:
     row_sums = x.sum(axis=1)
     col_sums = x.sum(axis=0)
     tol = FEAS_TOL * max(1.0, value)
-    if np.any(x < -tol) or np.any(x - prog.caps > tol):
+    scratch = np.subtract(x, prog.caps)
+    if (x < -tol).any() or (scratch > tol).any():
         raise CheckFailed("solver returned an infeasible mass matrix")
     if np.any(row_sums - prog.row_caps > tol) or np.any(col_sums - prog.col_caps > tol):
         raise CheckFailed("solver violated a row/column cap")
     tight_rows = row_sums >= prog.row_caps - tol
     tight_cols = col_sums >= prog.col_caps - tol
-    tight_edges = np.isfinite(prog.caps) & (x >= prog.caps - tol)
+    tight_edges = np.isfinite(prog.caps) & (x >= np.subtract(prog.caps, tol, out=scratch))
     return FlowSolution(value, x, cut, tight_rows, tight_cols, tight_edges)
 
 
@@ -369,12 +420,12 @@ class BoundResult:
             value=prefactor * sol.value,
             x=sol.x,
             prefactor=prefactor,
-            rows=tuple(int(r) for r in rows),
-            cols=tuple(int(c) for c in cols),
+            rows=tuple(map(int, rows)),
+            cols=tuple(map(int, cols)),
             flow_value=sol.value,
             cut_value=sol.cut_value,
-            tight_rows=tuple(bool(b) for b in sol.tight_rows),
-            tight_cols=tuple(bool(b) for b in sol.tight_cols),
+            tight_rows=tuple(sol.tight_rows.tolist()),
+            tight_cols=tuple(sol.tight_cols.tolist()),
             tight_edges=sol.tight_edges,
             params=dict(params),
         )
@@ -409,8 +460,9 @@ def _fisher_rectangle(model: CovModel | DenoiseModel, rows, cols) -> np.ndarray:
 def _rectangle_caps(model: CovModel | DenoiseModel) -> np.ndarray:
     """Edge caps 2 / I_ij on the leading-by-trailing rectangle (inf where I_ij = 0)."""
     d, p = model.spectrum.d, model.p
+    info = _fisher_rectangle(model, range(d), range(d, p))
     with np.errstate(divide="ignore"):
-        return 2.0 / _fisher_rectangle(model, range(d), range(d, p))
+        return np.divide(2.0, info, out=info)
 
 
 def _require_delta(delta: float) -> None:
@@ -563,12 +615,13 @@ def _excess_index_sets(model: CovModel) -> tuple[int, int]:
 def _excess_program(model: CovModel, mu: float, r: int, s: int) -> SubstochasticProgram:
     lam = model.spectrum.lambdas
     gaps = lam[:r, None] - lam[None, s:]
-    fisher = _fisher_rectangle(model, range(r), range(s, model.p))
+    rectangle = (range(r), range(s, model.p))
     with np.errstate(over="ignore"):
-        caps = gaps / fisher
-    if not np.all(np.isfinite(caps)) or np.any(caps <= 0):
+        caps = np.divide(gaps, _fisher_rectangle(model, *rectangle), out=gaps)
+    if not ((caps > 0.0) & (caps < np.inf)).all():
         change = "underflows to 0" if np.any(caps == 0) else "overflows"
-        cause = "I_ij overflows" if np.any(np.isinf(fisher)) else f"a cap (lam_i - lam_j) / I_ij {change}"
+        overflows = np.isinf(_fisher_rectangle(model, *rectangle)).any()
+        cause = "I_ij overflows" if overflows else f"a cap (lam_i - lam_j) / I_ij {change}"
         raise InvalidInput(f"excess caps at n={model.n:.4g}: {cause}")
     row_caps = np.maximum(lam[:r] - mu, 0.0)
     col_caps = np.maximum(mu - lam[s:], 0.0)

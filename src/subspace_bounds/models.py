@@ -104,10 +104,14 @@ class CovModel:
         Computed as n (gap / lam_i) (gap / lam_j), from eigenvalue ratios, so
         it neither overflows nor underflows when the spectrum is rescaled.  A true
         value beyond the float range is inf: ``fisher.fisher_matrix`` and the
-        excess caps reject it, and an edge cap 2/I_ij is 0."""
-        gap = li - lj
+        excess caps reject it, and an edge cap 2/I_ij is 0.  The products and
+        quotients are taken in two arrays of the broadcast shape, in that
+        order; scalar arguments give a numpy float."""
+        gap = np.subtract(li, lj, out=np.empty(np.broadcast(li, lj).shape))
         with np.errstate(over="ignore"):
-            return self.n * (gap / li) * (gap / lj)
+            info = np.divide(gap, li, out=np.empty_like(gap))
+            np.multiply(self.n, info, out=info)
+            return np.multiply(info, np.divide(gap, lj, out=gap), out=info)[()]
 
     def renyi2(self, u: np.ndarray) -> np.ndarray:
         """Renyi divergence of order 2, D = log(1 + chi2), of the n-sample law at
@@ -173,9 +177,11 @@ class DenoiseModel:
         The gap is divided by sigma before squaring, so the value does not
         depend on the scale of lam and sigma together.  A true value beyond the
         float range is inf: ``fisher.fisher_matrix`` rejects it, and an edge cap
-        2/I_ij is 0."""
+        2/I_ij is 0.  It is taken in one array of the broadcast shape; scalar
+        arguments give a numpy float."""
+        info = np.subtract(li, lj, out=np.empty(np.broadcast(li, lj).shape))
         with np.errstate(over="ignore"):
-            return ((li - lj) / self.sigma) ** 2
+            return np.square(np.divide(info, self.sigma, out=info), out=info)[()]
 
     def renyi2(self, u: np.ndarray) -> np.ndarray:
         """Renyi divergence of order 2, D = log(1 + chi2), of the law at each basis

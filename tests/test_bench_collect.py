@@ -1,12 +1,14 @@
 """``bench/collect.py`` stops before it runs anything when its root is not a git
-checkout, and its record times each acceptance criterion (from the tier-1 run's
+checkout, marks its commit dirty when the checkout holds any change, and its record times each acceptance criterion (from the tier-1 run's
 durations), each README command and the bare import, and holds the result of
 the benchmark harness's own tests."""
 
 import importlib.util
 import json
 import pathlib
+import re
 import shutil
+import subprocess
 
 import pytest
 
@@ -24,6 +26,31 @@ def _collect_module():
 def test_commit_of_a_non_git_directory_is_an_error(tmp_path):
     with pytest.raises(SystemExit, match="git describe failed"):
         _collect_module()._commit(str(tmp_path))
+
+
+def _git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.invalid", *args],
+                   cwd=repo, check=True, capture_output=True)
+
+
+def test_commit_is_dirty_when_the_checkout_holds_an_untracked_file(tmp_path):
+    """Tier-1 runs every file under ``tests/``, tracked or not, so an untracked
+    test file must not leave a clean commit beside its results."""
+    _git(tmp_path, "init", "-q")
+    (tmp_path / ".gitignore").write_text("/out/\n")
+    _git(tmp_path, "add", ".gitignore")
+    _git(tmp_path, "commit", "-q", "-m", "seed")
+    commit = _collect_module()._commit
+    clean = commit(str(tmp_path))
+    assert re.fullmatch(r"[0-9a-f]{7,}", clean)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "run.json").write_text("{}")  # ignored outputs leave it clean
+    assert commit(str(tmp_path)) == clean
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_extra.py").write_text("def test_extra():\n    assert False\n")
+    assert commit(str(tmp_path)) == clean + "-dirty"
+    _git(tmp_path, "add", "tests")
+    assert commit(str(tmp_path)) == clean + "-dirty"  # staged, not committed
 
 
 def test_collect_writes_no_file_outside_a_git_checkout(tmp_path, monkeypatch):

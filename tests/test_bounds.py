@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -337,6 +338,34 @@ MASKING_CASES = {
 
 
 @st.composite
+def monotone_programs(draw, max_side=6):
+    """Programs shaped like the bound programs, whose leading rows the first
+    phase takes as one block: edge caps rise down the rows and fall along the
+    columns, with ties, leading inf caps in any row (a count that does not fall
+    down the rows), zero column caps, and row caps up to 64, so that rows with
+    inf caps still fit below their row caps."""
+    nr, nc = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    flat = draw(st.lists(_finite_caps, min_size=nr * nc, max_size=nr * nc))
+    # Sorting each row of a column-sorted matrix keeps its columns sorted.
+    caps = np.sort(np.sort(np.reshape(flat, (nr, nc)), axis=0), axis=1)[:, ::-1].copy()
+    for i, k in enumerate(sorted(draw(st.lists(st.integers(0, nc), min_size=nr, max_size=nr)))):
+        caps[i, :k] = np.inf
+    row_caps = draw(st.lists(st.one_of(_finite_caps, st.sampled_from([16.0, 64.0])), min_size=nr, max_size=nr))
+    col_caps = draw(st.lists(_finite_caps, min_size=nc, max_size=nc))
+    return SubstochasticProgram(caps, row_caps, col_caps)
+
+
+# Row 1 fits below its row cap 1.32 by the clipped sum (0.13 + 0.28 + 0.3 + 0.61
+# rounds to 1.32 - ulp), but the solver, scanning it from its last column, is left
+# with 1.32 - 0.13 - 0.28 - 0.3 - 0.61 = -1.1e-16: the block of rows 0 and 1 is cut
+# back to row 0, and the row loop saturates row 1, pushing what is left of the row
+# cap (0.61 - ulp) on its last arc and leaving 0.0.  Row 2 does not fit.
+TRUNCATED_BLOCK = SubstochasticProgram(
+    [[0.1] * 4, [0.61, 0.3, 0.28, 0.13], [np.inf] * 4], [1.0, 1.32, 1.0], [2.0] * 4
+)
+
+
+@st.composite
 def bound_calls(draw):
     """A call of hs_lower_bound, denoise_lower_bound, excess_lower_bound (mu fixed or
     "auto") or optimize_delta on an exp, poly or uniform spectrum with p <= 40,
@@ -559,6 +588,46 @@ class TestSubstochasticMax:
             assert_same_bits(substochastic_max(prog), reference_solution(prog))
             if name in MASKING_CASES:
                 assert_same_pushes(prog)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(monotone_programs(), st.integers(-990, 990))
+    def test_leading_block_keeps_the_python_bits(self, prog, k):
+        prog = scaled(prog, k)
+        assert_same_bits(substochastic_max(prog), reference_solution(prog))
+
+    def test_block_is_cut_at_a_row_whose_residual_runs_out(self):
+        prog = TRUNCATED_BLOCK
+        caps, col_caps = prog.caps[:, ::-1], prog.col_caps[::-1]
+        fits = np.minimum(caps, col_caps).sum(axis=1) < prog.row_caps
+        assert fits.tolist() == [True, True, False]
+        left = [1.32]
+        for cap in caps[1].tolist():
+            left.append(left[-1] - cap)
+        assert left[-1] < 0.0 < left[-2] < 0.61
+        rev, row_res = bounds._first_phase(caps, prog.row_caps, col_caps)
+        assert row_res[:2].tolist() == [1.0 - 0.1 - 0.1 - 0.1 - 0.1, 0.0]
+        assert rev[1].tolist() == [0.13, 0.28, 0.3, left[-2]]
+        assert_same_bits(substochastic_max(prog), reference_solution(prog))
+        assert_same_pushes(prog)
+
+    def test_bound_solve_tracemalloc_peak(self):
+        """One hs and one fixed-mu excess bound at p = 400 (200 x 200 programs)
+        each peak below 4.5 float matrices of the program's size: the model's
+        Fisher rectangle, the program, the residual matrices and the flows."""
+        model = CovModel(exp_spectrum(0.02, 400, 200), 1000)
+        lam = model.spectrum.lambdas
+        mu = 0.5 * float(lam[200] + lam[199])
+        for bound, arg in ((hs_lower_bound, 1.0), (excess_lower_bound, mu)):
+            bound(model, arg)
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                bound(model, arg)
+                peak = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+            assert peak < 4.5 * 200 * 200 * 8, bound.__name__
 
 
 class TestCertified:

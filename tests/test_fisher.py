@@ -22,6 +22,7 @@ from subspace_bounds import (
     spike_spectrum,
     verify_fisher_limit,
 )
+from subspace_bounds import bounds
 from subspace_bounds.fisher import T_GRID
 from subspace_bounds.linalg import OrthMatrix
 from subspace_bounds.verify import fisher_limit_checks
@@ -387,3 +388,28 @@ class TestOneSourceOfTruth:
             CovModel, "generator_fisher", lambda self, li, lj: 2.0 * original(self, li, lj)
         )
         assert values() == (tuple(v / 2.0 for v in inverses), tuple(2.0 * v for v in quads))
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            CovModel(exp_spectrum(0.3, 9, 4), 1000),
+            CovModel(Spectrum(np.ldexp(exp_spectrum(0.3, 9, 4).lambdas, 1000), 4), 10**308),
+            CovModel(Spectrum(np.ldexp(exp_spectrum(0.3, 9, 4).lambdas, -1000), 4), 1),
+            DenoiseModel(exp_spectrum(0.3, 9, 4), 0.1),
+            DenoiseModel(Spectrum(np.ldexp(exp_spectrum(0.3, 9, 4).lambdas, 1000), 4), 2.0**-20),
+            DenoiseModel(Spectrum([3.0, 3.0, 1.0, 1.0, 0.0], 2), 0.5),
+        ],
+        ids=["cov", "cov_overflows", "cov_tiny", "denoise", "denoise_overflows", "denoise_ties"],
+    )
+    def test_rectangle_has_the_bits_of_scalar_calls(self, model):
+        """The edge caps' rectangle is taken in place; each entry keeps the bits of
+        the scalar formula, and a scalar call returns a float, not an array."""
+        lam, d, p = model.spectrum.lambdas, model.spectrum.d, model.p
+        rectangle = bounds._fisher_rectangle(model, range(d), range(d, p))
+        assert rectangle.shape == (d, p - d)
+        for i in range(d):
+            for j in range(d, p):
+                for li, lj in ((lam[i], lam[j]), (float(lam[i]), float(lam[j]))):
+                    one = model.generator_fisher(li, lj)
+                    assert isinstance(one, float) and np.ndim(one) == 0
+                    assert np.float64(one).tobytes() == rectangle[i, j - d].tobytes()
