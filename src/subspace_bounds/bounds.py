@@ -37,7 +37,9 @@ the flows must keep every cap to within 1e-9 of max(1, flow); a failed
 check raises ``CheckFailed``.  The searches over mu and delta take the
 lower envelope of the prefix cuts' lines in the parameter, pick the maximum
 from the signs of its pieces' rises, and solve one flow there that must
-equal the envelope.  A
+equal the envelope.  The parameter moves only the row and column caps, so a
+search builds its edge caps (one Fisher rectangle) and their prefix sums
+once, and each set of cuts adds its row and column caps to them.  A
 sparse LP oracle (scipy HiGHS) provides an independent verification path
 at any size, solving a sequence of programs as one block-diagonal LP, and
 is used only by tests and the verify command.
@@ -470,11 +472,16 @@ def _require_delta(delta: float) -> None:
         raise InvalidInput("delta must be finite and > 0")
 
 
+def _rectangle_lines(model: CovModel | DenoiseModel, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column caps of the program at mixing level delta: delta each."""
+    d, p = model.spectrum.d, model.p
+    return np.full(d, delta), np.full(p - d, delta)
+
+
 def _rectangle_program(model: CovModel | DenoiseModel, delta: float) -> SubstochasticProgram:
     """The program at mixing level delta: edge caps 2 / I_ij, row and column caps delta."""
     _require_delta(delta)
-    d, p = model.spectrum.d, model.p
-    return SubstochasticProgram(_rectangle_caps(model), np.full(d, delta), np.full(p - d, delta))
+    return SubstochasticProgram(_rectangle_caps(model), *_rectangle_lines(model, delta))
 
 
 def _rectangle_bound(model, delta: float, sol: FlowSolution) -> BoundResult:
@@ -540,21 +547,33 @@ def singleton_max(b_row) -> SingletonSolution:
     return SingletonSolution(value, z, lower)
 
 
-def _prefix_cuts(prog: SubstochasticProgram) -> np.ndarray:
-    """Capacity of the cut with rows < a and columns < c on the source side, at [a, c];
-    edge caps are summed by cumsums, never by differences, so an inf cap stays inf."""
-    rect = np.zeros(np.add(prog.shape, 1))
-    rect[1:, :-1] = np.cumsum(np.cumsum(prog.caps, axis=0)[:, ::-1], axis=1)[:, ::-1]
-    rows_out = np.append(np.cumsum(prog.row_caps[::-1])[::-1], 0.0)
-    return rows_out[:, None] + rect + np.append(0.0, np.cumsum(prog.col_caps))
+def _crossing_caps(caps: np.ndarray) -> np.ndarray:
+    """Sum of the edge caps that cross the cut with rows < a and columns < c on the
+    source side (rows < a, columns >= c), at [a, c]; summed by cumsums, never by
+    differences, so an inf cap stays inf."""
+    crossing = np.zeros(np.add(caps.shape, 1))
+    crossing[1:, :-1] = np.cumsum(np.cumsum(caps, axis=0)[:, ::-1], axis=1)[:, ::-1]
+    return crossing
 
 
-def _envelope_max(program, lo: float, hi: float, row_slope: int, b: float):
+def _prefix_cuts(crossing: np.ndarray, row_caps: np.ndarray, col_caps: np.ndarray) -> np.ndarray:
+    """Capacity of the cut with rows < a and columns < c on the source side, at [a, c]:
+    the row caps of rows >= a, the crossing edge caps (``_crossing_caps``) and the
+    column caps of columns < c."""
+    rows_out = np.append(np.cumsum(row_caps[::-1])[::-1], 0.0)
+    return rows_out[:, None] + crossing + np.append(0.0, np.cumsum(col_caps))
+
+
+def _envelope_max(base: SubstochasticProgram, line_caps, lo: float, hi: float, row_slope: int,
+                  b: float):
     """(t, flow at t) for the t in [lo, hi] maximizing flow(t) / (1 + b t), b >= 0.
 
-    ``program(t)`` keeps its edge caps; its row caps move with slope ``row_slope``
-    in t and its column caps with slope 1.  Each prefix cut is then a line in t with
-    an integer slope, written from its capacity at lo, a sum of nonnegative caps.
+    ``base`` is the program at lo, and the program at t has its edge caps with the
+    row and column caps ``line_caps(t)``: its row caps move with slope ``row_slope``
+    in t and its column caps with slope 1.  Only they move, so the edge caps and
+    their crossing sums (``_crossing_caps``) are built once per search.  Each prefix
+    cut is then a line in t with an integer slope, written from its capacity at lo,
+    a sum of nonnegative caps.
     The least line per slope gives the concave lower envelope F.  On a piece
     F = m + k (t - lo), F / (1 + b t) rises, stays flat or falls with the sign of
     r = k (1 + b lo) - b m, and r falls strictly from piece to piece (each meets the
@@ -567,11 +586,13 @@ def _envelope_max(program, lo: float, hi: float, row_slope: int, b: float):
     constant or falling and column caps constant or rising, make a min cut a prefix
     cut (best responses to prefixes are prefixes); else this raises ``CheckFailed``.
     """
-    base = program(lo)
+    crossing = _crossing_caps(base.caps)
     nr, nc = base.shape
     slopes = row_slope * (nr - np.arange(nr + 1))[:, None] + np.arange(nc + 1)
     by_slope = np.full((nr + 1, nr + nc + 1), np.inf)
-    by_slope[np.arange(nr + 1)[:, None], slopes - slopes.min()] = _prefix_cuts(base)
+    by_slope[np.arange(nr + 1)[:, None], slopes - slopes.min()] = _prefix_cuts(
+        crossing, base.row_caps, base.col_caps
+    )
     least = by_slope.min(axis=0)
     # Keep the lines below every line of smaller slope at lo.  By falling slope, the first
     # is F's piece at lo (never popped), and each later one crosses those before past lo.
@@ -588,9 +609,9 @@ def _envelope_max(program, lo: float, hi: float, row_slope: int, b: float):
         if (rise := kj * (1.0 + b * lo) - b * mj) <= 0.0:
             best = min(hi, lo + (start if rise < 0.0 else (start + end) / 2))
             break
-    prog = program(best)
+    prog = SubstochasticProgram(base.caps, *line_caps(best))
     sol = substochastic_max(prog)
-    envelope = float(_prefix_cuts(prog).min())
+    envelope = float(_prefix_cuts(crossing, prog.row_caps, prog.col_caps).min())
     if not abs(sol.value - envelope) <= DUALITY_TOL * sol.value:
         raise CheckFailed(f"search not certified at {best}: flow {sol.value}, envelope {envelope}")
     return best, sol
@@ -612,7 +633,15 @@ def _excess_index_sets(model: CovModel) -> tuple[int, int]:
     return r, s
 
 
+def _excess_lines(model: CovModel, mu: float, r: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row caps max(lam_i - mu, 0) and column caps max(mu - lam_j, 0) at split level mu."""
+    lam = model.spectrum.lambdas
+    return np.maximum(lam[:r] - mu, 0.0), np.maximum(mu - lam[s:], 0.0)
+
+
 def _excess_program(model: CovModel, mu: float, r: int, s: int) -> SubstochasticProgram:
+    """The program at split level mu: edge caps (lam_i - lam_j) / I_ij, which must be
+    positive and finite, and the row and column caps of ``_excess_lines``."""
     lam = model.spectrum.lambdas
     gaps = lam[:r, None] - lam[None, s:]
     rectangle = (range(r), range(s, model.p))
@@ -623,9 +652,7 @@ def _excess_program(model: CovModel, mu: float, r: int, s: int) -> Substochastic
         overflows = np.isinf(_fisher_rectangle(model, *rectangle)).any()
         cause = "I_ij overflows" if overflows else f"a cap (lam_i - lam_j) / I_ij {change}"
         raise InvalidInput(f"excess caps at n={model.n:.4g}: {cause}")
-    row_caps = np.maximum(lam[:r] - mu, 0.0)
-    col_caps = np.maximum(mu - lam[s:], 0.0)
-    return SubstochasticProgram(caps, row_caps, col_caps)
+    return SubstochasticProgram(caps, *_excess_lines(model, mu, r, s))
 
 
 EXCESS_PREFACTOR = 1.0 / 3.0
@@ -650,7 +677,9 @@ def excess_lower_bound(model: CovModel, mu="auto") -> BoundResult:
         if mu != "auto":
             raise InvalidInput(f"mu must be a number or 'auto', got {mu!r}")
         mu_val, sol = _envelope_max(
-            lambda m: _excess_program(model, m, r, s), mu_lo, mu_hi, -1, 0.0
+            _excess_program(model, mu_lo, r, s),
+            lambda m: _excess_lines(model, m, r, s),
+            mu_lo, mu_hi, -1, 0.0,
         )
     else:
         mu_val = float(mu)
@@ -719,14 +748,19 @@ def optimize_delta(model) -> tuple[float, BoundResult]:
 
     A cut with a row/column caps and crossing edge caps b on its boundary
     bounds the value by (a delta + b)/(1 + 2 delta), which rises in delta
-    iff a > 2b; the search takes the start of the envelope's first piece on
-    which that no longer holds, or the top of the range.  Certificate: the
-    one flow solve, at the searched delta, equals the lower envelope of the
-    prefix-cut lines, which bounds the flow at every delta.
+    iff a > 2b.  The search takes the envelope's first piece on which the
+    bound does not rise, at its start where the bound falls and at its middle
+    where it is flat (away from rounding at its ends), or else the top of the
+    range.  Certificate: the one flow solve, at the searched delta, equals the
+    lower envelope of the prefix-cut lines, which bounds the flow at every
+    delta.
     """
     if not isinstance(model, (CovModel, DenoiseModel)):
         raise InvalidInput(f"unsupported model type {type(model)!r}")
-    delta, sol = _envelope_max(lambda t: _rectangle_program(model, t), *DELTA_RANGE, 1, 2.0)
+    lo, hi = DELTA_RANGE
+    delta, sol = _envelope_max(
+        _rectangle_program(model, lo), lambda t: _rectangle_lines(model, t), lo, hi, 1, 2.0
+    )
     return delta, _rectangle_bound(model, delta, sol)
 
 
@@ -735,10 +769,13 @@ def canonical_bound(model: CovModel) -> float:
 
     Feasible at delta = 1: each row sum is at most (p-d)/p <= 1 and each
     column sum at most d/p <= 1.  Always dominated by the optimized bound
-    at delta = 1 (checked; a failure raises ``CheckFailed``).
+    at delta = 1 (checked; a failure raises ``CheckFailed``).  The mass is read
+    from the caps of the delta = 1 program, and that program is solved for the
+    check.
     """
-    value = float(np.minimum(_rectangle_caps(model), 1.0 / model.p).sum()) / 3.0
-    optimum = hs_lower_bound(model, delta=1.0).value
+    prog = _rectangle_program(model, 1.0)
+    value = float(np.minimum(prog.caps, 1.0 / model.p).sum()) / 3.0
+    optimum = _rectangle_bound(model, 1.0, substochastic_max(prog)).value
     if value > optimum + 1e-12:
         raise CheckFailed(f"canonical value {value} exceeds the optimum {optimum}")
     return value

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from subspace_bounds import (
@@ -366,11 +366,12 @@ TRUNCATED_BLOCK = SubstochasticProgram(
 
 
 @st.composite
-def bound_calls(draw):
+def bound_calls(draw, searches_only=False):
     """A call of hs_lower_bound, denoise_lower_bound, excess_lower_bound (mu fixed or
     "auto") or optimize_delta on an exp, poly or uniform spectrum with p <= 40,
     scaled by 10^k with |k| <= 300 (sigma with it), at n <= 1e9 and delta across
-    DELTA_RANGE."""
+    DELTA_RANGE; with ``searches_only``, a call of excess_lower_bound(mu="auto") or
+    optimize_delta."""
     p = draw(st.integers(2, 40))
     d = draw(st.integers(1, p - 1))
     family = draw(st.sampled_from(["exp", "poly", "uniform"]))
@@ -388,14 +389,17 @@ def bound_calls(draw):
     delta = 10.0 ** draw(st.floats(*np.log10(bounds.DELTA_RANGE)))
     mu_lo, mu_hi = spectrum.lambdas[d], spectrum.lambdas[d - 1]
     mu = min(mu_lo + draw(st.floats(0.0, 1.0)) * (mu_hi - mu_lo), mu_hi)
-    return draw(st.sampled_from([
+    fixed = [
         functools.partial(hs_lower_bound, cov, delta),
         functools.partial(denoise_lower_bound, denoise, delta),
         functools.partial(excess_lower_bound, cov, mu),
+    ]
+    searches = [
         functools.partial(excess_lower_bound, cov, "auto"),
         functools.partial(optimize_delta, cov),
         functools.partial(optimize_delta, denoise),
-    ]))
+    ]
+    return draw(st.sampled_from(searches if searches_only else fixed + searches))
 
 
 @pytest.fixture(scope="module")
@@ -1115,9 +1119,14 @@ def _search_programs(model, u):
     return progs
 
 
+def prefix_cuts(prog):
+    """The prefix cuts of ``prog``, from its crossing edge caps and its row and column caps."""
+    return bounds._prefix_cuts(bounds._crossing_caps(prog.caps), prog.row_caps, prog.col_caps)
+
+
 def assert_prefix_min_is_optimum(prog, lp=True):
     """The least prefix cut of ``prog`` equals its max flow (and its LP optimum) to 1e-9."""
-    least = bounds._prefix_cuts(prog).min()
+    least = prefix_cuts(prog).min()
     for optimum in [substochastic_max(prog).value] + ([lp_oracle([prog])[0]] if lp else []):
         assert abs(least - optimum) <= 1e-9 * optimum, (least, optimum)
 
@@ -1136,7 +1145,7 @@ class TestPrefixCuts:
             rows_in, cols_in = np.arange(nr) < a, np.arange(nc) < c
             crossing = prog.caps[np.ix_(rows_in, ~cols_in)].sum()
             expected[a, c] = prog.row_caps[~rows_in].sum() + crossing + prog.col_caps[cols_in].sum()
-        cuts = bounds._prefix_cuts(prog)
+        cuts = prefix_cuts(prog)
         np.testing.assert_allclose(cuts, expected, rtol=1e-12, atol=0.0)
         assert substochastic_max(prog).value <= cuts.min() * (1.0 + 1e-12)
 
@@ -1194,6 +1203,52 @@ class TestPrefixCuts:
         delta, result = optimize_delta(model)
         assert type(delta) is float and type(result.params["delta"]) is float
         assert type(excess_lower_bound(model, "auto").params["mu"]) is float
+
+
+class TestSearchReuse:
+    """A search builds its edge caps from one Fisher rectangle and moves only the
+    row and column caps; canonical_bound builds and solves one program."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: excess_lower_bound(CovModel(exp_spectrum(0.02, 20, 10), 100), "auto"),
+            lambda: optimize_delta(CovModel(exp_spectrum(0.02, 60, 30), 1e5)),
+            lambda: optimize_delta(DenoiseModel(exp_spectrum(0.02, 60, 30), 0.1)),
+            lambda: canonical_bound(CovModel(exp_spectrum(0.3, 12, 4), 1000)),
+        ],
+        ids=["excess_auto", "optimize_delta_cov", "optimize_delta_denoise", "canonical"],
+    )
+    def test_one_fisher_rectangle_per_call(self, call):
+        with mock.patch.object(bounds, "_fisher_rectangle", wraps=bounds._fisher_rectangle) as rect:
+            call()
+        assert rect.call_count == 1
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(bound_calls(searches_only=True))
+    @example(functools.partial(  # no drawn input underflows an excess cap; this one does
+        excess_lower_bound, CovModel(Spectrum([2e-300, 1e-300], 1), n=10**300), "auto"
+    ))
+    def test_search_has_the_bits_of_a_bound_at_its_pick(self, search):
+        """The search's result is the bound built afresh at the parameter it picked,
+        to the byte; where the excess caps underflow or overflow, the search and a
+        fixed-mu bound raise the same error."""
+        model = search.args[0]
+        try:
+            found = search()
+        except InvalidInput as raised:
+            assert search.func is excess_lower_bound
+            with pytest.raises(InvalidInput) as fixed:
+                excess_lower_bound(model, float(model.spectrum.lambdas[model.spectrum.d]))
+            assert str(fixed.value) == str(raised)
+            return
+        if search.func is optimize_delta:
+            delta, result = found
+            bound = hs_lower_bound if model.kind == "covariance" else denoise_lower_bound
+            fresh = bound(model, delta)
+        else:
+            result, fresh = found, excess_lower_bound(model, found.params["mu"])
+        assert json.dumps(result.to_json_dict()) == json.dumps(fresh.to_json_dict())
 
 
 class TestCanonicalBound:

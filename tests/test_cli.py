@@ -189,7 +189,7 @@ class TestBoundCommand:
         "kind, dominating, replace, n",
         [
             ("relrank", "substochastic_max", bounds.FlowSolution._replace, "12"),
-            ("canonical", "hs_lower_bound", dataclasses.replace, "8"),
+            ("canonical", "substochastic_max", bounds.FlowSolution._replace, "8"),
         ],
     )
     def test_failed_domination_check_is_exit_4_with_one_line(
