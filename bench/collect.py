@@ -20,7 +20,10 @@ checkout this script sits in), one step after another:
 - ``python -c "import subspace_bounds"``, the floor under every command: the
   CLI is bound by its imports;
 - the ``report --family exp --alpha 1 --p 12 --n 100000 --d-min 3 --d-max 6
-  --simulate 600`` command, timed as a whole.
+  --simulate 600`` command, timed as a whole;
+- the ``bound hs --spectrum exp:0.02,400 --d 200 --n 1000 --delta auto`` command
+  with ``--out`` (``bound_p400``): a bound at p = 400, whose 200 x 200 artifact
+  costs more to write than the bound does to compute.  A record, not a gate.
 
 ``commit`` is ``git describe --always`` of that checkout, with ``-dirty`` added
 when ``git status --porcelain`` lists anything, untracked files included, since
@@ -46,6 +49,8 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPORT_ARGS = ["report", "--family", "exp", "--alpha", "1", "--p", "12", "--n", "100000",
                "--d-min", "3", "--d-max", "6", "--simulate", "600"]
+BOUND_P400_ARGS = ["bound", "hs", "--spectrum", "exp:0.02,400", "--d", "200", "--n", "1000",
+                   "--delta", "auto"]
 
 
 def _timed(cmd: list[str], root: str) -> dict:
@@ -131,6 +136,7 @@ def collect(root: str) -> dict:
             readme.append({"command": "subspace-bounds " + " ".join(argv),
                            "wall_s": run["wall_s"], "exit_code": run["exit_code"]})
         report = _timed([py, "-m", "subspace_bounds.cli", *REPORT_ARGS, "--out", os.path.join(tmp, "r.csv")], root)
+        large = _timed([py, "-m", "subspace_bounds.cli", *BOUND_P400_ARGS, "--out", os.path.join(tmp, "b.json")], root)
     floor = _timed([py, "-c", "import subspace_bounds"], root)
     return {
         "commit": commit,
@@ -145,6 +151,8 @@ def collect(root: str) -> dict:
                          "wall_s": floor["wall_s"], "exit_code": floor["exit_code"]},
         "report_simulate_600": {"command": "subspace-bounds " + " ".join(REPORT_ARGS),
                                 "wall_s": report["wall_s"], "exit_code": report["exit_code"]},
+        "bound_p400": {"command": "subspace-bounds " + " ".join(BOUND_P400_ARGS) + " --out b.json",
+                       "wall_s": large["wall_s"], "exit_code": large["exit_code"]},
     }
 
 

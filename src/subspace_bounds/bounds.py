@@ -13,11 +13,13 @@ max-flow problem on
     col j  -> sink    (capacity col_cap_j)
 
 using Dinic's algorithm, whose first phase (the row-major greedy flow)
-runs in numpy with the bits of the Python DFS: the leading rows that cannot
-saturate as one vectorized block, the rest a row at a time.  The solver
-reverses the columns, so that phase starts each row of a bound program from
-its smallest edge cap; on every bound program tried it was already a maximum
-flow, and only general programs reach a later phase.  A solve reads and
+runs in numpy with the bits of the Python DFS: the leading rows that a
+monotone pre-test shows cannot saturate as one vectorized block, the rest a
+row at a time.  The solver reverses the columns, so that phase starts each
+row of a bound program from its smallest edge cap.  On the bound class (edge
+caps rising down the rows and falling along the columns, row caps
+non-increasing, column caps non-decreasing) a property test gates that it is
+a maximum flow; general programs reach later phases.  A solve reads and
 writes its nr x nc data through a fixed set of buffers: the reversed caps of
 the built edges, which become the forward residuals in place, the first
 phase's work matrix, which holds the flows, the flows in column order, and
@@ -54,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CheckFailed, ConditionNotMet, InvalidInput
-from .equivariance import WeightMatrix
+from .equivariance import WeightMatrix, gap_weights
 from .models import CovModel, DenoiseModel
 
 DUALITY_TOL = 1e-9
@@ -237,45 +239,43 @@ def _first_phase(caps, row_caps, col_caps):
     search on every row.  ``substochastic_max`` passes the columns reversed,
     so each row of a bound program starts from its smallest edge cap.
 
-    The leading rows that cannot saturate go first, as one block.  A row's
-    a's are at most its caps clipped at the column caps, so a row whose
-    clipped caps sum below its cap never saturates; in a bound program these
-    rows are a prefix (caps rise down the rows, row caps do not).  Up to the
-    first row that fails that test, row i of ``work`` first takes the column
-    residuals before row i, from one ``subtract.accumulate`` down the caps
-    that starts from the column caps.  A row that does not saturate pushes
+    The leading rows that cannot saturate go first, as one block.  Its
+    invariant is a monotone pre-test: the tail of ``work`` first takes each
+    row's caps clipped at the column caps, and a row passes when one
+    ``subtract.reduce`` of its work row, the loop's subtractions in the loop's
+    order, leaves a last r > 0.  The block pushes a's that are at most those
+    clipped caps, and fl(x - y) rises with x and falls with y, so each of the
+    block's r's is at least the pre-test's: a row that passes keeps a last
+    r > 0 in the block and does not saturate.  Up to the first row that fails
+    (in a bound program the rows that pass are a prefix: caps rise down the
+    rows, row caps do not), row i of ``work`` takes the column residuals
+    before row i, from one ``subtract.accumulate`` down the caps that starts
+    from the column caps.  A row that does not saturate pushes
     min(cap, residual): the cap while the residual exceeds it, leaving
     c - cap, and else all of c, leaving c - c = +0.0, after which the column
     stays at +0.0.  The accumulated c - cap first falls to <= 0 at that row,
     and stays <= 0 below it, so each value <= 0 is set to +0.0 (by
     ``copyto``: ``maximum`` could keep a -0.0).  Then a = min(cap, residual)
-    in place, and a row's last r is one ``subtract.reduce`` along its work
-    row, the loop's subtractions in the loop's order.  The clipped sum and
-    the r's round differently, so if some row's last r is not > 0, the block
-    is cut at that row and taken again on the rows before it, whose r's are
-    then all > 0.  The loop would not saturate any row of the block either,
-    so it would make the same pushes from the same residuals: the block has
-    the loop's bits, and the loop runs on from the row where it stops.
+    in place, and each row's last r is one ``subtract.reduce`` along its work
+    row.  The loop would make the same pushes from the same residuals, so
+    the block has the loop's bits, and the loop runs on from the first row
+    that fails.
     """
     nr, nc = len(row_caps), len(col_caps)
     work, r = np.zeros((nr + 1, nc + 1)), np.empty(nc + 1)
     work[:-1, 0] = row_caps
     row_res, col_res = row_caps.copy(), work[-1, 1:]
-    fits = np.minimum(caps, col_caps, out=work[:-1, 1:]).sum(axis=1) < row_caps
+    np.minimum(caps, col_caps, out=work[:-1, 1:])
+    fits = np.subtract.reduce(work[:-1], axis=1) > 0.0
     t = nr if fits.all() else int(fits.argmin())
-    while True:  # the block of rows before t; at most twice
-        c = work[: t + 1, 1:]  # row i: the column residuals before row i, then its a's
-        c[0] = 0.0
-        np.copyto(c[0], col_caps, where=col_caps > 0.0)
-        c[1:] = caps[:t]
-        np.subtract.accumulate(c, axis=0, out=c)
-        np.copyto(c, 0.0, where=c <= 0.0)
-        np.minimum(caps[:t], c[:-1], out=c[:-1])
-        last = np.subtract.reduce(work[:t], axis=1)
-        if (last > 0.0).all():
-            break
-        t = int((last > 0.0).argmin())
-    row_res[:t] = last
+    c = work[: t + 1, 1:]  # row i: the column residuals before row i, then its a's
+    c[0] = 0.0
+    np.copyto(c[0], col_caps, where=col_caps > 0.0)
+    c[1:] = caps[:t]
+    np.subtract.accumulate(c, axis=0, out=c)
+    np.copyto(c, 0.0, where=c <= 0.0)
+    np.minimum(caps[:t], c[:-1], out=c[:-1])
+    row_res[:t] = np.subtract.reduce(work[:t], axis=1)
     col_res[...] = c[-1]
     work[t:-1, 1:] = 0.0
     for i in (t + np.flatnonzero(row_caps[t:] > 0.0)).tolist():
@@ -297,9 +297,11 @@ def substochastic_max(prog: SubstochasticProgram) -> FlowSolution:
     value and constraint-activity flags.  The program is solved with its
     columns reversed, and the flows and the cut's columns are reversed
     back.  Every bound program's edge caps fall along its columns, so the
-    first phase then starts each row from its smallest cap; on every bound
-    program tried, that greedy flow was already a maximum flow, and no later
-    phase ran.  Dinic's first phase runs in numpy;
+    first phase then starts each row from its smallest cap.  On the bound
+    class, where the edge caps also rise down the rows, the row caps do not
+    rise and the column caps do not fall, that greedy flow is a maximum flow
+    and no later phase runs (gated by a derandomized property test, not
+    proven).  Dinic's first phase runs in numpy;
     the later phases and the final BFS run in ``_MaxFlowGraph`` on the
     residual matrices, whose reverse residuals are the flows.  The reversed
     caps of the built edges are written once into a buffer with a zero row
@@ -437,7 +439,7 @@ class BoundResult:
             "schema": 1,
             "value": self.value,
             "prefactor": self.prefactor,
-            "x": [[float(v) for v in row] for row in self.x],
+            "x": self.x.tolist(),
             "rows": list(self.rows),
             "cols": list(self.cols),
             "flow_value": self.flow_value,
@@ -445,7 +447,7 @@ class BoundResult:
             "tight": {
                 "rows": list(self.tight_rows),
                 "cols": list(self.tight_cols),
-                "edges": [[bool(v) for v in row] for row in self.tight_edges],
+                "edges": self.tight_edges.tolist(),
             },
             "params": self.params,
         }
@@ -634,9 +636,9 @@ def _excess_index_sets(model: CovModel) -> tuple[int, int]:
 
 
 def _excess_lines(model: CovModel, mu: float, r: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row caps max(lam_i - mu, 0) and column caps max(mu - lam_j, 0) at split level mu."""
-    lam = model.spectrum.lambdas
-    return np.maximum(lam[:r] - mu, 0.0), np.maximum(mu - lam[s:], 0.0)
+    """Row caps lam_i - mu and column caps mu - lam_j at split level mu: the gap weights."""
+    w = gap_weights(model.spectrum, mu)
+    return w[:r], w[s:]
 
 
 def _excess_program(model: CovModel, mu: float, r: int, s: int) -> SubstochasticProgram:

@@ -271,7 +271,7 @@ def cmd_simulate(args) -> int:
     )
     text = _csv_text(SIMULATE_COLUMNS, [row])
     if args.out:
-        if os.path.exists(args.out):  # appending: the file has its header
+        if os.path.exists(args.out) and os.path.getsize(args.out):  # it has its header
             text = text.partition("\r\n")[2]
         with open(args.out, "a", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -423,14 +423,11 @@ def cmd_report(args) -> int:
     center, in_band = verify.ratio_band(ratios)
     print(f"ratio band: min {lo:.4g}, max {hi:.4g}, spread x{hi / lo:.3f}, center {center:.4g}")
     if args.family == "exp":
-        valid = [(d, r) for d, r in zip(ds, rows) if r[6]]
-        xs = np.array([d for d, _ in valid], dtype=float)
-        ys = np.array([np.log(r[7] * args.n) - np.log(d) for d, r in valid])
-        slope = float(np.polyfit(xs, ys, 1)[0])
-        ok = abs(slope + args.alpha) <= 0.1 * args.alpha
+        valid = [(d, r[7]) for d, r in zip(ds, rows) if r[6]]
+        slope, ok = verify.decay_slope(*zip(*valid), args.n, args.alpha)
         print(
             f"{'PASS' if ok else 'FAIL'} decay-slope fit: slope {slope:.4f} "
-            f"vs -alpha {-args.alpha:.4f} (tolerance 10%)"
+            f"vs -alpha {-args.alpha:.4f} (tolerance {verify.SLOPE_TOL:.0%})"
         )
     else:
         ok = in_band

@@ -157,11 +157,12 @@ def weighted_loss(u: OrthMatrix, a, d: int, w: WeightMatrix) -> float:
     return float((w.w * coords * coords).sum())
 
 
-def excess_risk_weights(spectrum: Spectrum, mu: float) -> WeightMatrix:
-    """Spectral-gap weights: row k is lam_k - mu for k < d and mu - lam_k after.
+def gap_weights(spectrum: Spectrum, mu: float) -> np.ndarray:
+    """The spectral gaps lam_k - mu for k < d and mu - lam_k after, a length-p vector.
 
     Requires mu between the eigenvalues adjacent to the split,
-    lam_{d+1} <= mu <= lam_d (1-based), so all weights are nonnegative.
+    lam_{d+1} <= mu <= lam_d (1-based), so every gap is an exact difference
+    >= +0.0.
     """
     lam = spectrum.lambdas
     d = spectrum.d
@@ -169,8 +170,12 @@ def excess_risk_weights(spectrum: Spectrum, mu: float) -> WeightMatrix:
         raise InvalidInput("excess-risk weights need d < p")
     if not lam[d] <= mu <= lam[d - 1]:
         raise InvalidInput(f"mu={mu} outside [{lam[d]}, {lam[d - 1]}]")
-    rows = np.where(np.arange(spectrum.p) < d, lam - mu, mu - lam)
-    return WeightMatrix(np.repeat(rows[:, None], spectrum.p, axis=1))
+    return np.where(np.arange(spectrum.p) < d, lam - mu, mu - lam)
+
+
+def excess_risk_weights(spectrum: Spectrum, mu: float) -> WeightMatrix:
+    """Spectral-gap weights: row k repeats ``gap_weights(spectrum, mu)[k]``."""
+    return WeightMatrix(np.repeat(gap_weights(spectrum, mu)[:, None], spectrum.p, axis=1))
 
 
 def excess_risk(spectrum: Spectrum, u: OrthMatrix, p_hat: Projector) -> float:

@@ -117,6 +117,18 @@ def _sort_and_sign(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.n
     return vals, np.where(lead_entry[:, None, :] < 0, -vecs, vecs)
 
 
+def _eigh(stack, hermitian) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(hermitian(a))`` of a (B, n, n) stack ``a``: InvalidInput
+    unless the stack's matrices are square, NotConverged if LAPACK fails."""
+    a = np.asarray(stack, dtype=np.float64)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise InvalidInput(f"expected a stack of square matrices, got shape {a.shape}")
+    try:
+        return np.linalg.eigh(hermitian(a))
+    except np.linalg.LinAlgError as exc:
+        raise NotConverged(f"LAPACK eigensolver failed: {exc}") from exc
+
+
 def sym_eig(stack) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of every matrix of a (B, n, n) stack by LAPACK (``np.linalg.eigh``).
 
@@ -126,15 +138,7 @@ def sym_eig(stack) -> tuple[np.ndarray, np.ndarray]:
     columns, each with its first coordinate of magnitude above 1e-12
     positive.  Raises NotConverged if LAPACK reports no convergence.
     """
-    a = np.asarray(stack, dtype=np.float64)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise InvalidInput(f"expected a stack of square matrices, got shape {a.shape}")
-    sym = symmetrized(a)
-    try:
-        vals, vecs = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NotConverged(f"LAPACK eigensolver failed: {exc}") from exc
-    vals, vecs = _sort_and_sign(vals, vecs)
+    vals, vecs = _sort_and_sign(*_eigh(stack, symmetrized))
     require_orthogonal(vecs)
     return vals, vecs
 
@@ -147,16 +151,9 @@ def skew_exp(xis, ts) -> np.ndarray:
     exp(t xi) = Re(V diag(exp(-1j t w)) V^H) in any eigenbasis.  A rotation
     gets the same bits alone as in any stack.  NotConverged if LAPACK fails.
     """
-    a = np.asarray(xis, dtype=np.float64)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise InvalidInput(f"expected a stack of square matrices, got shape {a.shape}")
-    try:
-        w, v = np.linalg.eigh(1j * antisymmetrized(a))
-    except np.linalg.LinAlgError as exc:
-        raise NotConverged(f"LAPACK eigensolver failed: {exc}") from exc
+    w, v = _eigh(xis, lambda a: 1j * antisymmetrized(a))
     phases = np.exp(-1j * np.asarray(ts, dtype=np.float64)[:, None] * w[:, None, :])
     v = v[:, None]
     result = ((v * phases[:, :, None, :]) @ v.conj().swapaxes(-1, -2)).real
     require_orthogonal(result)
     return result
-

@@ -70,7 +70,7 @@ class Spectrum:
         return bool(self.lambdas[-1] > 0)
 
     def to_json_dict(self) -> dict:
-        return {"lambdas": [float(x) for x in self.lambdas], "d": self.d}
+        return {"lambdas": self.lambdas.tolist(), "d": self.d}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Spectrum":

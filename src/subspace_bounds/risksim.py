@@ -18,7 +18,7 @@ scored as a stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,15 +69,7 @@ class RiskEstimate:
     resampled: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "loss": self.loss,
-            "resampled": self.resampled,
-        }
+        return {"schema": 1, **asdict(self)}
 
 
 def _degenerate(values: np.ndarray, d: int) -> np.ndarray:
@@ -240,18 +232,9 @@ class OverlapReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "i": self.i,
-            "j": self.j,
-            "n": self.n,
-            "replicates": self.replicates,
-            "sample_mean": self.sample_mean,
-            "std_error": self.std_error,
-            "target": self.target,
-            "z_score": self.z_score,
-            "status": "PASS" if self.passed else "FAIL",
-        }
+        record = {"schema": 1, **asdict(self)}
+        record["status"] = "PASS" if record.pop("passed") else "FAIL"
+        return record
 
 
 def overlap_clt(model: CovModel, i: int, j: int, replicates: int, rng) -> OverlapReport:

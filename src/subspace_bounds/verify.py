@@ -32,6 +32,7 @@ LP_TOL = 1e-8  # |flow optimum - LP optimum|
 GAP_TOL = 1e-9  # |flow value - cut value|
 DOMINATION_SE = 3.0  # simulated risk + this many standard errors must reach the bound
 BAND_FACTOR = 3.0
+SLOPE_TOL = 0.1  # relative error of the fitted exp decay slope against -alpha
 LP_BLOCK = 500  # programs per LP solve of lp_oracle_check: criterion 1's count
 
 
@@ -142,6 +143,15 @@ def ratio_band(ratios) -> tuple[float, bool]:
     center = float(np.exp(np.mean(np.log(ratios))))
     within = max(ratios) <= BAND_FACTOR * center and min(ratios) >= center / BAND_FACTOR
     return center, within
+
+
+def decay_slope(ds, values, n: int, alpha: float) -> tuple[float, bool]:
+    """(least-squares slope of log(n value / d) against d over the bound values at
+    each d, whether it lies within SLOPE_TOL * alpha of -alpha, the slope of the
+    "exp" rate shape d e^{-alpha d} / n)."""
+    xs = np.asarray(ds, dtype=np.float64)
+    slope = float(np.polyfit(xs, np.log(np.asarray(values) * n) - np.log(xs), 1)[0])
+    return slope, abs(slope + alpha) <= SLOPE_TOL * alpha
 
 
 def domination(estimate, bound: float) -> tuple[float, bool]:

@@ -58,6 +58,7 @@ def test_gate_constants_are_pinned():
     assert (verify.LP_TOL, verify.GAP_TOL, verify.IDENTITY_TOL, verify.FD_TOL) == (1e-8, 1e-9, 1e-9, 1e-4)
     assert verify.DECADE_RATIO == (5.0, 20.0) and verify.DOMINATION_SE == 3.0
     assert verify.FD_STEPS == (1e-3, 1e-4, 1e-5) and verify.BAND_FACTOR == 3.0
+    assert verify.SLOPE_TOL == 0.1
 
 
 def test_criterion_1_flow_matches_lp_oracle():

@@ -1,7 +1,7 @@
 """``bench/collect.py`` stops before it runs anything when its root is not a git
 checkout, marks its commit dirty when the checkout holds any change, and its record times each acceptance criterion (from the tier-1 run's
-durations), each README command and the bare import, and holds the result of
-the benchmark harness's own tests."""
+durations), each README command, a bound at p = 400 and the bare import, and
+holds the result of the benchmark harness's own tests."""
 
 import importlib.util
 import json
@@ -120,11 +120,17 @@ def test_record_times_each_criterion_readme_command_and_the_import(tmp_path, mon
     readme = record["readme_commands"]
     assert len(readme) >= 10 and all(r["command"].startswith("subspace-bounds ") for r in readme)
     cli_runs = [cmd[3:] for cmd in commands if cmd[1:3] == ["-m", "subspace_bounds.cli"]]
-    assert len(cli_runs) == len(readme) + 1  # the README commands and the report
+    assert len(cli_runs) == len(readme) + 2  # the README commands, the report and the p = 400 bound
     for run in cli_runs:
         if "--out" in run:
             sent = pathlib.Path(run[run.index("--out") + 1])
             assert sent.parent != tmp_path and tmp_path not in sent.parents
+
+    assert cli_runs[-1][:-2] == collect.BOUND_P400_ARGS and cli_runs[-1][-2] == "--out"
+    assert record["bound_p400"] == {
+        "command": "subspace-bounds bound hs --spectrum exp:0.02,400 --d 200 --n 1000 --delta auto --out b.json",
+        "wall_s": 0.5, "exit_code": 0,
+    }
 
     assert record["import_floor"] == {
         "command": 'python -c "import subspace_bounds"', "wall_s": 0.5, "exit_code": 0

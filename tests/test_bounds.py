@@ -355,10 +355,10 @@ def monotone_programs(draw, max_side=6):
     return SubstochasticProgram(caps, row_caps, col_caps)
 
 
-# Row 1 fits below its row cap 1.32 by the clipped sum (0.13 + 0.28 + 0.3 + 0.61
-# rounds to 1.32 - ulp), but the solver, scanning it from its last column, is left
-# with 1.32 - 0.13 - 0.28 - 0.3 - 0.61 = -1.1e-16: the block of rows 0 and 1 is cut
-# back to row 0, and the row loop saturates row 1, pushing what is left of the row
+# Row 1's clipped caps sum below its row cap 1.32 (0.13 + 0.28 + 0.3 + 0.61 rounds
+# to 1.32 - ulp), but subtracted from it in the solver's order, from its last
+# column, they leave 1.32 - 0.13 - 0.28 - 0.3 - 0.61 = -1.1e-16: the block stops
+# before row 1, and the row loop saturates row 1, pushing what is left of the row
 # cap (0.61 - ulp) on its last arc and leaving 0.0.  Row 2 does not fit.
 TRUNCATED_BLOCK = SubstochasticProgram(
     [[0.1] * 4, [0.61, 0.3, 0.28, 0.13], [np.inf] * 4], [1.0, 1.32, 1.0], [2.0] * 4
@@ -599,11 +599,16 @@ class TestSubstochasticMax:
         prog = scaled(prog, k)
         assert_same_bits(substochastic_max(prog), reference_solution(prog))
 
-    def test_block_is_cut_at_a_row_whose_residual_runs_out(self):
+    def test_block_stops_before_row_1(self):
+        """Row 1's clipped caps sum below its row cap, but the pre-test subtracts
+        them in the loop's order and is left with a last residual below 0, so the
+        block is row 0 alone and the row loop saturates row 1."""
         prog = TRUNCATED_BLOCK
         caps, col_caps = prog.caps[:, ::-1], prog.col_caps[::-1]
-        fits = np.minimum(caps, col_caps).sum(axis=1) < prog.row_caps
-        assert fits.tolist() == [True, True, False]
+        clipped = np.minimum(caps, col_caps)
+        assert (clipped.sum(axis=1) < prog.row_caps).tolist() == [True, True, False]
+        fits = np.subtract.reduce(np.column_stack([prog.row_caps, clipped]), axis=1) > 0.0
+        assert fits.tolist() == [True, False, False]
         left = [1.32]
         for cap in caps[1].tolist():
             left.append(left[-1] - cap)
@@ -702,6 +707,25 @@ class TestLaterPhases:
         """Every flow solve of a bound or a search ends with its first phase."""
         _, counts = counted_solves(call)
         assert counts and all(phases == 0 for phases, _ in counts)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(monotone_programs())
+    def test_greedy_flow_is_maximum_on_the_bound_class(self, prog):
+        """Edge caps rising down the rows and falling along the columns, row caps
+        non-increasing and column caps non-decreasing, as in the bound programs:
+        the first phase is a maximum flow, and the least prefix cut equals it."""
+        prog = SubstochasticProgram(prog.caps, np.sort(prog.row_caps)[::-1], np.sort(prog.col_caps))
+        sol, (phases, _) = solve_counted(prog)
+        assert phases == 0
+        least = bounds._prefix_cuts(bounds._crossing_caps(prog.caps), prog.row_caps, prog.col_caps).min()
+        assert abs(least - sol.value) <= bounds.DUALITY_TOL * sol.value
+
+    def test_neither_line_monotone_runs_a_later_phase(self):
+        """Monotone edge caps, row caps rising and column caps falling: the first
+        phase fills row 0 from column 1 and leaves row 1 only column 0, flow 2 of 3."""
+        prog = SubstochasticProgram(np.ones((2, 2)), [1.0, 3.0], [3.0, 1.0])
+        sol, (phases, _) = solve_counted(prog)
+        assert phases > 0 and sol.value == 3.0
 
     def test_sparse_family_needs_several_phases(self):
         phases = [solve_counted(sparse_program(80, 80, 5, seed))[1][0] for seed in range(20)]

@@ -13,8 +13,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from subspace_bounds import bounds, exp_spectrum
-from subspace_bounds.cli import main
+from subspace_bounds import bounds, exp_spectrum, verify
+from subspace_bounds.cli import SIMULATE_COLUMNS, main
 
 # Args, artifact and stdout of two `verify` commands per suite, as the CLI
 # wrote them while it still ran each suite's loops itself.  The fisher-limit
@@ -559,6 +559,15 @@ class TestSimulateCommand:
         lines = [l for l in out.read_bytes().decode("utf-8").split("\r\n") if l]
         assert lines[1] == lines[2]
 
+    def test_empty_file_gets_the_header(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        out.touch()
+        run(self.ARGS + ["--out", str(out)])
+        run(self.ARGS + ["--out", str(out)])
+        lines = out.read_bytes().decode("utf-8").split("\r\n")
+        assert lines[0] == ",".join(SIMULATE_COLUMNS)
+        assert lines[1] == lines[2] and lines[1].startswith("cov,") and lines[3:] == [""]
+
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SUBSPACE_BOUNDS_SEED", "1")
         out = tmp_path / "env.csv"
@@ -758,6 +767,15 @@ class TestReportCommand:
         assert run(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: the exp slope fit needs two or more d") and err.count("\n") == 1
+
+    def test_slope_verdict_reads_its_tolerance_from_verify(self, capsys):
+        args = ["report", "--family", "exp", "--alpha", "1", "--p", "12", "--n", "1000000",
+                "--d-min", "3", "--d-max", "6"]
+        assert run(args) == 0
+        assert "PASS decay-slope fit" in capsys.readouterr().out
+        with mock.patch.object(verify, "SLOPE_TOL", 0.0):
+            assert run(args) == 4
+        assert capsys.readouterr().out.splitlines()[-1].endswith("(tolerance 0%)")
 
     def test_one_valid_d_is_usage_error_for_poly(self, capsys):
         # d = 1 meets the bound condition and d = 2..4 do not: one ratio makes no band.
