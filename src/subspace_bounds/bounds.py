@@ -41,7 +41,10 @@ lower envelope of the prefix cuts' lines in the parameter, pick the maximum
 from the signs of its pieces' rises, and solve one flow there that must
 equal the envelope.  The parameter moves only the row and column caps, so a
 search builds its edge caps (one Fisher rectangle) and their prefix sums
-once, and each set of cuts adds its row and column caps to them.  A
+once, and each set of cuts adds its row and column caps to them.  The
+least cut of each slope is a column minimum of one flat buffer of inf,
+into which the cuts are written through a plain reshape of a slice, with
+no index arrays.  A
 sparse LP oracle (scipy HiGHS) provides an independent verification path
 at any size, solving a sequence of programs as one block-diagonal LP, and
 is used only by tests and the verify command.
@@ -84,11 +87,12 @@ class SubstochasticProgram:
             raise InvalidInput("caps must be a 2-d array")
         if row_caps.shape != (caps.shape[0],) or col_caps.shape != (caps.shape[1],):
             raise InvalidInput("row/col cap lengths must match the caps array")
-        if not (caps >= 0.0).all():  # NaN fails too
+        # One reduction per test, each failed by NaN: min and max propagate it.
+        if not caps.min(initial=0.0) >= 0.0:
             raise InvalidInput("edge caps must be nonnegative (inf allowed)")
-        if not np.all(np.isfinite(row_caps)) or np.any(row_caps < 0):
+        if not (row_caps.min(initial=0.0) >= 0.0 and row_caps.max(initial=0.0) < np.inf):
             raise InvalidInput("row caps must be finite and nonnegative")
-        if not np.all(np.isfinite(col_caps)) or np.any(col_caps < 0):
+        if not (col_caps.min(initial=0.0) >= 0.0 and col_caps.max(initial=0.0) < np.inf):
             raise InvalidInput("col caps must be finite and nonnegative")
         for name, arr in (("caps", caps), ("row_caps", row_caps), ("col_caps", col_caps)):
             arr.setflags(write=False)
@@ -155,7 +159,8 @@ class _MaxFlowGraph:
 
     def _levels(self) -> tuple[np.ndarray, np.ndarray]:
         """BFS distances from s of the rows (t last) and columns up to t's level, else -1."""
-        fwd, rev, rows = self.fwd > 0.0, self.rev > 0.0, np.append(self.row_res > 0.0, False)
+        fwd, rev, rows = self.fwd > 0.0, self.rev > 0.0, np.zeros(len(self.row_res) + 1, bool)
+        np.greater(self.row_res, 0.0, out=rows[:-1])
         row_level, col_level, depth = np.where(rows, 1, -1), np.full(fwd.shape[1], -1), 2
         while not rows[-1] and (cols := fwd[rows].any(axis=0) & (col_level < 0)).any():
             col_level[cols] = depth
@@ -345,9 +350,10 @@ def _certified(prog, built, x, rows_in, cols_in) -> FlowSolution:
     col_sums = x.sum(axis=0)
     tol = FEAS_TOL * max(1.0, value)
     scratch = np.subtract(x, prog.caps)
-    if (x < -tol).any() or (scratch > tol).any():
+    if x.min(initial=0.0) < -tol or scratch.max(initial=0.0) > tol:  # x is not NaN: the gap held
         raise CheckFailed("solver returned an infeasible mass matrix")
-    if np.any(row_sums - prog.row_caps > tol) or np.any(col_sums - prog.col_caps > tol):
+    row_over, col_over = row_sums - prog.row_caps, col_sums - prog.col_caps
+    if row_over.max(initial=0.0) > tol or col_over.max(initial=0.0) > tol:
         raise CheckFailed("solver violated a row/column cap")
     tight_rows = row_sums >= prog.row_caps - tol
     tight_cols = col_sums >= prog.col_caps - tol
@@ -562,8 +568,29 @@ def _prefix_cuts(crossing: np.ndarray, row_caps: np.ndarray, col_caps: np.ndarra
     """Capacity of the cut with rows < a and columns < c on the source side, at [a, c]:
     the row caps of rows >= a, the crossing edge caps (``_crossing_caps``) and the
     column caps of columns < c."""
-    rows_out = np.append(np.cumsum(row_caps[::-1])[::-1], 0.0)
-    return rows_out[:, None] + crossing + np.append(0.0, np.cumsum(col_caps))
+    rows_out, cols_in = np.zeros(len(row_caps) + 1), np.zeros(len(col_caps) + 1)
+    row_caps[::-1].cumsum(out=rows_out[-2::-1])
+    col_caps.cumsum(out=cols_in[1:])
+    return rows_out[:, None] + crossing + cols_in
+
+
+def _least_lines(cuts: np.ndarray, row_slope: int) -> np.ndarray:
+    """The least prefix cut (``_prefix_cuts``) of each slope, from the least slope up.
+
+    Cut [a, c] has slope row_slope (nr - a) + c for row_slope = +-1 (nr >= 1), so a
+    slope's cuts are a diagonal (+1, least slope 0) or an anti-diagonal (-1, least
+    -nr) of ``cuts``.  With W = nr + nc + 1 slopes, cut [a, c] belongs at row a and
+    column slope - least slope of an (nr + 1) x W matrix of inf, whose column minima
+    are the least lines: flat index nr + a (W - 1) + c for +1 and a (W + 1) + c for
+    -1.  So the cuts are written through a reshape, of row length W - row_slope, of a
+    slice of one flat buffer, a view that cannot reach past the buffer.
+    """
+    nr, nc = cuts.shape[0] - 1, cuts.shape[1] - 1
+    w, start = nr + nc + 1, nr if row_slope > 0 else 0
+    flat = np.full((nr + 1) * (w + 1), np.inf)
+    stride = w - row_slope
+    flat[start : start + (nr + 1) * stride].reshape(nr + 1, stride)[:, : nc + 1] = cuts
+    return flat[: (nr + 1) * w].reshape(nr + 1, w).min(axis=0)
 
 
 def _envelope_max(base: SubstochasticProgram, line_caps, lo: float, hi: float, row_slope: int,
@@ -576,7 +603,8 @@ def _envelope_max(base: SubstochasticProgram, line_caps, lo: float, hi: float, r
     their crossing sums (``_crossing_caps``) are built once per search.  Each prefix
     cut is then a line in t with an integer slope, written from its capacity at lo,
     a sum of nonnegative caps.
-    The least line per slope gives the concave lower envelope F.  On a piece
+    The least line per slope (``_least_lines``, from a reshaped flat buffer with no
+    index arrays) gives the concave lower envelope F.  On a piece
     F = m + k (t - lo), F / (1 + b t) rises, stays flat or falls with the sign of
     r = k (1 + b lo) - b m, and r falls strictly from piece to piece (each meets the
     next past lo).  So the maximum is at the start of the first piece with r < 0, on
@@ -589,17 +617,13 @@ def _envelope_max(base: SubstochasticProgram, line_caps, lo: float, hi: float, r
     cut (best responses to prefixes are prefixes); else this raises ``CheckFailed``.
     """
     crossing = _crossing_caps(base.caps)
-    nr, nc = base.shape
-    slopes = row_slope * (nr - np.arange(nr + 1))[:, None] + np.arange(nc + 1)
-    by_slope = np.full((nr + 1, nr + nc + 1), np.inf)
-    by_slope[np.arange(nr + 1)[:, None], slopes - slopes.min()] = _prefix_cuts(
-        crossing, base.row_caps, base.col_caps
-    )
-    least = by_slope.min(axis=0)
+    least = _least_lines(_prefix_cuts(crossing, base.row_caps, base.col_caps), row_slope)
     # Keep the lines below every line of smaller slope at lo.  By falling slope, the first
     # is F's piece at lo (never popped), and each later one crosses those before past lo.
-    kept = np.flatnonzero(least < np.append(np.inf, np.minimum.accumulate(least)[:-1]))[::-1]
-    k, m = (kept + slopes.min()).tolist(), least[kept].tolist()
+    below = np.full(len(least), np.inf)
+    np.minimum.accumulate(least[:-1], out=below[1:])
+    kept = np.flatnonzero(least < below)[::-1]
+    k, m = (kept + min(0, row_slope) * base.shape[0]).tolist(), least[kept].tolist()
     pieces = [(k[0], m[0], 0.0)]  # F's pieces on [lo, hi]: slope, intercept, start - lo
     for kj, mj in zip(k[1:], m[1:]):
         while (start := (mj - pieces[-1][1]) / (pieces[-1][0] - kj)) <= pieces[-1][2] > 0.0:

@@ -22,6 +22,7 @@ import io
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -80,8 +81,42 @@ def _write_text(path: str | None, text: str) -> None:
             handle.write(text)
 
 
+_BOOL_TEXT = {True: "true", False: "false"}
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, to the byte, from one
+    recursive writer; the stdlib takes its pure-Python encoder when ``indent`` is set.
+
+    A list of finite Python floats is joined from ``float.__repr__`` (``json``'s own
+    spelling of them) and a list of bools from "true" and "false", which is where a
+    large artifact's bytes are.  Every other scalar goes through ``json.dumps``, so
+    NaN and Infinity keep their spelling and an unsupported type raises ``TypeError``.
+    Keys must be strings, as the CLI's are; they are encoded as ``json`` encodes them.
+    """
+    return _json_value(obj, "\n") + "\n"
+
+
+def _json_value(obj, newline: str) -> str:
+    """The text of obj as ``json.dumps(..., indent=2)`` writes it after ``newline``."""
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f"{encode_basestring_ascii(k)}: {_json_value(v, inner)}" for k, v in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if not isinstance(obj, (list, tuple)):
+        return json.dumps(obj)
+    if not obj:
+        return "[]"
+    sep, kinds = "," + inner, set(map(type, obj))
+    if kinds == {bool}:
+        parts = map(_BOOL_TEXT.__getitem__, obj)
+    elif kinds == {float} and "n" not in (text := sep.join(map(float.__repr__, obj))):
+        parts = [text]  # all finite: "inf" and "nan" are the float reprs with an "n"
+    else:
+        parts = (_json_value(v, inner) for v in obj)
+    return "[" + inner + sep.join(parts) + newline + "]"
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:

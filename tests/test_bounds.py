@@ -539,8 +539,16 @@ class TestSubstochasticMax:
             ([[0.1, 0.2]], [1.0], [1.0], "row/col cap lengths must match"),
             ([[0.1]], [1.0], [np.inf], "col caps must be finite and nonnegative"),
             ([[0.1]], [1.0], [-1.0], "col caps must be finite and nonnegative"),
+            ([[0.1]], [1.0], [np.nan], "col caps must be finite and nonnegative"),
+            ([[np.nan, 0.1]], [1.0], [1.0, 1.0], r"edge caps must be nonnegative \(inf allowed\)"),
+            ([[0.1], [0.1]], [1.0, np.nan], [1.0], "row caps must be finite and nonnegative"),
+            ([[0.1]], [-np.inf], [1.0], "row caps must be finite and nonnegative"),
+            ([[0.1]], [np.inf], [1.0], "row caps must be finite and nonnegative"),
+            ([[0.1], [0.1]], [1.0, -1.0], [1.0], "row caps must be finite and nonnegative"),
         ],
-        ids=["1d_caps", "row_length", "col_length", "inf_col_cap", "negative_col_cap"],
+        ids=["1d_caps", "row_length", "col_length", "inf_col_cap", "negative_col_cap",
+             "nan_col_cap", "nan_edge_cap", "nan_row_cap", "minus_inf_row_cap", "inf_row_cap",
+             "negative_row_cap"],
     )
     def test_rejects_malformed_programs(self, caps, row_caps, col_caps, message):
         with pytest.raises(InvalidInput, match=message):
@@ -664,6 +672,23 @@ class TestCertified:
         prog = SubstochasticProgram([[1.0, 1.0]], [2.0], [1.0, 1.0])
         with pytest.raises(CheckFailed, match="max-flow duality gap"):
             self.certify(prog, [[1.0, 0.5]])
+
+    def test_negative_mass_raises(self):
+        # the flow 2 meets the cut 2, but one edge carries -0.5
+        prog = SubstochasticProgram([[3.0, 1.0]], [3.0], [1.0, 1.0])
+        with pytest.raises(CheckFailed, match="solver returned an infeasible mass matrix"):
+            self.certify(prog, [[2.5, -0.5]])
+
+    def test_col_cap_breach_raises(self):
+        prog = SubstochasticProgram([[2.0, 1.0]], [2.0], [1.0, 1.0])
+        with pytest.raises(CheckFailed, match="solver violated a row/column cap"):
+            self.certify(prog, [[1.5, 0.5]])
+
+    def test_breaches_within_the_tolerance_pass(self):
+        # edge 0 and column 0 go over their caps by 5e-10, below the tolerance 2e-9
+        prog = SubstochasticProgram([[1.0, 1.0]], [2.0], [1.0, 1.0])
+        sol = self.certify(prog, [[1.0 + 5e-10, 1.0 - 5e-10]])
+        assert sol.tight_rows.tolist() == [True] and sol.tight_edges.tolist() == [[True, True]]
 
 
 class TestLaterPhases:
@@ -1172,6 +1197,22 @@ class TestPrefixCuts:
         cuts = prefix_cuts(prog)
         np.testing.assert_allclose(cuts, expected, rtol=1e-12, atol=0.0)
         assert substochastic_max(prog).value <= cuts.min() * (1.0 + 1e-12)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(programs(max_side=6), st.sampled_from([1, -1]))
+    @example(SubstochasticProgram([[0.5, np.inf, 0.25, 1.0, 0.0, 2.0]], [0.5], [1.0] * 6), 1)
+    @example(SubstochasticProgram([[0.5, np.inf, 0.25, 1.0, 0.0, 2.0]], [0.5], [1.0] * 6), -1)
+    @example(SubstochasticProgram([[0.5], [np.inf], [0.25], [1.0], [0.0], [2.0]], [1.0] * 6, [0.5]), 1)
+    @example(SubstochasticProgram([[0.5], [np.inf], [0.25], [1.0], [0.0], [2.0]], [1.0] * 6, [0.5]), -1)
+    def test_least_lines_are_the_diagonal_minima(self, prog, row_slope):
+        """Cut [a, c] has slope row_slope (nr - a) + c: a slope's cuts are one diagonal
+        of the cut matrix for delta (+1) and one anti-diagonal for mu (-1)."""
+        cuts, (nr, nc) = prefix_cuts(prog), prog.shape
+        if row_slope == 1:  # c - a = slope - nr, slopes 0..nr + nc
+            expected = [np.diagonal(cuts, k - nr).min() for k in range(nr + nc + 1)]
+        else:  # a + c = slope + nr, slopes -nr..nc
+            expected = [np.diagonal(cuts[:, ::-1], nc - k).min() for k in range(nr + nc + 1)]
+        assert bounds._least_lines(cuts, row_slope).tolist() == expected
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(search_models(), st.floats(0.0, 1.0))

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -12,9 +13,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspace_bounds import bounds, exp_spectrum, verify
-from subspace_bounds.cli import SIMULATE_COLUMNS, main
+from subspace_bounds.cli import SIMULATE_COLUMNS, _json_text, main
 
 # Args, artifact and stdout of two `verify` commands per suite, as the CLI
 # wrote them while it still ran each suite's loops itself.  The fisher-limit
@@ -839,6 +842,45 @@ class TestDeterminism:
             )
             rows.append(out.read_bytes())
         assert rows[0] == rows[1]
+
+
+_finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+# Scalars of every JSON kind, NaN, +-inf, -0.0 and np.float64 among the floats; lists
+# that take the writer's fast joins (all finite floats, all bools) and lists that
+# just miss them (a NaN among floats, ints beside bools, np.float64 beside floats).
+_json_leaves = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    _finite_floats.map(np.float64), st.booleans(), st.integers(), st.none(), st.text(),
+    st.lists(_finite_floats), st.lists(st.floats()), st.lists(st.booleans()),
+    st.lists(st.one_of(st.booleans(), st.integers(0, 1))),
+    st.lists(st.one_of(_finite_floats, _finite_floats.map(np.float64))),
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+class TestJsonText:
+    """The CLI's one JSON writer has the bytes of the stdlib's sorted, indented dump."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(_json_values)
+    def test_same_text_as_json_dumps(self, value):
+        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [{}, [], [[]], {"a": {}}, {"é": ["☃", -0.0]}, (1.0, 2.0)])
+    def test_empty_containers_and_non_ascii(self, value):
+        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [np.int64(3), [np.bool_(True)], {"x": [object()]}])
+    def test_unsupported_types_raise_type_error(self, value):
+        with pytest.raises(TypeError) as stdlib:
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError, match=re.escape(str(stdlib.value))):
+            _json_text(value)
 
 
 def _readme_commands() -> list[list[str]]:
