@@ -23,7 +23,12 @@ checkout this script sits in), one step after another:
   --simulate 600`` command, timed as a whole;
 - the ``bound hs --spectrum exp:0.02,400 --d 200 --n 1000 --delta auto`` command
   with ``--out`` (``bound_p400``): a bound at p = 400, whose 200 x 200 artifact
-  costs more to write than the bound does to compute.  A record, not a gate.
+  costs more to write than the bound does to compute.  A record, not a gate;
+- one process that, after one warm-up call, times 20 in-process
+  ``hs_lower_bound`` calls on ``exp:0.02,400``, d = 200, n = 1000, over a
+  delta grid (``bound_sweep_p400``): their wall time and the minor page faults
+  (``ru_minflt``) that they take, the traffic of repeated large bounds.  A
+  record, not a gate.
 
 ``commit`` is ``git describe --always`` of that checkout, with ``-dirty`` added
 when ``git status --porcelain`` lists anything, untracked files included, since
@@ -51,6 +56,19 @@ REPORT_ARGS = ["report", "--family", "exp", "--alpha", "1", "--p", "12", "--n", 
                "--d-min", "3", "--d-max", "6", "--simulate", "600"]
 BOUND_P400_ARGS = ["bound", "hs", "--spectrum", "exp:0.02,400", "--d", "200", "--n", "1000",
                    "--delta", "auto"]
+SWEEP_P400 = """\
+import json, resource, time
+import numpy as np
+from subspace_bounds import CovModel, exp_spectrum, hs_lower_bound
+model = CovModel(exp_spectrum(0.02, 400, 200), 1000)
+hs_lower_bound(model, 1.0)
+faults, start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
+for delta in np.geomspace(0.1, 10.0, 20).tolist():
+    hs_lower_bound(model, delta)
+wall = time.perf_counter() - start
+print(json.dumps({"wall_s": round(wall, 4),
+                  "minflt": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults}))
+"""
 
 
 def _timed(cmd: list[str], root: str) -> dict:
@@ -137,6 +155,8 @@ def collect(root: str) -> dict:
                            "wall_s": run["wall_s"], "exit_code": run["exit_code"]})
         report = _timed([py, "-m", "subspace_bounds.cli", *REPORT_ARGS, "--out", os.path.join(tmp, "r.csv")], root)
         large = _timed([py, "-m", "subspace_bounds.cli", *BOUND_P400_ARGS, "--out", os.path.join(tmp, "b.json")], root)
+    sweep = _timed([py, "-c", SWEEP_P400], root)
+    swept = json.loads(_last_line(sweep)) if sweep["exit_code"] == 0 else {"wall_s": None, "minflt": None}
     floor = _timed([py, "-c", "import subspace_bounds"], root)
     return {
         "commit": commit,
@@ -153,6 +173,9 @@ def collect(root: str) -> dict:
                                 "wall_s": report["wall_s"], "exit_code": report["exit_code"]},
         "bound_p400": {"command": "subspace-bounds " + " ".join(BOUND_P400_ARGS) + " --out b.json",
                        "wall_s": large["wall_s"], "exit_code": large["exit_code"]},
+        "bound_sweep_p400": {"command": "20 hs_lower_bound calls, exp:0.02,400 d=200 n=1000, "
+                                        "delta = geomspace(0.1, 10, 20), after one at delta = 1",
+                             **swept, "exit_code": sweep["exit_code"]},
     }
 
 

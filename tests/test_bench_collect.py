@@ -1,7 +1,8 @@
 """``bench/collect.py`` stops before it runs anything when its root is not a git
 checkout, marks its commit dirty when the checkout holds any change, and its record times each acceptance criterion (from the tier-1 run's
-durations), each README command, a bound at p = 400 and the bare import, and
-holds the result of the benchmark harness's own tests."""
+durations), each README command, a bound at p = 400, a sweep of bounds at
+p = 400 with its page faults and the bare import, and holds the result of the
+benchmark harness's own tests."""
 
 import importlib.util
 import json
@@ -93,6 +94,8 @@ def test_record_times_each_criterion_readme_command_and_the_import(tmp_path, mon
             stdout = tier1_stdout
         elif "perfbench/tests" in cmd:
             stdout = "13 passed in 3.00s\n"
+        elif cmd[1:] == ["-c", collect.SWEEP_P400]:
+            stdout = '{"wall_s": 0.25, "minflt": 7}\n'
         else:
             stdout = '{"workloads": 4}\n'
         return {"exit_code": 0, "wall_s": 0.5, "stdout": stdout}
@@ -130,6 +133,12 @@ def test_record_times_each_criterion_readme_command_and_the_import(tmp_path, mon
     assert record["bound_p400"] == {
         "command": "subspace-bounds bound hs --spectrum exp:0.02,400 --d 200 --n 1000 --delta auto --out b.json",
         "wall_s": 0.5, "exit_code": 0,
+    }
+
+    assert commands[-2][1:] == ["-c", collect.SWEEP_P400]
+    assert record["bound_sweep_p400"]["command"].startswith("20 hs_lower_bound calls")
+    assert {k: v for k, v in record["bound_sweep_p400"].items() if k != "command"} == {
+        "wall_s": 0.25, "minflt": 7, "exit_code": 0
     }
 
     assert record["import_floor"] == {

@@ -3,6 +3,8 @@ import itertools
 import json
 import math
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -242,7 +244,8 @@ def reference_solve(prog, first_phase=True):
     rbuilt, rcaps, rcol_caps = built[:, ::-1], prog.caps[:, ::-1], prog.col_caps[::-1]
     rows, cols = np.nonzero(rbuilt)
     if first_phase:
-        rev, row_res = bounds._first_phase(np.where(rbuilt, rcaps, 0.0), prog.row_caps, rcol_caps)
+        work = np.full((nr + 1, nc + 1), np.nan)  # the phase writes what it reads
+        rev, row_res = bounds._first_phase(np.where(rbuilt, rcaps, 0.0), prog.row_caps, rcol_caps, work)
         flow, col_res = rev[:-1][rbuilt], rev[-1]
     else:
         flow, row_res, col_res = np.zeros(len(rows)), prog.row_caps, rcol_caps
@@ -587,7 +590,8 @@ class TestSubstochasticMax:
         """Row 0 of these cases, in the solver's reversed column order, ends at
         exactly 0.0 or saturates mid-row; either way it is left with 0.0."""
         prog = MASKING_CASES[name]
-        rev, row_res = bounds._first_phase(prog.caps[:, ::-1], prog.row_caps, prog.col_caps[::-1])
+        work = np.empty(np.add(prog.shape, 1))
+        rev, row_res = bounds._first_phase(prog.caps[:, ::-1], prog.row_caps, prog.col_caps[::-1], work)
         assert (rev[0].tolist(), row_res[0]) == (flows, 0.0)
 
     @pytest.mark.parametrize("name", ["hs", "excess", "denoise", *MASKING_CASES])
@@ -621,7 +625,7 @@ class TestSubstochasticMax:
         for cap in caps[1].tolist():
             left.append(left[-1] - cap)
         assert left[-1] < 0.0 < left[-2] < 0.61
-        rev, row_res = bounds._first_phase(caps, prog.row_caps, col_caps)
+        rev, row_res = bounds._first_phase(caps, prog.row_caps, col_caps, np.empty((4, 5)))
         assert row_res[:2].tolist() == [1.0 - 0.1 - 0.1 - 0.1 - 0.1, 0.0]
         assert rev[1].tolist() == [0.13, 0.28, 0.3, left[-2]]
         assert_same_bits(substochastic_max(prog), reference_solution(prog))
@@ -629,8 +633,9 @@ class TestSubstochasticMax:
 
     def test_bound_solve_tracemalloc_peak(self):
         """One hs and one fixed-mu excess bound at p = 400 (200 x 200 programs)
-        each peak below 4.5 float matrices of the program's size: the model's
-        Fisher rectangle, the program, the residual matrices and the flows."""
+        each peak below 3.5 float matrices of the program's size: the model's
+        Fisher rectangle, the program and the flows.  The residual matrices and
+        the check's scratch are views of the workspace that the first call grew."""
         model = CovModel(exp_spectrum(0.02, 400, 200), 1000)
         lam = model.spectrum.lambdas
         mu = 0.5 * float(lam[200] + lam[199])
@@ -644,7 +649,7 @@ class TestSubstochasticMax:
                 peak = tracemalloc.get_traced_memory()[1] - held
             finally:
                 tracemalloc.stop()
-            assert peak < 4.5 * 200 * 200 * 8, bound.__name__
+            assert peak < 3.5 * 200 * 200 * 8, bound.__name__
 
 
 class TestCertified:
@@ -689,6 +694,101 @@ class TestCertified:
         prog = SubstochasticProgram([[1.0, 1.0]], [2.0], [1.0, 1.0])
         sol = self.certify(prog, [[1.0 + 5e-10, 1.0 - 5e-10]])
         assert sol.tight_rows.tolist() == [True] and sol.tight_edges.tolist() == [[True, True]]
+
+
+def workspace_buffers():
+    """This thread's workspace buffers, as ``substochastic_max`` left them."""
+    return [getattr(bounds._WORKSPACE, name) for name in ("fwd", "work", "scratch")]
+
+
+def solution_bytes(sol):
+    """Every field of a solution as (dtype, shape, bytes)."""
+    return [(np.asarray(a).dtype, np.shape(a), np.asarray(a).tobytes()) for a in sol]
+
+
+def solve_on_workspace(prog, fill):
+    """substochastic_max(prog) on a workspace whose buffers hold only ``fill``."""
+    size = (prog.shape[0] + 1) * (prog.shape[1] + 1)
+    for name in ("fwd", "work", "scratch"):
+        setattr(bounds._WORKSPACE, name, np.full(size, fill))
+    return substochastic_max(prog)
+
+
+# Programs whose solves read the workspace in every way: the masking cases of the
+# first phase, a block cut before row 1, and programs that run later phases.
+STALE_CASES = {
+    **MASKING_CASES,
+    "truncated_block": TRUNCATED_BLOCK,
+    "neither_line_monotone": SubstochasticProgram(np.ones((2, 2)), [1.0, 3.0], [3.0, 1.0]),
+    "sparse": sparse_program(12, 9, 3, 4),
+}
+
+
+class TestWorkspace:
+    """A solve's three transient matrices are views of a per-thread workspace
+    that is kept between solves.  Nothing returned may alias it, no solve may
+    read an entry that an earlier one left there, and threads do not share it."""
+
+    def test_kept_results_keep_their_bytes(self):
+        """Results of every shape, the 1 x 1 one included, whose flows are a
+        contiguous view of the work matrix before they are copied, keep their
+        bytes while later solves of equal and larger size reuse the workspace."""
+        rng = np.random.default_rng(34)
+
+        def program(nr, nc):
+            caps = rng.uniform(0.1, 1.0, (nr, nc))
+            return SubstochasticProgram(caps, rng.uniform(0.1, 1.5, nr), rng.uniform(0.1, 1.5, nc))
+
+        shapes = [(1, 1), (1, 5), (5, 1), (0, 4), (4, 0), (6, 5)]
+        kept = []
+        for shape in shapes:
+            sol = substochastic_max(program(*shape))
+            kept.append((sol, solution_bytes(sol), workspace_buffers()))
+        for shape in shapes + [(7, 7), (30, 40)]:
+            substochastic_max(program(*shape))
+        for sol, before, buffers in kept:
+            assert solution_bytes(sol) == before
+            for name in ("x", "tight_rows", "tight_cols", "tight_edges"):
+                field = getattr(sol, name)
+                assert not any(np.shares_memory(field, buf) for buf in buffers + workspace_buffers()), name
+
+    @pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", sorted(STALE_CASES))
+    def test_stale_entries_are_never_read(self, name, fill):
+        prog = STALE_CASES[name]
+        assert solution_bytes(solve_on_workspace(prog, fill)) == solution_bytes(solve_on_workspace(prog, 0.0))
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(programs(max_side=6), st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_stale_entries_are_never_read_on_random_programs(self, prog, fill):
+        assert solution_bytes(solve_on_workspace(prog, fill)) == solution_bytes(solve_on_workspace(prog, 0.0))
+
+    def test_threads_keep_the_serial_bits(self):
+        """Two threads solve different sequences of programs of mixed size, the
+        larger ones with later phases, switching often; each result has the bits
+        of the same solve run alone."""
+        rng = np.random.default_rng(35)
+        sequences = [[random_program(rng, max_side=int(rng.choice([2, 6, 40]))) for _ in range(120)]
+                     for _ in range(2)]
+        serial = [[solution_bytes(substochastic_max(prog)) for prog in seq] for seq in sequences]
+        threaded = [[], []]
+        start = threading.Barrier(2)
+
+        def run(k):
+            start.wait()
+            threaded[k].extend(solution_bytes(substochastic_max(prog)) for prog in sequences[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
 
 class TestLaterPhases:
