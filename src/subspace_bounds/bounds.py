@@ -324,56 +324,58 @@ def substochastic_max(prog: SubstochasticProgram) -> FlowSolution:
 
     The three transient matrices (the forward residuals, the first phase's
     work matrix and the check's scratch) are views of this thread's
-    workspace, which is kept between solves: 3 (nr + 1)(nc + 1) floats, or
-    3 (nr + 1)(nc + 1) * 8 bytes, for the largest program that the thread has
-    solved, about 0.97 MB after a 200 x 200 program (p = 400).  It never
-    shrinks.  Nothing returned is a view of it: ``x`` is a copy and the
-    flags are fresh arrays.
+    workspace (``_Workspace``), which is kept between solves: 3 (nr + 1)(nc + 1)
+    floats, or 3 (nr + 1)(nc + 1) * 8 bytes, for the largest program that the
+    thread has solved, about 0.97 MB after a 200 x 200 program (p = 400).  It
+    never shrinks; a solve that outgrows it runs on fresh buffers and leaves
+    a workspace of its size.  Nothing returned is a view of a buffer: ``x``
+    is a copy and the flags are fresh arrays.
     """
     # An inf edge cap stays inf: pushes are bounded by source arcs, and no min cut crosses it.
     # Unbuilt edges are masked by copyto, not by a product, which would give inf * 0 = nan.
     nr, nc = prog.shape
     built = (prog.caps > 0.0) & (prog.row_caps > 0.0)[:, None] & (prog.col_caps > 0.0)[None, :]
     size = (nr + 1) * (nc + 1)
-    fwd = _taken("fwd", size, (nr + 1, nc))
+    kept = _WORKSPACE.buffers
+    grown = len(kept[0]) < size
+    fwd_buf, work_buf, scratch_buf = [np.empty(size) for _ in kept] if grown else kept
+    fwd = fwd_buf[: (nr + 1) * nc].reshape(nr + 1, nc)
     fwd.fill(0.0)  # the sink row and the unbuilt edges
     np.copyto(fwd[:-1], prog.caps[:, ::-1], where=built[:, ::-1])
-    work = _taken("work", size, (nr + 1, nc + 1))
+    work = work_buf[:size].reshape(nr + 1, nc + 1)
     g = _MaxFlowGraph(fwd, *_first_phase(fwd[:-1], prog.row_caps, prog.col_caps[::-1], work))
     rows_in, cols_in = g.max_flow()
     x = g.rev[:-1, ::-1].copy()  # a C-order copy: its sums do not see the reversal
-    # Taken after x is made: a scratch grown here lies above x on the heap and keeps x's
-    # pages, and those of the op's other transient matrices, from being trimmed when freed.
-    return _certified(prog, built, x, rows_in, cols_in[::-1], _taken("scratch", size, (nr, nc)))
+    sol = _certified(prog, built, x, rows_in, cols_in[::-1], scratch_buf[: nr * nc].reshape(nr, nc))
+    if grown:  # kept from now on, allocated after this solve's arrays: see _Workspace
+        _WORKSPACE.buffers = tuple(np.empty(size) for _ in kept)
+    return sol
 
 
 class _Workspace(threading.local):
     """This thread's solve buffers, one per transient matrix of a solve: the
     forward residuals, the first phase's work matrix and ``_certified``'s
-    scratch.  Each grows to (nr + 1)(nc + 1) floats for the largest program
-    that the thread has solved, and never shrinks."""
+    scratch, (nr + 1)(nc + 1) floats each for the largest program that the
+    thread has solved.  They never shrink.  A solve of a larger program runs
+    on fresh buffers and then leaves new ones of its size.  Allocated after
+    that solve's own arrays, the kept buffers lie above them on the heap, so
+    the memory that the caller frees after the solve, and that the next one
+    asks for again, stays below the kept buffers: the allocator does not
+    return it to the system, and it is not faulted in again."""
 
-    fwd = work = scratch = np.empty(0)
+    buffers = (np.empty(0),) * 3
 
 
 _WORKSPACE = _Workspace()
 
 
-def _taken(name: str, size: int, shape: tuple[int, int]) -> np.ndarray:
-    """A view of ``shape`` at the head of this thread's buffer ``name``, grown to
-    ``size`` floats first if it is shorter."""
-    if len(buf := getattr(_WORKSPACE, name)) < size:
-        setattr(_WORKSPACE, name, buf := np.empty(size))
-    return buf[: shape[0] * shape[1]].reshape(shape)
-
-
-def _certified(prog, built, x, rows_in, cols_in, scratch=None) -> FlowSolution:
+def _certified(prog, built, x, rows_in, cols_in, scratch) -> FlowSolution:
     """The solution with flows x, certified by the cut of rows_in and cols_in.
 
     The one check of a flow: raises ``CheckFailed`` if the cut and the flow
     differ by more than 1e-9 of the flow, or if x breaks an edge, row or
     column cap (or is negative) by more than 1e-9 of max(1, flow).  ``scratch``
-    is an nr x nc buffer that nothing returned aliases (None: a fresh one).
+    is an nr x nc buffer, which nothing returned aliases.
     """
     value = float(x.sum())
     cut = float(

@@ -261,7 +261,7 @@ def reference_solve(prog, first_phase=True):
     x = np.zeros((nr, nc))
     x[rbuilt] = g.res[2 * nr + 1 : 2 * (nr + len(flow)) : 2]
     x = np.ascontiguousarray(x[:, ::-1])
-    sol = bounds._certified(prog, built, x, side[1 : 1 + nr], side[1 + nr : snk][::-1])
+    sol = bounds._certified(prog, built, x, side[1 : 1 + nr], side[1 + nr : snk][::-1], np.empty((nr, nc)))
     return sol, (g.phases, g.paths)
 
 
@@ -661,7 +661,8 @@ class TestCertified:
         """_certified on the cut with the row and both columns on the source
         side, whose capacity is the two column caps, 2."""
         built = np.ones(prog.shape, dtype=bool)
-        return bounds._certified(prog, built, np.array(x), np.array([True]), np.array([True, True]))
+        return bounds._certified(prog, built, np.array(x), np.array([True]), np.array([True, True]),
+                                 np.empty(prog.shape))
 
     def test_edge_cap_breach_raises(self):
         prog = SubstochasticProgram([[1.0, 1.0]], [2.0], [1.0, 1.0])
@@ -698,7 +699,7 @@ class TestCertified:
 
 def workspace_buffers():
     """This thread's workspace buffers, as ``substochastic_max`` left them."""
-    return [getattr(bounds._WORKSPACE, name) for name in ("fwd", "work", "scratch")]
+    return list(bounds._WORKSPACE.buffers)
 
 
 def solution_bytes(sol):
@@ -709,8 +710,7 @@ def solution_bytes(sol):
 def solve_on_workspace(prog, fill):
     """substochastic_max(prog) on a workspace whose buffers hold only ``fill``."""
     size = (prog.shape[0] + 1) * (prog.shape[1] + 1)
-    for name in ("fwd", "work", "scratch"):
-        setattr(bounds._WORKSPACE, name, np.full(size, fill))
+    bounds._WORKSPACE.buffers = tuple(np.full(size, fill) for _ in range(3))
     return substochastic_max(prog)
 
 
@@ -740,6 +740,7 @@ class TestWorkspace:
             return SubstochasticProgram(caps, rng.uniform(0.1, 1.5, nr), rng.uniform(0.1, 1.5, nc))
 
         shapes = [(1, 1), (1, 5), (5, 1), (0, 4), (4, 0), (6, 5)]
+        substochastic_max(program(7, 7))  # the kept solves then run on the workspace
         kept = []
         for shape in shapes:
             sol = substochastic_max(program(*shape))
@@ -764,30 +765,31 @@ class TestWorkspace:
         assert solution_bytes(solve_on_workspace(prog, fill)) == solution_bytes(solve_on_workspace(prog, 0.0))
 
     def test_threads_keep_the_serial_bits(self):
-        """Two threads solve different sequences of programs of mixed size, the
+        """Three threads solve different sequences of programs of mixed size, the
         larger ones with later phases, switching often; each result has the bits
         of the same solve run alone."""
         rng = np.random.default_rng(35)
         sequences = [[random_program(rng, max_side=int(rng.choice([2, 6, 40]))) for _ in range(120)]
-                     for _ in range(2)]
+                     for _ in range(3)]
         serial = [[solution_bytes(substochastic_max(prog)) for prog in seq] for seq in sequences]
-        threaded = [[], []]
-        start = threading.Barrier(2)
+        threaded = [[] for _ in sequences]
+        start = threading.Barrier(len(sequences), timeout=60)
 
         def run(k):
             start.wait()
             threaded[k].extend(solution_bytes(substochastic_max(prog)) for prog in sequences[k])
 
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(sequences))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert threaded == serial
 
 
