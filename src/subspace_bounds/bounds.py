@@ -24,11 +24,12 @@ writes its nr x nc data through a fixed set of buffers.  Three of them are a
 per-thread workspace that is kept between solves: the reversed caps of the
 built edges, which become the forward residuals in place, the first phase's
 work matrix, which holds the flows, and one scratch matrix for the check.
-Each grows to (nr + 1)(nc + 1) floats for the largest program that the thread
+Each holds (nr + 1)(nc + 1) floats for the largest program that the thread
 has solved and never shrinks, so a thread that has solved keeps
 3 (nr + 1)(nc + 1) * 8 bytes, about 0.97 MB after a 200 x 200 program
-(p = 400).  The flows in column order are a fresh copy: nothing returned is
-a view of the workspace.  The later phases work on
+(p = 400); a solve that outgrows them runs on fresh buffers and then leaves
+buffers of its size.  The flows in column order are a fresh copy: nothing
+returned is a view of a buffer.  The later phases work on
 the program's own nr x nc residual matrices, with no arc list.  Rows and
 columns alternate in the BFS, so each level is one boolean row or column
 reduction of a matrix, and BFS distances do not depend on visit order, so
@@ -390,7 +391,7 @@ def _certified(prog, built, x, rows_in, cols_in, scratch) -> FlowSolution:
     row_sums = x.sum(axis=1)
     col_sums = x.sum(axis=0)
     tol = FEAS_TOL * max(1.0, value)
-    scratch = np.subtract(x, prog.caps, out=scratch)
+    np.subtract(x, prog.caps, out=scratch)
     if x.min(initial=0.0) < -tol or scratch.max(initial=0.0) > tol:  # x is not NaN: the gap held
         raise CheckFailed("solver returned an infeasible mass matrix")
     row_over, col_over = row_sums - prog.row_caps, col_sums - prog.col_caps

@@ -633,9 +633,10 @@ class TestSubstochasticMax:
 
     def test_bound_solve_tracemalloc_peak(self):
         """One hs and one fixed-mu excess bound at p = 400 (200 x 200 programs)
-        each peak below 3.5 float matrices of the program's size: the model's
-        Fisher rectangle, the program and the flows.  The residual matrices and
-        the check's scratch are views of the workspace that the first call grew."""
+        each peak below 3.5 float matrices of the program's size: the program,
+        the flows and the cut's crossing edge caps in the check (or the program
+        and the Fisher rectangle that it copies).  The residual matrices and the
+        check's scratch are views of the workspace that the first call grew."""
         model = CovModel(exp_spectrum(0.02, 400, 200), 1000)
         lam = model.spectrum.lambdas
         mu = 0.5 * float(lam[200] + lam[199])
