@@ -359,10 +359,11 @@ class _Workspace(threading.local):
     scratch, (nr + 1)(nc + 1) floats each for the largest program that the
     thread has solved.  They never shrink.  A solve of a larger program runs
     on fresh buffers and then leaves new ones of its size.  Allocated after
-    that solve's own arrays, the kept buffers lie above them on the heap, so
-    the memory that the caller frees after the solve, and that the next one
-    asks for again, stays below the kept buffers: the allocator does not
-    return it to the system, and it is not faulted in again."""
+    that solve's own arrays, the kept buffers lie above them on the heap.  On
+    a heap that is trimmed only from its top, as glibc's is, the memory that
+    the caller frees after a solve, and that the next one asks for again,
+    then stays below the kept buffers: it is not returned to the system and
+    not faulted in again."""
 
     buffers = (np.empty(0),) * 3
 
