@@ -62,6 +62,7 @@ from .models import (
     Spectrum,
     empirical_cov,
     exp_spectrum,
+    haar_from_normals,
     haar_orthogonal,
     parse_spectrum,
     poly_spectrum,

@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import bounds, risksim, verify
-from .equivariance import random_projector
+from .equivariance import projector_leq_d
 from .errors import CheckFailed, ConditionNotMet, DegenerateGap, InvalidInput, NotConverged
 from .linalg import SkewMatrix
 from .models import (
@@ -36,7 +36,7 @@ from .models import (
     RngStream,
     Spectrum,
     exp_spectrum,
-    haar_orthogonal,
+    haar_from_normals,
     parse_spectrum,
     poly_spectrum,
 )
@@ -82,15 +82,24 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 _BOOL_TEXT = {True: "true", False: "false"}
+# json's own spelling of a scalar of each exact type but float.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: _BOOL_TEXT.__getitem__,
+    type(None): lambda _: "null",
+}
 
 
 def _json_text(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, to the byte, from one
     recursive writer; the stdlib takes its pure-Python encoder when ``indent`` is set.
 
-    A list of finite Python floats is joined from ``float.__repr__`` (``json``'s own
-    spelling of them) and a list of bools from "true" and "false", which is where a
-    large artifact's bytes are.  Every other scalar goes through ``json.dumps``, so
+    A scalar of exact type float (finite), str, int, bool or None is written as
+    ``json`` writes it (``float.__repr__``, ``encode_basestring_ascii``,
+    ``int.__repr__``, "true"/"false", "null"), and a list of finite floats or of
+    bools is joined from those spellings, which is where a large artifact's bytes
+    are.  Every other scalar, subclasses included, goes through ``json.dumps``, so
     NaN and Infinity keep their spelling and an unsupported type raises ``TypeError``.
     Keys must be strings, as the CLI's are; they are encoded as ``json`` encodes them.
     """
@@ -99,6 +108,12 @@ def _json_text(obj) -> str:
 
 def _json_value(obj, newline: str) -> str:
     """The text of obj as ``json.dumps(..., indent=2)`` writes it after ``newline``."""
+    kind = type(obj)
+    if kind is float:
+        if "n" not in (text := float.__repr__(obj)):  # all finite: "inf" and "nan" have an "n"
+            return text
+    elif kind in _SCALAR_TEXT:
+        return _SCALAR_TEXT[kind](obj)
     inner = newline + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -362,15 +377,19 @@ def _verify_derivatives(args) -> list[dict]:
 
 
 def _verify_loss_identity(args) -> list[dict]:
+    """Each trial draws the basis's p x p normals, the projector's, then mu; the
+    check then runs once on the stack of every trial."""
     p, d, trials = _sizes(args, 6, 100)
     g = RngStream(_seed_from(args), stream=2).generator()
     lam = np.sort(g.uniform(0.2, 3.0, size=p))[::-1]
     spectrum = Spectrum(lam, d)
-    instances = (
-        (spectrum, haar_orthogonal(p, g), random_projector(p, d, g), g.uniform(lam[d], lam[d - 1]))
-        for _ in range(trials)
-    )
-    return [verify.loss_identity_check(f"excess-risk identity ({trials} trials, p={p})", instances)]
+    normals, mus = np.empty((2, trials, p, p)), np.empty(trials)
+    for k in range(trials):
+        normals[:, k] = g.standard_normal((2, p, p))
+        mus[k] = g.uniform(lam[d], lam[d - 1])
+    bases = haar_from_normals(normals)
+    group = (spectrum, bases[0], projector_leq_d(bases[1], d), mus)
+    return [verify.loss_identity_check(f"excess-risk identity ({trials} trials, p={p})", [group])]
 
 
 def _verify_lp_oracle(args) -> list[dict]:

@@ -68,18 +68,21 @@ def chi2_gauss_meanshift(model: DenoiseModel, u: OrthMatrix) -> float:
     return _chi2_one(model, u)
 
 
-def extrapolate_to_zero(ts, fs) -> float:
-    """Polynomial (Richardson-type) extrapolation of f(t) to t = 0."""
+def extrapolate_to_zero(ts, fs) -> float | np.ndarray:
+    """Polynomial (Richardson-type) extrapolation of f(t) to t = 0, for the
+    values at ts along the last axis of fs: a float for one vector, an array
+    over a stack of them.  The Lagrange weights depend on ts only, and each
+    extrapolation adds its terms in the order of ts."""
     ts = np.asarray(ts, dtype=np.float64)
     fs = np.asarray(fs, dtype=np.float64)
-    total = 0.0
+    total = np.zeros(fs.shape[:-1])
     for i in range(ts.size):
         weight = 1.0
         for j in range(ts.size):
             if j != i:
                 weight *= ts[j] / (ts[j] - ts[i])
-        total += weight * fs[i]
-    return float(total)
+        total += weight * fs[..., i]
+    return total[()]
 
 
 REL_TOL = 1e-3
@@ -109,35 +112,30 @@ class FisherLimitReport:
         }
 
 
-def _limit_report(model: CovModel | DenoiseModel, target: float, renyi2) -> FisherLimitReport:
-    """Report on renyi2, a model's divergences D at exp(t xi), t in T_GRID: D/t^2
-    extrapolated to t = 0 against target, PASS when the relative error is at
-    most REL_TOL (absolute ZERO_ATOL when the target vanishes)."""
-    ratios = tuple(float(c / (t * t)) for c, t in zip(renyi2, T_GRID))
-    extrapolated = extrapolate_to_zero(T_GRID, ratios) if np.isfinite(ratios).all() else np.inf
-    scale, tol = (1.0, ZERO_ATOL) if target == 0.0 else (abs(target), REL_TOL)
-    rel_error = abs(extrapolated - target) / scale  # inf or nan never passes
-    return FisherLimitReport(
-        kind=model.kind,
-        ratios=ratios,
-        extrapolated=float(extrapolated),
-        closed_form=float(target),
-        rel_error=float(rel_error),
-        passed=bool(rel_error <= tol),
-    )
-
-
 def verify_fisher_limit(models, xis) -> list[list[FisherLimitReport]]:
     """Check that D(exp(t xi))/t^2 converges to ``fisher_quad(model, xi)`` for each
     model and each xi of a (B, p, p) stack: one list per model, one report per
     direction in stack order.  Every model's targets come first, so an overflow
     raises before any divergence; one ``skew_exp`` call builds every T_GRID
-    rotation, and each model scores them in one ``renyi2`` call."""
-    targets = [fisher_quad(model, xis).tolist() for model in models]
+    rotation, and each model scores them in one ``renyi2`` call.
+
+    Each model's reports are computed as arrays over the stack: the ratios
+    D/t^2, their extrapolation to t = 0 (inf unless every ratio is finite),
+    and the error against the target, relative (PASS at most REL_TOL) or,
+    where the target vanishes, absolute (PASS at most ZERO_ATOL); inf or nan
+    never passes."""
+    targets = [fisher_quad(model, xis) for model in models]
     rotations = skew_exp(xis, T_GRID)
     rotations = rotations.reshape(-1, *rotations.shape[-2:])
+    t_squared = np.array([t * t for t in T_GRID])
     reports = []
-    for model, model_targets in zip(models, targets):
-        renyi2 = model.renyi2(rotations).reshape(len(model_targets), len(T_GRID))
-        reports.append([_limit_report(model, t, row) for t, row in zip(model_targets, renyi2)])
+    for model, target in zip(models, targets):
+        ratios = model.renyi2(rotations).reshape(len(target), len(T_GRID)) / t_squared
+        finite = np.isfinite(ratios).all(axis=-1)
+        with np.errstate(invalid="ignore"):  # inf - inf in a row that is not finite
+            extrapolated = np.where(finite, extrapolate_to_zero(T_GRID, ratios), np.inf)
+            rel_error = np.abs(extrapolated - target) / np.where(target == 0.0, 1.0, np.abs(target))
+        passed = rel_error <= np.where(target == 0.0, ZERO_ATOL, REL_TOL)
+        columns = (ratios.tolist(), extrapolated.tolist(), target.tolist(), rel_error.tolist(), passed.tolist())
+        reports.append([FisherLimitReport(model.kind, tuple(r), *rest) for r, *rest in zip(*columns)])
     return reports

@@ -26,7 +26,7 @@ _HAVE_NUMBA = False
 
 def _as_array(m) -> np.ndarray:
     a = np.asarray(getattr(m, "a", m), dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
     return a
 
@@ -54,7 +54,8 @@ def antisymmetrized(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
-    """Symmetric matrix; the constructor symmetrizes via (A + A^T)/2."""
+    """Symmetric matrix, or a (..., n, n) stack of them; the constructor
+    symmetrizes via (A + A^T)/2."""
 
     a: np.ndarray
 
@@ -64,8 +65,8 @@ class SymMatrix:
 
 @dataclass(frozen=True, eq=False)
 class SkewMatrix:
-    """Skew-symmetric matrix; the constructor antisymmetrizes via (A - A^T)/2,
-    which leaves an exact zero diagonal."""
+    """Skew-symmetric matrix, or a (..., n, n) stack of them; the constructor
+    antisymmetrizes via (A - A^T)/2, which leaves an exact zero diagonal."""
 
     a: np.ndarray
 
@@ -74,7 +75,7 @@ class SkewMatrix:
 
     @property
     def dim(self) -> int:
-        return self.a.shape[0]
+        return self.a.shape[-1]
 
 
 ORTH_TOL = 1e-10
@@ -89,7 +90,8 @@ def require_orthogonal(a: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class OrthMatrix:
-    """Orthogonal matrix, checked at construction: max |U^T U - I| <= 1e-10."""
+    """Orthogonal matrix, or a (..., n, n) stack of them, checked at
+    construction: max |U^T U - I| <= 1e-10 for every matrix."""
 
     a: np.ndarray
 
@@ -100,7 +102,15 @@ class OrthMatrix:
 
     @property
     def dim(self) -> int:
-        return self.a.shape[0]
+        return self.a.shape[-1]
+
+    def __getitem__(self, k: int) -> "OrthMatrix":
+        """Entry k of a stack's first axis, a view checked as part of the stack."""
+        if self.a.ndim < 3:
+            raise InvalidInput("only a stack of orthogonal matrices has entries")
+        entry = object.__new__(OrthMatrix)
+        object.__setattr__(entry, "a", self.a[int(k)])
+        return entry
 
 
 def _sort_and_sign(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -225,17 +225,25 @@ def _as_generator(rng) -> np.random.Generator:
 
 
 def haar_orthogonal(p: int, rng) -> OrthMatrix:
-    """Draw from the Haar measure on the full orthogonal group O(p).
-
-    QR factorization of an i.i.d. standard Gaussian matrix, with the signs
-    of R's diagonal folded into Q.  The determinant is not constrained
-    (both components of O(p) carry mass 1/2).
-    """
+    """Draw from the Haar measure on the full orthogonal group O(p):
+    ``haar_from_normals`` of one p x p matrix of standard normals from rng."""
     if p < 1:
         raise InvalidInput("p must be >= 1")
-    q, r = np.linalg.qr(_as_generator(rng).standard_normal((p, p)))
-    signs = np.sign(np.diagonal(r))
-    return OrthMatrix(q * np.where(signs == 0, 1.0, signs))
+    return haar_from_normals(_as_generator(rng).standard_normal((p, p)))
+
+
+def haar_from_normals(z) -> OrthMatrix:
+    """The Haar-distributed orthogonal matrix of each matrix of a (..., p, p)
+    stack z of i.i.d. standard normals, as one checked ``OrthMatrix``.
+
+    QR factorization, with the signs of R's diagonal folded into Q.  The
+    determinant is not constrained (both components of O(p) carry mass 1/2).
+    LAPACK factors each matrix on its own, so a matrix gets the same bits
+    alone as in any stack.
+    """
+    q, r = np.linalg.qr(z)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    return OrthMatrix(q * np.where(signs == 0, 1.0, signs)[..., None, :])
 
 
 def _goe(z: np.ndarray) -> np.ndarray:

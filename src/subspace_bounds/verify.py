@@ -1,5 +1,7 @@
-"""Numerical checks of the formulas the bounds rest on, one instance at a time
-(the LP oracle's optima one block of programs at a time).
+"""Numerical checks of the formulas the bounds rest on: the loss identity on
+stacks of instances, the Fisher limits on the stack of every generator, the
+derivatives one direction at a time and the LP oracle's optima one block of
+programs at a time.
 
 The `verify` and `simulate` commands, `report` and the acceptance tests take
 the verdicts they share from here: each caller draws its own instances, and
@@ -16,7 +18,6 @@ from .equivariance import (
     dv_dir,
     excess_risk,
     excess_risk_weights,
-    generator,
     projector_leq_d,
     weighted_loss,
 )
@@ -43,12 +44,15 @@ def check_record(name: str, passed: bool, detail: str) -> dict:
 
 def fisher_limit_checks(models) -> list[dict]:
     """One check record per model and generator L(i, j), i < j, in that order,
-    from one ``fisher.verify_fisher_limit`` call on the stack of every generator."""
+    from one ``fisher.verify_fisher_limit`` call on the stack of every generator,
+    built by one scatter with the entries of ``equivariance.generator``."""
     p = models[0].p
     if p < 2 or any(model.p != p for model in models):
         raise InvalidInput("fisher-limit checks need models of one dimension p >= 2")
-    pairs = [(i, j) for i in range(p - 1) for j in range(i + 1, p)]
-    xis = np.stack([generator(p, i, j).a for i, j in pairs])
+    ij = np.stack(np.triu_indices(p, 1), axis=1)  # the pairs (i, j), i < j, row by row
+    pairs = ij.tolist()
+    xis = np.zeros((len(pairs), p, p))
+    xis[np.arange(len(pairs))[:, None], ij, ij[:, ::-1]] = (1.0, -1.0)  # L(i, j) at (i, j), (j, i)
     checks = []
     for model, reports in zip(models, verify_fisher_limit(models, xis)):
         for (i, j), report in zip(pairs, reports):
@@ -72,7 +76,7 @@ def derivative_errors(xi: SkewMatrix, d: int, i: int, j: int) -> tuple[list, lis
     base_v[i, j] = 1.0
     q = skew_exp(xi.a[None], FD_STEPS)[0]
     ts = np.array(FD_STEPS)[:, None, None]
-    fd_p = (np.stack([projector_leq_d(OrthMatrix(r), d).a for r in q]) - base_p) / ts
+    fd_p = (projector_leq_d(OrthMatrix(q), d).a - base_p) / ts
     fd_v = (q[:, :, i, None] * q[:, None, :, j] - base_v) / ts
     errs_p = np.abs(fd_p - closed_p).max(axis=(1, 2))
     errs_v = np.abs(fd_v - closed_v).max(axis=(1, 2))
@@ -92,13 +96,16 @@ def derivative_checks(xi: SkewMatrix, d: int, i: int, j: int, trial: int) -> lis
     return checks
 
 
-def loss_identity_check(name: str, instances) -> dict:
+def loss_identity_check(name: str, groups) -> dict:
     """One record for the identity excess risk = weighted loss under the gap
-    weights at mu, over (spectrum, u, p_hat, mu) instances drawn as iterated."""
+    weights at mu, over (spectrum, u, p_hat, mu) groups drawn as iterated: u
+    and p_hat one basis and projector or a (..., p, p) stack of them, mu one
+    level or the (...) stack of them; each group is one call of each formula.
+    A NaN on either side makes the worst error NaN, which fails."""
     worst = 0.0
-    for spectrum, u, p_hat, mu in instances:
+    for spectrum, u, p_hat, mu in groups:
         via_loss = weighted_loss(u, p_hat.a, spectrum.d, excess_risk_weights(spectrum, mu))
-        worst = max(worst, abs(excess_risk(spectrum, u, p_hat) - via_loss))
+        worst = float(np.maximum(worst, np.abs(excess_risk(spectrum, u, p_hat) - via_loss).max()))
     return check_record(name, worst <= IDENTITY_TOL, f"max |direct - weighted| = {worst:.3e}")
 
 

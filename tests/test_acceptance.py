@@ -12,6 +12,8 @@ import numpy as np
 from subspace_bounds import (
     CovModel,
     DenoiseModel,
+    OrthMatrix,
+    Projector,
     RngStream,
     SimConfig,
     SkewMatrix,
@@ -174,7 +176,7 @@ def test_criterion_5_excess_risk_identity():
             u = haar_orthogonal(p, g)
             p_hat = random_projector(p, d, g)
             mu = float(rng.uniform(spectrum.lambdas[d], spectrum.lambdas[d - 1]))
-            yield spectrum, u, p_hat, mu
+            yield spectrum, OrthMatrix(u.a[None]), Projector(p_hat.a[None]), np.array([mu])  # a group of one
 
     check = loss_identity_check("excess-risk identity (100 instances)", instances())
     elapsed = time.perf_counter() - start

@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import enum
 import io
 import json
 import math
@@ -863,6 +865,15 @@ _json_values = st.recursive(
 )
 
 
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Tag(str):
+    pass
+
+
 class TestJsonText:
     """The CLI's one JSON writer has the bytes of the stdlib's sorted, indented dump."""
 
@@ -873,6 +884,21 @@ class TestJsonText:
 
     @pytest.mark.parametrize("value", [{}, [], [[]], {"a": {}}, {"é": ["☃", -0.0]}, (1.0, 2.0)])
     def test_empty_containers_and_non_ascii(self, value):
+        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            collections.OrderedDict([("b", 1.5), ("a", [None, True]), ("c", {"z": 0, "y": -7})]),
+            {"level": _Level.HIGH, "levels": [_Level.LOW, 2, True]},
+            {"tag": _Tag("x\u00e9"), "tags": [_Tag("y"), "z"], _Tag("k"): _Tag("v")},
+            {"a": None, "b": 0, "c": "PASS", "d": 1e300, "e": 5e-324, "f": float("nan"),
+             "g": float("-inf"), "h": np.float64(0.1), "i": False, "j": -0.0},
+        ],
+        ids=["ordered_dict", "int_enum", "str_subclass", "exact_scalars"],
+    )
+    def test_scalar_types_and_their_subclasses(self, value):
+        # A dict subclass takes the dict branch: json.dumps(obj) alone would write it compactly.
         assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
     @pytest.mark.parametrize("value", [np.int64(3), [np.bool_(True)], {"x": [object()]}])

@@ -1,8 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspace_bounds import (
     InvalidInput,
+    OrthMatrix,
     Projector,
     RngStream,
     SkewMatrix,
@@ -13,6 +18,7 @@ from subspace_bounds import (
     excess_risk,
     excess_risk_weights,
     generator,
+    haar_from_normals,
     haar_orthogonal,
     projector_leq_d,
     random_projector,
@@ -205,7 +211,84 @@ class TestExcessRisk:
                 u = haar_orthogonal(p, g)
                 p_hat = random_projector(p, d, g)
                 mu = rng.uniform(spectrum.lambdas[d], spectrum.lambdas[d - 1])
-                yield spectrum, u, p_hat, mu
+                yield spectrum, OrthMatrix(u.a[None]), Projector(p_hat.a[None]), np.array([mu])  # a group of one
 
         check = loss_identity_check("identity", instances())
         assert check["status"] == "PASS", check["detail"]
+
+    def test_a_nan_risk_fails_the_identity(self):
+        # lam_1 + lam_2 overflows, so the trace formula gives inf - inf = nan
+        g = RngStream(1, 0).generator()
+        spectrum = Spectrum([1.7e308, 1.6e308, 1e308], 2)
+        u, p_hat = haar_orthogonal(3, g), random_projector(3, 2, g)
+        with np.errstate(over="ignore", invalid="ignore"):
+            check = loss_identity_check("identity", [(spectrum, u, p_hat, 1.2e308)])
+        assert check["status"] == "FAIL" and check["detail"].endswith("= nan")
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestStacks:
+    """The Haar step, the projectors, the gap weights, ``weighted_loss`` and
+    ``excess_risk`` run the same lines on one matrix as on a stack: each member
+    of a stack gets the bits that it gets alone, and a stack with a bad member
+    raises the message that the member raises alone."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        st.integers(2, 10).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, p - 1))),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_each_member_has_its_bits_alone(self, p_d, count, seed):
+        p, d = p_d
+        rng = np.random.default_rng(seed)
+        spectrum = random_spectrum(rng, p, d, min_gap=1e-3)
+        lam = spectrum.lambdas
+        mus = rng.uniform(lam[d], lam[d - 1], count)
+        # member k: the basis's normals, then the projector's, from its own generator
+        normals = np.stack(
+            [np.random.default_rng([seed, k]).standard_normal((2, p, p)) for k in range(count)], axis=1
+        )
+        bases = haar_from_normals(normals)
+        u, p_hat = bases[0], projector_leq_d(bases[1], d)
+        weights = excess_risk_weights(spectrum, mus)
+        risk = excess_risk(spectrum, u, p_hat)
+        loss = weighted_loss(u, p_hat.a, d, weights)
+        assert risk.shape == loss.shape == (count,)
+        for k in range(count):
+            u_k = haar_orthogonal(p, np.random.default_rng([seed, k]))
+            p_k = projector_leq_d(haar_from_normals(normals[1, k]), d)
+            w_k = excess_risk_weights(spectrum, mus[k])
+            assert _bits(u_k.a) == _bits(u.a[k])
+            assert _bits(p_k.a) == _bits(p_hat.a[k])
+            assert _bits(w_k.w) == _bits(weights.w[k])
+            assert _bits(excess_risk(spectrum, u_k, p_k)) == _bits(risk[k])
+            assert _bits(weighted_loss(u_k, p_k.a, d, w_k)) == _bits(loss[k])
+
+    def test_a_bad_member_raises_its_own_message(self):
+        spectrum = Spectrum([3.0, 2.0, 1.0], 1)
+        bases = haar_from_normals(np.random.default_rng(5).standard_normal((3, 3, 3)))
+        good = projector_leq_d(bases, 1)
+        cases = [  # (call, its stack, the call on the bad member alone)
+            (lambda mu: excess_risk_weights(spectrum, mu), [2.5, 3.5, 2.2], 3.5),
+            (OrthMatrix, [bases.a[0], np.diag([1.0, 1.0, 1.1]), bases.a[2]], None),
+            (Projector, [good.a[0], good.a[1] * 0.5, good.a[2]], None),
+            (Projector, [np.eye(10), np.diag(np.full(10, 1.0 + 5e-10))], None),
+        ]
+        for call, members, bad in cases:
+            bad = members[1] if bad is None else bad
+            with pytest.raises(InvalidInput) as alone:
+                call(bad)
+            with pytest.raises(InvalidInput, match=re.escape(str(alone.value))):
+                call(np.stack(members))
+        with pytest.raises(InvalidInput, match="projector rank 3 != d=1") as alone:
+            excess_risk(spectrum, bases[1], Projector(np.eye(3)))
+        with pytest.raises(InvalidInput, match=re.escape(str(alone.value))):
+            excess_risk(spectrum, bases, Projector(np.stack([good.a[0], np.eye(3), good.a[2]])))
+
+    def test_only_a_stack_has_entries(self):
+        with pytest.raises(InvalidInput):
+            OrthMatrix(np.eye(2))[0]

@@ -320,10 +320,12 @@ class TestFisherLimit:
 
 
 class TestFisherLimitChecks:
-    @pytest.mark.parametrize("p", [2, 6, 10])
-    def test_stack_of_one_matches_its_entry_in_the_full_stack(self, p):
-        rng = np.random.default_rng(90 + p)
-        spectrum = random_spectrum(rng, p, max(1, p // 2), min_gap=0.05)
+    @staticmethod
+    def full_stack_reports(spectrum) -> list[list[dict]]:
+        """Each model's report on each generator of the full stack, checked to
+        have the bytes of the report on that generator alone and of the check
+        records' reports."""
+        p = spectrum.p
         models = [CovModel(spectrum, 20), DenoiseModel(spectrum, 0.6)]
         pairs = [(i, j) for i in range(p - 1) for j in range(i + 1, p)]
         xis = np.stack([generator(p, i, j).a for i, j in pairs])
@@ -334,6 +336,19 @@ class TestFisherLimitChecks:
         checks = fisher_limit_checks(models)
         assert [c["name"] for c in checks] == [f"{m.kind} L({i},{j})" for m in models for i, j in pairs]
         assert json.dumps([c["report"] for c in checks]) == json.dumps(sum(full, []))
+        return full
+
+    @pytest.mark.parametrize("p", [2, 6, 10])
+    def test_stack_of_one_matches_its_entry_in_the_full_stack(self, p):
+        rng = np.random.default_rng(90 + p)
+        self.full_stack_reports(random_spectrum(rng, p, max(1, p // 2), min_gap=0.05))
+
+    def test_pairs_whose_target_is_zero_match_alone(self):
+        # equal eigenvalues within each block: I_ij = 0, checked to ZERO_ATOL
+        full = self.full_stack_reports(spike_spectrum(3.0, 1.0, 4, 10))
+        zero = [r for reports in full for r in reports if r["closed_form"] == 0.0]
+        assert len(zero) == 2 * (6 + 15)
+        assert all(r["status"] == "PASS" for r in zero)
 
     def test_non_finite_fisher_value_raises_before_any_divergence(self, monkeypatch):
         def no_divergence(self, u):

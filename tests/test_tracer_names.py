@@ -1,6 +1,6 @@
 """Every function the benchmark tracer wraps still exists under its traced name,
-and the linear-algebra kernels' and the Fisher-limit check's spans fire on
-the paths that run them.
+and the spans of the linear-algebra kernels, the Fisher-limit check and the
+loss functions fire on the paths that run them.
 
 ``perfbench/tracer.py`` names the functions it wraps as strings, so a rename
 in the library, or a hot path that calls another name, would leave a span
@@ -64,9 +64,12 @@ def test_kernel_spans_fire_and_bindings_are_restored(capsys):
         assert cli.main(["verify", "derivatives", "--p", "4", "--trials", "1"]) == 0
         fisher = ["verify", "fisher-limit", "--spectrum", "exp:0.5,3", "--d", "1", "--n", "50"]
         assert cli.main(fisher) == 0
+        assert cli.main(["verify", "loss-identity", "--p", "4", "--trials", "3"]) == 0
     capsys.readouterr()
     names = {span.name for span in active.spans}
     assert {"linalg.sym_eig", "linalg.skew_exp", "fisher.verify_fisher_limit"} <= names
+    # the suite scores its stack with the library's own loss functions
+    assert {"equivariance.weighted_loss", "equivariance.excess_risk"} <= names
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
