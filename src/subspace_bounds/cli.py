@@ -1,8 +1,10 @@
 """Command-line interface: bound / simulate / verify / report.
 
-Exit codes: 0 success, 2 usage error, 3 precondition failure (also a
-simulated replicate whose eigenvalue gap stays degenerate after every
-resample), 4 a verification failed or an internal check raised
+Exit codes: 0 success, 2 usage error (also an --out path that cannot be
+written, with one ``error: cannot write --out ...`` line on stderr),
+3 precondition failure (also a simulated replicate whose eigenvalue gap
+stays degenerate after every resample, or an array too large to allocate),
+4 a verification failed or an internal check raised
 ``CheckFailed`` (a flow's duality gap or feasibility, a search
 certificate, a domination the mathematics guarantees: a sentinel for
 implementation bugs), with one ``check failed: ...`` line on stderr,
@@ -51,18 +53,59 @@ EXIT_CLOSED_STDOUT = 141
 SEED_ENV_VAR = "SUBSPACE_BOUNDS_SEED"
 
 SIMULATE_COLUMNS = [
-    "model",
-    "p",
-    "d",
-    "n_or_sigma",
-    "loss",
-    "mean",
-    "se",
-    "replicates",
-    "seed",
-    "bound",
-    "margin_sigmas",
+    "model", "p", "d", "n_or_sigma", "loss", "mean", "se", "replicates", "seed", "bound", "margin_sigmas"
 ]
+
+
+# The flag contract: each command's forms and the optional flags each form
+# reads.  A command takes every flag that one of its forms reads; a flag given
+# to a form that does not read it is a usage error.
+READS = {
+    "bound": {
+        "hs": ("spectrum", "d", "n", "delta", "out"),
+        "excess": ("spectrum", "d", "n", "mu", "out"),
+        "denoise": ("spectrum", "d", "sigma", "delta", "out"),
+        "canonical": ("spectrum", "d", "n", "out"),
+        "relrank": ("spectrum", "d", "n", "out"),
+    },
+    "simulate": {  # --sigma picks the denoising model, which has the hs loss only
+        "--loss hs --n": ("spectrum", "d", "n", "delta", "seed", "workers", "out"),
+        "--loss hs --sigma": ("spectrum", "d", "sigma", "delta", "seed", "workers", "out"),
+        "--loss excess --n": ("spectrum", "d", "n", "seed", "workers", "out"),
+    },
+    "verify": {
+        "fisher-limit": ("spectrum", "d", "n", "sigma", "out"),
+        "derivatives": ("p", "d", "trials", "seed", "out"),
+        "loss-identity": ("p", "d", "trials", "seed", "out"),
+        "lp-oracle": ("trials", "seed", "out"),
+    },
+    "report": {  # --seed, --workers and the seed variable only matter to a simulation
+        "--simulate": ("p", "n", "seed", "workers", "out"),
+        "without --simulate": ("p", "n", "out"),
+    },
+}
+
+# Each optional flag's type and help; an absent flag reads as None.
+FLAGS = {
+    "spectrum": (str, "exp:a,p | poly:a,p | spike:l1,l2,d,p | JSON (bound and simulate need it)"),
+    "d": (int, "subspace rank (for exp/poly; for a verify suite, default p // 2)"),
+    "n": (int, "sample count (covariance model; report needs it)"),
+    "sigma": (float, "noise level (denoising model)"),
+    "delta": (str, "mixing level (default 1; bound also takes 'auto')"),
+    "mu": (str, "excess-bound split level, or 'auto' (default)"),
+    "p": (int, "dimension (report needs it; default per verify suite)"),
+    "trials": (int, "trial count (default per suite)"),
+    "seed": (int, f"random seed (default ${SEED_ENV_VAR}, else 0)"),
+    "workers": (int, "simulation processes (default 1)"),
+    "out": (str, "artifact path (simulate appends its CSV row)"),
+}
+
+# The flags each command takes, in FLAGS order: the parser adds them, and the
+# unread-flag check tests them in this order.
+TAKES = {
+    command: [flag for flag in FLAGS if any(flag in reads for reads in forms.values())]
+    for command, forms in READS.items()
+}
 
 
 class _UsageError(Exception):
@@ -75,10 +118,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, text: str, mode: str = "w") -> None:
+    """Write (or with mode "a", append) text to the --out path, if one is given."""
     if path:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(path, mode, encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
 
 
 _BOOL_TEXT = {True: "true", False: "false"}
@@ -157,7 +204,9 @@ def _seed_from(args) -> int:
     return seed
 
 
-def _spectrum(args):
+def _spectrum(args, name: str):
+    if args.spectrum is None:
+        raise _UsageError(f"{name} needs --spectrum")
     try:
         return parse_spectrum(args.spectrum, d=args.d)
     except InvalidInput as exc:
@@ -176,11 +225,12 @@ def _denoise_model(args, spectrum) -> DenoiseModel:
     return DenoiseModel(spectrum, args.sigma)
 
 
-def _reject_unread(args, command: str, reads: tuple) -> None:
-    """Usage error for a flag given (not None) to a command that does not read it."""
-    for flag in ("spectrum", "d", "n", "sigma", "delta", "mu", "p", "trials", "seed", "workers"):
-        if getattr(args, flag, None) is not None and flag not in reads:
-            raise _UsageError(f"{command} does not read --{flag}")
+def _reject_unread(args, command: str, form: str) -> None:
+    """Usage error for a flag given (not None) to a form of command that does not read it."""
+    reads = READS[command][form]
+    for flag in TAKES[command]:
+        if getattr(args, flag) is not None and flag not in reads:
+            raise _UsageError(f"{command} {form} does not read --{flag}")
 
 
 def _require_positive(args, *flags: str) -> None:
@@ -191,39 +241,28 @@ def _require_positive(args, *flags: str) -> None:
             raise _UsageError(f"--{flag} must be >= 1, got {value}")
 
 
-def _float_or_auto(text: str, flag: str):
-    if text == "auto":
-        return "auto"
+def _number(text: str, flag: str, auto: bool = False):
+    """text as a float, or "auto" where the flag takes it."""
     try:
-        return float(text)
+        return "auto" if auto and text == "auto" else float(text)
     except ValueError as exc:
-        raise _UsageError(f"{flag} must be a number or 'auto'") from exc
+        raise _UsageError(f"{flag} must be a number" + (" or 'auto'" if auto else "")) from exc
 
 
 # --- bound --------------------------------------------------------------
 
 
-# The model flags and parameters each bound kind reads beside --spectrum and --d.
-BOUND_READS = {
-    "hs": ("n", "delta"),
-    "denoise": ("sigma", "delta"),
-    "excess": ("n", "mu"),
-    "canonical": ("n",),
-    "relrank": ("n",),
-}
-
-
 def cmd_bound(args) -> int:
     kind = args.kind
-    _reject_unread(args, f"bound {kind}", ("spectrum", "d") + BOUND_READS[kind])
-    spectrum = _spectrum(args)
+    _reject_unread(args, "bound", kind)
+    spectrum = _spectrum(args, f"bound {kind}")
     payload: dict
     if kind in ("hs", "denoise"):
         if kind == "hs":
             model, fn = _cov_model(args, spectrum), bounds.hs_lower_bound
         else:
             model, fn = _denoise_model(args, spectrum), bounds.denoise_lower_bound
-        delta = _float_or_auto("1" if args.delta is None else args.delta, "--delta")
+        delta = _number("1" if args.delta is None else args.delta, "--delta", auto=True)
         if delta == "auto":
             delta, result = bounds.optimize_delta(model)
         else:
@@ -231,7 +270,7 @@ def cmd_bound(args) -> int:
         payload = result.to_json_dict()
     elif kind == "excess":
         model = _cov_model(args, spectrum)
-        mu = _float_or_auto("auto" if args.mu is None else args.mu, "--mu")
+        mu = _number("auto" if args.mu is None else args.mu, "--mu", auto=True)
         result = bounds.excess_lower_bound(model, mu)
         payload = result.to_json_dict()
     else:  # canonical or relrank
@@ -272,17 +311,14 @@ def cmd_bound(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    # --sigma picks the denoising model, which has the hs loss only.
     model_flag = "sigma" if args.sigma is not None and args.loss == "hs" else "n"
-    reads = (model_flag, "delta") if args.loss == "hs" else (model_flag,)
-    command = f"simulate --loss {args.loss} --{model_flag}"
-    _reject_unread(args, command, ("spectrum", "d", "seed", "workers") + reads)
+    _reject_unread(args, "simulate", f"--loss {args.loss} --{model_flag}")
     _require_positive(args, "reps", "workers")
     if args.reps < 2:
         raise _UsageError(f"--reps must be >= 2: one replicate has no standard error, got {args.reps}")
-    spectrum = _spectrum(args)
+    spectrum = _spectrum(args, "simulate")
     seed = _seed_from(args)
-    delta = 1.0 if args.delta is None else args.delta
+    delta = 1.0 if args.delta is None else _number(args.delta, "--delta")
     if model_flag == "sigma":
         model = _denoise_model(args, spectrum)
         bound = bounds.denoise_lower_bound(model, delta).value
@@ -298,23 +334,12 @@ def cmd_simulate(args) -> int:
             bound = bounds.excess_lower_bound(model, "auto").value
     loss_tag = "hs_squared" if args.loss == "hs" else "excess"
     config = risksim.SimConfig(
-        model=model, loss=loss_tag, replicates=args.reps, seed=seed, workers=args.workers
+        model=model, loss=loss_tag, replicates=args.reps, seed=seed, workers=args.workers or 1
     )
     estimate = risksim.bayes_risk(config)
     margin, dominates = verify.domination(estimate, bound)
-    row = [
-        model_tag,
-        spectrum.p,
-        spectrum.d,
-        n_or_sigma,
-        loss_tag,
-        estimate.mean,
-        estimate.std_error,
-        estimate.replicates,
-        seed,
-        bound,
-        margin,
-    ]
+    row = [model_tag, spectrum.p, spectrum.d, n_or_sigma, loss_tag, estimate.mean, estimate.std_error,
+           estimate.replicates, seed, bound, margin]
     print(
         f"risk {estimate.mean:.6g} +- {estimate.std_error:.3g} "
         f"(bound {bound:.6g}, margin {margin:.2f} SE)"
@@ -323,8 +348,7 @@ def cmd_simulate(args) -> int:
     if args.out:
         if os.path.exists(args.out) and os.path.getsize(args.out):  # it has its header
             text = text.partition("\r\n")[2]
-        with open(args.out, "a", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        _write_text(args.out, text, "a")
     else:
         sys.stdout.write(text)
     if not dominates:
@@ -338,9 +362,7 @@ def cmd_simulate(args) -> int:
 
 
 def _verify_fisher_limit(args) -> list[dict]:
-    if args.spectrum is None:
-        raise _UsageError("fisher-limit needs --spectrum")
-    spectrum = _spectrum(args)
+    spectrum = _spectrum(args, "fisher-limit")
     if spectrum.p < 2:
         raise _UsageError(f"--spectrum must have p >= 2 for fisher-limit, got p={spectrum.p}")
     models = []
@@ -399,14 +421,13 @@ def _verify_lp_oracle(args) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
-    # Each suite and the flags it reads beside --out; any other flag is a usage error.
-    suite, reads = {
-        "fisher-limit": (_verify_fisher_limit, ("spectrum", "d", "n", "sigma")),
-        "derivatives": (_verify_derivatives, ("p", "d", "trials", "seed")),
-        "loss-identity": (_verify_loss_identity, ("p", "d", "trials", "seed")),
-        "lp-oracle": (_verify_lp_oracle, ("trials", "seed")),
+    _reject_unread(args, "verify", args.suite)
+    suite = {
+        "fisher-limit": _verify_fisher_limit,
+        "derivatives": _verify_derivatives,
+        "loss-identity": _verify_loss_identity,
+        "lp-oracle": _verify_lp_oracle,
     }[args.suite]
-    _reject_unread(args, f"verify {args.suite}", reads)
     checks = suite(args)
     for check in checks:
         print(f"{check['status']} {check['name']}: {check['detail']}")
@@ -425,12 +446,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if args.p is None or args.n is None:
+        raise _UsageError("report needs --p and --n")
     if args.d_max < args.d_min:
         raise _UsageError("empty d grid")
-    # --seed, --workers and the seed variable only matter to a simulation.
     simulate = args.simulate is not None
-    command = "report" if simulate else "report without --simulate"
-    _reject_unread(args, command, ("p", "n", "seed", "workers") if simulate else ("p", "n"))
+    _reject_unread(args, "report", "--simulate" if simulate else "without --simulate")
     _require_positive(args, "n", "simulate", "workers")
     if args.d_min < 1 or args.d_max >= args.p:
         raise _UsageError(f"every d must be in 1..p-1={args.p - 1}, got {args.d_min}..{args.d_max}")
@@ -457,7 +478,7 @@ def cmd_report(args) -> int:
                 loss="excess",
                 replicates=args.simulate,
                 seed=seed,
-                workers=1 if args.workers is None else args.workers,
+                workers=args.workers or 1,
             )
             est = risksim.bayes_risk(config)
             row += [est.mean, est.std_error]
@@ -501,58 +522,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Minimax lower bounds for principal subspace estimation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for command, func, text in (
+        ("bound", cmd_bound, "compute a lower bound"),
+        ("simulate", cmd_simulate, "Monte Carlo Bayes risk vs. the bound"),
+        ("verify", cmd_verify, "run a numerical verification suite"),
+        ("report", cmd_report, "sweep a spectrum family and emit plot-ready CSV"),
+    ):
+        command_parser = sub.add_parser(command, help=text)
+        command_parser.set_defaults(func=func)
+        for flag in TAKES[command]:
+            flag_type, flag_help = FLAGS[flag]
+            command_parser.add_argument(f"--{flag}", type=flag_type, help=flag_help)
+    b, s, v, r = sub.choices.values()
 
-    def add_spectrum_flags(p_):
-        p_.add_argument("--spectrum", required=True, help="exp:a,p | poly:a,p | spike:l1,l2,d,p | JSON")
-        p_.add_argument("--d", type=int, default=None, help="subspace rank (for exp/poly)")
-
-    b = sub.add_parser("bound", help="compute a lower bound")
-    b.add_argument("kind", choices=["hs", "excess", "denoise", "canonical", "relrank"])
-    add_spectrum_flags(b)
-    b.add_argument("--n", type=int, default=None, help="sample count (covariance model)")
-    b.add_argument("--sigma", type=float, default=None, help="noise level (denoising model)")
-    b.add_argument("--delta", default=None, help="mixing level, a number or 'auto' (default 1)")
-    b.add_argument("--mu", default=None, help="excess-bound split level, or 'auto' (default)")
-    b.add_argument("--out", default=None, help="artifact path")
-    b.add_argument("--format", choices=["json", "csv"], default="json")
-    b.set_defaults(func=cmd_bound)
-
-    s = sub.add_parser("simulate", help="Monte Carlo Bayes risk vs. the bound")
-    add_spectrum_flags(s)
+    b.add_argument("kind", choices=list(READS["bound"]))
+    b.add_argument("--format", choices=["json", "csv"], default="json", help="artifact format")
     s.add_argument("--loss", choices=["hs", "excess"], required=True)
-    s.add_argument("--n", type=int, default=None)
-    s.add_argument("--sigma", type=float, default=None)
-    s.add_argument("--delta", type=float, default=None, help="hs-bound mixing level (default 1)")
-    s.add_argument("--reps", type=int, required=True)
-    s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--workers", type=int, default=1)
-    s.add_argument("--out", default=None, help="CSV path (appended)")
-    s.set_defaults(func=cmd_simulate)
-
-    v = sub.add_parser("verify", help="run a numerical verification suite")
-    v.add_argument("suite", choices=["fisher-limit", "derivatives", "loss-identity", "lp-oracle"])
-    v.add_argument("--spectrum", default=None)
-    v.add_argument("--d", type=int, default=None)
-    v.add_argument("--n", type=int, default=None)
-    v.add_argument("--sigma", type=float, default=None)
-    v.add_argument("--p", type=int, default=None)
-    v.add_argument("--trials", type=int, default=None)
-    v.add_argument("--seed", type=int, default=None)
-    v.add_argument("--out", default=None)
-    v.set_defaults(func=cmd_verify)
-
-    r = sub.add_parser("report", help="sweep a spectrum family and emit plot-ready CSV")
-    r.add_argument("--family", choices=["exp", "poly"], required=True)
-    r.add_argument("--alpha", type=float, default=1.0)
-    r.add_argument("--p", type=int, required=True)
-    r.add_argument("--n", type=int, required=True)
-    r.add_argument("--d-min", type=int, default=3)
-    r.add_argument("--d-max", type=int, default=12)
+    s.add_argument("--reps", type=int, required=True, help="replicate count")
+    v.add_argument("suite", choices=list(READS["verify"]))
+    r.add_argument("--family", choices=["exp", "poly"], required=True, help="spectrum family")
+    r.add_argument("--alpha", type=float, default=1.0, help="family decay rate (default 1)")
+    r.add_argument("--d-min", type=int, default=3, help="smallest d of the sweep (default 3)")
+    r.add_argument("--d-max", type=int, default=12, help="largest d of the sweep (default 12)")
     r.add_argument("--simulate", type=int, default=None, help="also simulate (replicate count)")
-    r.add_argument("--seed", type=int, default=None)
-    r.add_argument("--workers", type=int, default=None, help="simulation processes (default 1)")
-    r.add_argument("--out", default=None)
-    r.set_defaults(func=cmd_report)
     return parser
 
 
@@ -573,8 +565,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InvalidInput, ConditionNotMet, DegenerateGap) as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
+    except (InvalidInput, ConditionNotMet, DegenerateGap, MemoryError) as exc:
+        print(f"precondition failed: {exc}", file=sys.stderr)  # numpy's MemoryError names the size
         return EXIT_PRECONDITION
     except NotConverged as exc:
         print(f"not converged: {exc}", file=sys.stderr)

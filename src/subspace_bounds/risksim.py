@@ -27,7 +27,7 @@ from .equivariance import Projector, projector_leq_d
 from .linalg import OrthMatrix, SymMatrix, sym_eig
 from .models import CovModel, DenoiseModel, RngStream, _as_generator, _whole, empirical_cov
 
-GAP_TOL = 1e-12
+EIGENGAP_RTOL = 1e-12
 CHUNK = 512  # fixed so merge order never depends on the worker count
 MAX_RESAMPLE = 100
 
@@ -74,10 +74,10 @@ class RiskEstimate:
 
 def _degenerate(values: np.ndarray, d: int) -> np.ndarray:
     """Whether the gap below the d-th of each row of sorted eigenvalues is at most
-    GAP_TOL times the row's largest |eigenvalue| (so a zero row is degenerate)."""
+    EIGENGAP_RTOL times the row's largest |eigenvalue| (so a zero row is degenerate)."""
     if d == values.shape[-1]:
         return np.zeros(values.shape[:-1], dtype=bool)
-    return values[..., d - 1] - values[..., d] <= GAP_TOL * np.abs(values).max(axis=-1)
+    return values[..., d - 1] - values[..., d] <= EIGENGAP_RTOL * np.abs(values).max(axis=-1)
 
 
 def _top_d_projector(sym: SymMatrix, d: int) -> Projector:
@@ -87,7 +87,7 @@ def _top_d_projector(sym: SymMatrix, d: int) -> Projector:
     projector = projector_leq_d(OrthMatrix(vectors), d)  # InvalidInput unless 1 <= d <= p
     if _degenerate(values, d):
         raise DegenerateGap(
-            f"gap {values[d - 1] - values[d]:.3e} below {GAP_TOL:.0e} of max |eigenvalue|"
+            f"gap {values[d - 1] - values[d]:.3e} below {EIGENGAP_RTOL:.0e} of max |eigenvalue|"
         )
     return projector
 

@@ -10,6 +10,8 @@ the tolerances, margins and rate shapes below are the only copies.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .bounds import SubstochasticProgram, lp_oracle, substochastic_max
@@ -28,9 +30,9 @@ from .linalg import OrthMatrix, SkewMatrix, skew_exp
 FD_STEPS = (1e-3, 1e-4, 1e-5)
 FD_TOL = 1e-4  # finite-difference error at the smallest step
 DECADE_RATIO = (5.0, 20.0)  # error ratio between steps a decade apart: O(t) decay
-IDENTITY_TOL = 1e-9  # |trace-formula excess risk - weighted loss|
+IDENTITY_TOL = 1e-9  # |trace-formula excess risk - weighted loss| / the spectrum's scale
 LP_TOL = 1e-8  # |flow optimum - LP optimum|
-GAP_TOL = 1e-9  # |flow value - cut value|
+DUALITY_GAP_TOL = 1e-9  # |flow value - cut value|
 DOMINATION_SE = 3.0  # simulated risk + this many standard errors must reach the bound
 BAND_FACTOR = 3.0
 SLOPE_TOL = 0.1  # relative error of the fitted exp decay slope against -alpha
@@ -101,17 +103,24 @@ def loss_identity_check(name: str, groups) -> dict:
     weights at mu, over (spectrum, u, p_hat, mu) groups drawn as iterated: u
     and p_hat one basis and projector or a (..., p, p) stack of them, mu one
     level or the (...) stack of them; each group is one call of each formula.
-    A NaN on either side makes the worst error NaN, which fails."""
-    worst = 0.0
+
+    Each group's error is measured against its spectrum's scale s, the power of
+    two in (max |lam| / 4, max |lam| / 2], so the verdict does not depend on
+    units; s <= 1 wherever max |lam| < 4.  The detail reports the worst
+    absolute error.  A NaN on either side makes the errors NaN, which fails."""
+    worst = worst_scaled = 0.0
     for spectrum, u, p_hat, mu in groups:
         via_loss = weighted_loss(u, p_hat.a, spectrum.d, excess_risk_weights(spectrum, mu))
-        worst = float(np.maximum(worst, np.abs(excess_risk(spectrum, u, p_hat) - via_loss).max()))
-    return check_record(name, worst <= IDENTITY_TOL, f"max |direct - weighted| = {worst:.3e}")
+        error = np.abs(excess_risk(spectrum, u, p_hat) - via_loss).max()
+        scale = math.ldexp(1.0, math.frexp(np.abs(spectrum.lambdas).max())[1] - 2)
+        worst = float(np.maximum(worst, error))
+        worst_scaled = float(np.maximum(worst_scaled, error / scale))
+    return check_record(name, worst_scaled <= IDENTITY_TOL, f"max |direct - weighted| = {worst:.3e}")
 
 
 def lp_oracle_check(rng: np.random.Generator, trials: int) -> dict:
     """One record: flow vs LP optimum within LP_TOL and every duality gap
-    within GAP_TOL, over random programs drawn from rng.
+    within DUALITY_GAP_TOL, over random programs drawn from rng.
 
     Each has 1..4 rows and columns, edge caps uniform on [0, 1) with about
     15% set to inf, and row and column caps uniform on [0.05, 1.5).  The
@@ -130,7 +139,7 @@ def lp_oracle_check(rng: np.random.Generator, trials: int) -> dict:
             flows.append(sol.value)
             worst_gap = max(worst_gap, abs(sol.value - sol.cut_value))
         worst = float(np.max(np.abs(np.array(flows) - lp_oracle(progs)), initial=worst))
-    ok = worst <= LP_TOL and worst_gap <= GAP_TOL
+    ok = worst <= LP_TOL and worst_gap <= DUALITY_GAP_TOL
     detail = f"max |flow - lp| = {worst:.3e}, max duality gap = {worst_gap:.3e}"
     return check_record(f"flow vs LP oracle ({trials} random instances)", ok, detail)
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subspace_bounds import bounds, exp_spectrum, verify
-from subspace_bounds.cli import SIMULATE_COLUMNS, _json_text, main
+from subspace_bounds.cli import READS, SIMULATE_COLUMNS, TAKES, _json_text, main
 
 # Args, artifact and stdout of two `verify` commands per suite, as the CLI
 # wrote them while it still ran each suite's loops itself.  The fisher-limit
@@ -824,6 +824,95 @@ class TestReportCommand:
         assert [int(row["d"]) for row in rows] == [3, 4, 5, 6]
         for row in rows:
             assert float(row["risk"]) + 3.0 * float(row["se"]) >= float(row["bound"])
+
+
+# A value each optional flag parses, and the arguments before them that each
+# command's form needs.
+FLAG_VALUES = {
+    "spectrum": "spike:2,1,1,2", "d": "1", "n": "8", "sigma": "1", "delta": "1", "mu": "auto",
+    "p": "4", "trials": "2", "seed": "1", "workers": "1",
+}
+FORM_ARGS = {
+    "bound": lambda form: [form],
+    "simulate": lambda form: [*form.split()[:2], "--reps", "2"],
+    "verify": lambda form: [form],
+    "report": lambda form: ["--family", "exp"],
+}
+# Every flag a command takes that one of its forms does not read.  --sigma with
+# --loss hs picks the --sigma form, so the --n form of that loss never sees it.
+UNREAD = [
+    (command, form, flag)
+    for command, forms in READS.items()
+    for form, reads in forms.items()
+    for flag in TAKES[command]
+    if flag not in reads and (form, flag) != ("--loss hs --n", "sigma")
+]
+# A quick run of each command, and the stderr line's start when its --out cannot be written.
+QUICK_RUNS = [
+    ["bound", "hs", "--spectrum", "spike:2,1,1,2", "--n", "8"],
+    ["simulate", "--loss", "hs", "--spectrum", "spike:2,1,1,2", "--n", "8", "--reps", "3", "--seed", "1"],
+    ["verify", "lp-oracle", "--trials", "2", "--seed", "1"],
+    ["report", "--family", "exp", "--p", "10", "--n", "100", "--d-min", "2", "--d-max", "4"],
+]
+
+
+class TestFlagContract:
+    @pytest.mark.parametrize("command, form, flag", UNREAD)
+    def test_every_unread_flag_is_a_usage_error(self, command, form, flag, tmp_path, capsys):
+        out = tmp_path / "artifact"
+        reads = [arg for f in READS[command][form] if f != "out" for arg in (f"--{f}", FLAG_VALUES[f])]
+        argv = [command, *FORM_ARGS[command](form), *reads, f"--{flag}", FLAG_VALUES[flag]]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {command} {form} does not read --{flag}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["bound", "hs", "--n", "8"], "bound hs needs --spectrum"),
+            (["simulate", "--loss", "hs", "--n", "8", "--reps", "3"], "simulate needs --spectrum"),
+            (["report", "--family", "exp", "--p", "10"], "report needs --p and --n"),
+            (["report", "--family", "exp", "--n", "100"], "report needs --p and --n"),
+        ],
+    )
+    def test_missing_required_flag_is_one_line(self, args, message, tmp_path, capsys):
+        out = tmp_path / "artifact"
+        assert run(args + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("delta", ["auto", "abc"])
+    def test_simulate_delta_is_a_number(self, delta, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        assert run([*QUICK_RUNS[1], "--delta", delta, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --delta must be a number\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", QUICK_RUNS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_out_is_a_usage_error(self, argv, where, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+        assert run([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write --out {out}: ") and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "hs", "--spectrum", "exp:1,1e17", "--n", "10"],
+            ["simulate", "--loss", "hs", "--spectrum", "exp:1,1e17", "--n", "10", "--reps", "2"],
+            ["verify", "fisher-limit", "--spectrum", "exp:1,1e17", "--n", "10"],
+            ["report", "--family", "exp", "--p", str(10**17), "--n", "10", "--d-min", "2",
+             "--d-max", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_failed_allocation_is_exit_3_with_one_line(self, argv, capsys):
+        # p = 10^17 asks for 8e17 bytes, beyond any address space, so it fails at once.
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("precondition failed: Unable to allocate") and err.count("\n") == 1
 
 
 class TestDeterminism:

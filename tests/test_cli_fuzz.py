@@ -2,12 +2,13 @@
 one of the documented exit codes or in argparse's usage exit, never in any
 other exception.
 
-Each command gets the flags it reads most of the time and any other flag
-now and then; each value is mostly an ordinary one and otherwise zero,
-negative, huge, non-finite or malformed.  Sizes stay small (p <= 8; at most
-64 replicates, trials or simulations; one to three workers), so no process
-pool starts.  The covariance sampler draws an n x p sample per replicate, so
-n stays at most 1000 wherever a command simulates; elsewhere it reaches 10^30.
+Each command form (``cli.READS``) gets the flags it reads most of the time and
+any other flag its command takes now and then; each value is mostly an
+ordinary one and otherwise zero, negative, huge, non-finite or malformed.
+Sizes stay small (p <= 8; at most 64 replicates, trials or simulations; one
+to three workers), so no process pool starts.  The covariance sampler draws
+an n x p sample per replicate, so n stays at most 1000 wherever a command
+simulates; elsewhere it reaches 10^30.
 """
 
 import os
@@ -17,7 +18,7 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subspace_bounds.cli import BOUND_READS, SEED_ENV_VAR, main
+from subspace_bounds.cli import READS, SEED_ENV_VAR, TAKES, main
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 OUT = "<out>"  # replaced by a path in the example's temporary directory
@@ -67,6 +68,7 @@ POOLS = {
     "workers": _mostly(st.integers(1, 3), st.integers(-1, 0)),
     "alpha": _mostly(st.sampled_from(["1", "0.5", "2"]), st.sampled_from(ODD_FLOATS)),
     "d-min": _mostly(st.integers(1, 3), odd_dims),
+    "out": st.just(OUT),
 }
 
 
@@ -80,43 +82,28 @@ def _flags(draw, reads, others, pools=POOLS) -> list[str]:
 @st.composite
 def commands(draw):
     """(argv, value of the seed variable or None)."""
-    command = draw(st.sampled_from(["bound", "simulate", "verify", "report"]))
+    command = draw(st.sampled_from(list(READS)))
+    form = draw(st.sampled_from(list(READS[command])))
+    reads = READS[command][form]
+    pools = POOLS
     if command == "bound":
-        kind = draw(st.sampled_from(sorted(BOUND_READS)))
-        reads = ["d", "format", *BOUND_READS[kind]]
-        others = [f for f in ("n", "sigma", "delta", "mu") if f not in reads]
-        argv = ["bound", kind, "--spectrum", draw(POOLS["spectrum"]), *_flags(draw, reads, others)]
+        head = [form, *_flags(draw, ["format"], [])]
     elif command == "simulate":
-        loss = draw(st.sampled_from(["hs", "excess"]))
-        model = draw(st.sampled_from(["n", "sigma"])) if loss == "hs" else "n"
-        reads = ["d", "seed", "workers", model] + (["delta"] if loss == "hs" else [])
-        others = [f for f in ("n", "sigma", "delta") if f not in reads]
+        head = [*form.split()[:2], "--reps", str(draw(counts))]
         pools = {**POOLS, "n": small_n}
-        argv = ["simulate", "--loss", loss, "--spectrum", draw(POOLS["spectrum"]),
-                "--reps", str(draw(counts)), *_flags(draw, reads, others, pools)]
     elif command == "verify":
-        suite, reads = draw(st.sampled_from([
-            ("fisher-limit", ["spectrum", "d", "n", "sigma"]),
-            ("derivatives", ["p", "d", "trials", "seed"]),
-            ("loss-identity", ["p", "d", "trials", "seed"]),
-            ("lp-oracle", ["trials", "seed"]),
-        ]))
-        flags = ("spectrum", "d", "n", "sigma", "p", "trials", "seed")
-        others = [f for f in flags if f not in reads]
-        argv = ["verify", suite, *_flags(draw, reads, others)]
+        head = [form]
     else:
-        simulate = draw(st.booleans())
-        reads = ["alpha", "d-min", "d-max"] + (["simulate", "seed", "workers"] if simulate else [])
-        others = [] if simulate else ["seed", "workers"]
+        simulate = form == "--simulate"
         d_min = draw(POOLS["d-min"])
         d_max = _mostly(st.integers(d_min, d_min + 3), odd_dims)
-        pools = {**POOLS, "d-min": st.just(d_min), "d-max": d_max}
-        p = draw(_mostly(st.integers(5, 8), st.integers(-2, 4)))
-        n = draw(small_n if simulate else POOLS["n"])
-        argv = ["report", "--family", draw(st.sampled_from(["exp", "poly"])),
-                "--p", str(p), "--n", str(n), *_flags(draw, reads, others, pools)]
-    if draw(st.booleans()):
-        argv += ["--out", OUT]
+        p = _mostly(st.integers(5, 8), st.integers(-2, 4))
+        n = small_n if simulate else POOLS["n"]
+        pools = {**POOLS, "p": p, "n": n, "d-min": st.just(d_min), "d-max": d_max}
+        head = ["--family", draw(st.sampled_from(["exp", "poly"]))]
+        head += _flags(draw, ["alpha", "d-min", "d-max"] + (["simulate"] if simulate else []), [], pools)
+    others = [flag for flag in TAKES[command] if flag not in reads]
+    argv = [command, *head, *_flags(draw, reads, others, pools)]
     seed_env = draw(st.sampled_from([None] * 6 + ["7", "-3", "abc", str(2**64)]))
     return argv, seed_env
 

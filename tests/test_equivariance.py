@@ -1,4 +1,6 @@
+import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -224,6 +226,31 @@ class TestExcessRisk:
         with np.errstate(over="ignore", invalid="ignore"):
             check = loss_identity_check("identity", [(spectrum, u, p_hat, 1.2e308)])
         assert check["status"] == "FAIL" and check["detail"].endswith("= nan")
+
+
+    @settings(max_examples=80)
+    @given(st.integers(2, 8), st.data(), st.integers(-1000, 1000), st.sampled_from([0.0, 1e-9, 1e-6]))
+    def test_identity_verdict_does_not_depend_on_units(self, p, data, k, bias):
+        """lam and mu rescaled by 2^k give the same verdict and the same error over
+        the spectrum's scale, also when the weighted loss is off by a relative bias."""
+        d = data.draw(st.integers(1, p - 1))
+        g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        lam = np.sort(g.uniform(0.2, 3.0, size=p))[::-1]
+        u, p_hat = haar_orthogonal(p, g), projector_leq_d(haar_orthogonal(p, g), d)
+        mu = g.uniform(lam[d], lam[d - 1])
+
+        def biased(*args):
+            return weighted_loss(*args) * (1.0 + bias)
+
+        def check(k):
+            group = (Spectrum(np.ldexp(lam, k), d), u, p_hat, math.ldexp(mu, k))
+            with mock.patch("subspace_bounds.verify.weighted_loss", biased):
+                record = loss_identity_check("identity", [group])
+            return record["status"], float(record["detail"].rpartition("= ")[2]) / math.ldexp(1.0, k)
+
+        (status, error), (status_k, error_k) = check(0), check(k)
+        assert status_k == status
+        assert error_k == pytest.approx(error, rel=1e-3)  # the detail prints four digits
 
 
 def _bits(x) -> bytes:
